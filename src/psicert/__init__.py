@@ -9,7 +9,7 @@ matrix, and a sufficient certificate for the class being pseudo-Anosov from
 the exact factor structure of the characteristic polynomial.
 """
 
-from .contract import ContractionSpec, omega0, phi_contract, psi_matrix, tensor_pairing, theta
+from .contract import ContractionSpec, phi_contract, psi_matrix
 from .errors import DepthError, FixtureError, GenusMismatchError, JobError, TruncationError
 from .fixtures import verify_fixtures
 from .homology import (HVector, IntMatrix, conjugate, intersection, inverse_unimodular,
@@ -17,9 +17,8 @@ from .homology import (HVector, IntMatrix, conjugate, intersection, inverse_unim
 from .jobs import CertificationReport, Job, load_job, parse_job, run_job, run_tau
 from .johnson import (DepthResult, JohnsonCochain, bp_tau, cochain_from_wedge3,
                       derivation_apply, filtration_depth, tau_on_H, tau_squared)
-from .polylab import (CriterionReport, Factorization, IntPolynomial, casson_bleiler,
-                      charpoly, criterion, cyclotomic, factor_z, has_root_of_unity,
-                      irreducible_mod_p, is_power_substitution)
+from .polylab import (CriterionReport, Factorization, IntPolynomial, charpoly, criterion,
+                      factor_z, irreducible_mod_p)
 from .tensors import (TruncatedTensor, dynkin_is_lie, graded_part, lie_bracket,
                       magnus_expand, tensor_mul)
 from .words import (FreeEndomorphism, GroupWord, abelianize, apply_endo, commutator,

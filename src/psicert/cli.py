@@ -19,7 +19,7 @@ import tempfile
 
 from .errors import DepthError, FixtureError, JobError
 from .fixtures import verify_fixtures
-from .jobs import SCHEMA_VERSION, canonical_json, parse_matrix, run_job, run_tau
+from .jobs import Job, SCHEMA_VERSION, canonical_json, load_job, parse_matrix, run_job, run_tau
 from .polylab import charpoly
 
 EXIT_OK = 0
@@ -46,8 +46,9 @@ def _write_output(text: str, out_path: str | None):
         raise
 
 
-def _apply_option_overrides(args, job_doc: dict) -> dict:
-    options = dict(job_doc.get("options", {}))
+def _load_job(args) -> Job:
+    """The job file named on the command line, with its option overrides."""
+    options = {}
     if args.primes is not None:
         options["primes"] = [int(p) for p in args.primes.split(",") if p.strip()]
     if args.truncation is not None:
@@ -55,31 +56,18 @@ def _apply_option_overrides(args, job_doc: dict) -> dict:
     if getattr(args, "contraction_spec", None):
         with open(args.contraction_spec, "r", encoding="utf-8") as fh:
             options["contraction_spec"] = json.load(fh)
-    doc = dict(job_doc)
-    if options:
-        doc["options"] = options
-    return doc
-
-
-def _load_job_with_overrides(args):
-    from .jobs import parse_job
-    with open(args.job, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise JobError(f"invalid JSON in {args.job}: {exc}") from None
-    return parse_job(_apply_option_overrides(args, doc))
+    return load_job(args.job, options)
 
 
 def _cmd_certify(args) -> int:
-    job = _load_job_with_overrides(args)
+    job = _load_job(args)
     report = run_job(job, want_timings=args.timings)
     _write_output(report.to_json(), args.out)
     return EXIT_OK
 
 
 def _cmd_tau(args) -> int:
-    job = _load_job_with_overrides(args)
+    job = _load_job(args)
     depth, cochain = run_tau(job)
     obj = {"schema": SCHEMA_VERSION, "name": job.name,
            "observed_depth": depth.to_json_obj() if depth is not None else None,
@@ -159,8 +147,11 @@ def main(argv=None) -> int:
     except (JobError, FixtureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except RecursionError:
+        print("error: document nested too deeply", file=sys.stderr)
         return EXIT_VALIDATION
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,16 +1,11 @@
 """Equivariant contractions of tensor slots and assembly of the invariant matrix.
 
-The degree-2 form omega0 = sum_i (a_i b_i - b_i a_i) is the symplectic
-class inside H tensor H.  A ContractionSpec pairs up all but one slot of an
-odd-degree tensor and returns the remaining slot scaled by the product of
-slotwise intersection numbers; the default spec pairs consecutive slots
-(1,2),(3,4),... and outputs the last, which on degree k+1 is the map used
-at even levels k.  At odd levels the cochain is first squared through the
-derivation, then contracted in degree 2k+1.
-
-theta is the slotwise involution a_i -> b_i, b_i -> -a_i; pairing a tensor
-against theta of itself is positive definite, which is what makes the
-slotwise pairing nondegenerate on every graded piece.
+A ContractionSpec pairs up all but one slot of an odd-degree tensor and
+returns the remaining slot scaled by the product of slotwise intersection
+numbers; the default spec pairs consecutive slots (1,2),(3,4),... and
+outputs the last, which on degree k+1 is the map used at even levels k.
+At odd levels the cochain is first squared through the derivation, then
+contracted in degree 2k+1.
 """
 from __future__ import annotations
 
@@ -62,16 +57,6 @@ class ContractionSpec:
         return ContractionSpec(pairs, int(obj["output"]))
 
 
-def omega0(genus: int) -> TruncatedTensor:
-    """The symplectic form as a degree-2 tensor: sum_i (a_i b_i - b_i a_i)."""
-    terms = {}
-    for j in range(genus):
-        a, b = 2 * j + 1, 2 * j + 2
-        terms[(a, b)] = 1
-        terms[(b, a)] = -1
-    return TruncatedTensor(genus, 2, terms)
-
-
 def phi_contract(t: TruncatedTensor, spec: ContractionSpec) -> HVector:
     """Contract a homogeneous tensor of degree = spec.arity down to H."""
     m = spec.arity
@@ -87,81 +72,6 @@ def phi_contract(t: TruncatedTensor, spec: ContractionSpec) -> HVector:
         if sign:
             coords[word[spec.output - 1] - 1] += coeff * sign
     return HVector(t.genus, tuple(coords))
-
-
-def theta(t: TruncatedTensor) -> TruncatedTensor:
-    """Slotwise involution a_i -> b_i, b_i -> -a_i, extended multiplicatively."""
-    out: dict[tuple[int, ...], int] = {}
-    for word, coeff in t.terms.items():
-        sign = 1
-        new = []
-        for s in word:
-            if s % 2 == 1:
-                new.append(s + 1)
-            else:
-                new.append(s - 1)
-                sign = -sign
-        key = tuple(new)
-        v = out.get(key, 0) + coeff * sign
-        if v:
-            out[key] = v
-        else:
-            out.pop(key, None)
-    return TruncatedTensor(t.genus, t.truncation, out)
-
-
-def tensor_pairing(s: TruncatedTensor, t: TruncatedTensor) -> int:
-    """Slotwise intersection pairing of two homogeneous tensors of equal degree."""
-    ds = s.max_degree() if not s.is_zero() else None
-    dt = t.max_degree() if not t.is_zero() else None
-    if s.is_zero() or t.is_zero():
-        return 0
-    if not s.is_homogeneous(ds) or not t.is_homogeneous(dt) or ds != dt:
-        raise ValueError("operands must be homogeneous of equal degree")
-    total = 0
-    for word, coeff in s.terms.items():
-        # the only basis word pairing nontrivially with `word` is its slotwise partner
-        partner = tuple(p + 1 if p % 2 == 1 else p - 1 for p in word)
-        other = t.terms.get(partner)
-        if other is None:
-            continue
-        sign = 1
-        for p in word:
-            if p % 2 == 0:
-                sign = -sign
-        total += coeff * other * sign
-    return total
-
-
-def diagonal_action(m: IntMatrix, t: TruncatedTensor) -> TruncatedTensor:
-    """Apply a matrix on H to every slot of a tensor (the diagonal action)."""
-    n = 2 * t.genus
-    if m.dimension != n:
-        raise ValueError("matrix dimension must be 2*genus")
-    acc: dict[tuple[int, ...], int] = {}
-    for word, coeff in t.terms.items():
-        partial = {(): coeff}
-        for s in word:
-            col = m.column(s - 1)
-            new: dict[tuple[int, ...], int] = {}
-            for w, c in partial.items():
-                for p, entry in enumerate(col):
-                    if not entry:
-                        continue
-                    key = w + (p + 1,)
-                    v = new.get(key, 0) + c * entry
-                    if v:
-                        new[key] = v
-                    else:
-                        new.pop(key, None)
-            partial = new
-        for w, c in partial.items():
-            v = acc.get(w, 0) + c
-            if v:
-                acc[w] = v
-            else:
-                acc.pop(w, None)
-    return TruncatedTensor(t.genus, t.truncation, acc)
 
 
 def psi_matrix(c: JohnsonCochain, k: int, spec: ContractionSpec | None = None) -> IntMatrix:

@@ -31,7 +31,7 @@ from .errors import DepthError, JobError
 from .homology import HVector, IntMatrix, sp_check, transvection, conjugate
 from .johnson import (DepthResult, JohnsonCochain, bp_tau, cochain_from_wedge3,
                       filtration_depth, tau_on_H)
-from .polylab import CriterionReport, charpoly, criterion
+from .polylab import CriterionReport, _is_prime, charpoly, criterion
 from .words import (FreeEndomorphism, compose_endos, inner_automorphism,
                     parse_word, sep_twist)
 
@@ -47,11 +47,23 @@ def matrix_to_json_obj(m: IntMatrix) -> list:
     return [[str(x) for x in row] for row in m.rows]
 
 
+def _integer(value, what: str) -> int:
+    """A JSON integer; bool is rejected although Python counts it as an int."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise JobError(f"{what} must be an integer, got {type(value).__name__}")
+    return value
+
+
+def _entry(value) -> int:
+    """A matrix or vector entry: a JSON integer or a decimal string."""
+    return int(value) if isinstance(value, str) else _integer(value, "entry")
+
+
 def parse_matrix(obj, *, what: str = "matrix") -> IntMatrix:
-    if not isinstance(obj, list) or not obj:
+    if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise JobError(f"{what} must be a nonempty array of rows")
     try:
-        rows = [[int(x) for x in row] for row in obj]
+        rows = [[_entry(x) for x in row] for row in obj]
     except (TypeError, ValueError) as exc:
         raise JobError(f"{what} entries must be integers or decimal strings: {exc}") from None
     if any(len(r) != len(rows) for r in rows):
@@ -69,7 +81,7 @@ def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
         if len(obj) != 2 * genus:
             raise JobError(f"{what} must have 2*genus = {2 * genus} coordinates")
         try:
-            return HVector(genus, tuple(int(x) for x in obj))
+            return HVector(genus, tuple(_entry(x) for x in obj))
         except (TypeError, ValueError) as exc:
             raise JobError(f"{what}: {exc}") from None
     raise JobError(f"{what} must be a coordinate array or a generator name")
@@ -95,11 +107,12 @@ class Job:
 def parse_job(obj: dict) -> Job:
     if not isinstance(obj, dict):
         raise JobError("job document must be a JSON object")
-    if obj.get("schema") != SCHEMA_VERSION:
-        raise JobError(f"unsupported schema version {obj.get('schema')!r} (expected {SCHEMA_VERSION})")
+    schema = obj.get("schema")
+    if type(schema) is not int or schema != SCHEMA_VERSION:
+        raise JobError(f"unsupported schema version {schema!r} (expected {SCHEMA_VERSION})")
     try:
-        genus = int(obj["genus"])
-        k = int(obj["k"])
+        genus = _integer(obj["genus"], "genus")
+        k = _integer(obj["k"], "k")
         pipeline = obj["pipeline"]
         element = obj["element"]
     except KeyError as exc:
@@ -113,17 +126,20 @@ def parse_job(obj: dict) -> Job:
     options = obj.get("options", {})
     if not isinstance(options, dict):
         raise JobError("options must be an object")
-    divide_by = int(options.get("divide_by", 1))
+    divide_by = _integer(options.get("divide_by", 1), "divide_by")
     if divide_by < 1:
         raise JobError("divide_by must be a positive integer")
     primes = options.get("primes")
     if primes is not None:
-        primes = tuple(int(p) for p in primes)
-        if any(p < 2 for p in primes):
-            raise JobError("primes must be >= 2")
+        if not isinstance(primes, list):
+            raise JobError("primes must be a list of primes")
+        primes = tuple(_integer(p, "each of primes") for p in primes)
+        for p in primes:
+            if not _is_prime(p):
+                raise JobError(f"primes must all be prime, got {p}")
     truncation = options.get("truncation")
     if truncation is not None:
-        truncation = int(truncation)
+        truncation = _integer(truncation, "truncation")
         if truncation < k + 1:
             raise JobError(f"truncation must be at least k+1 = {k + 1}")
     contraction = options.get("contraction_spec")
@@ -142,12 +158,22 @@ def parse_job(obj: dict) -> Job:
     return job
 
 
-def load_job(path) -> Job:
+def load_job(path, options: dict | None = None) -> Job:
+    """Read and parse the job document at `path`.
+
+    Entries of `options` replace the document's own options of the same
+    name (the command line's overrides).
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise JobError(f"invalid JSON in {path}: {exc}") from None
+    if options and isinstance(doc, dict):
+        own = doc.get("options", {})
+        if not isinstance(own, dict):
+            raise JobError("options must be an object")
+        doc = {**doc, "options": {**own, **options}}
     return parse_job(doc)
 
 
@@ -156,7 +182,7 @@ def _validate_pi1(node, job: Job):
         raise JobError("pi1 element nodes must be objects with an 'op' field")
     op = node["op"]
     if op == "sep_twist":
-        index = int(node.get("index", 0))
+        index = _integer(node.get("index", 0), "sep_twist index")
         if not 1 <= index <= job.genus - 1:
             raise JobError(f"sep_twist index must be in 1..genus-1, got {index}")
     elif op == "inner":
@@ -165,8 +191,9 @@ def _validate_pi1(node, job: Job):
         parse_word(node["word"], job.genus)
     elif op == "custom":
         images = node.get("images")
-        if not isinstance(images, list) or len(images) != 2 * job.genus:
-            raise JobError(f"custom node needs exactly {2 * job.genus} image words")
+        if (not isinstance(images, list) or len(images) != 2 * job.genus
+                or not all(isinstance(w, str) for w in images)):
+            raise JobError(f"custom node needs exactly {2 * job.genus} image word strings")
         for w in images:
             parse_word(w, job.genus)
     elif op == "compose":
@@ -176,7 +203,7 @@ def _validate_pi1(node, job: Job):
         for f in factors:
             _validate_pi1(f, job)
     elif op == "power":
-        exponent = int(node.get("exponent", 0))
+        exponent = _integer(node.get("exponent", 0), "power exponent")
         if exponent < 1:
             raise JobError("power exponent must be a positive integer")
         _validate_pi1(node.get("base"), job)
@@ -195,7 +222,8 @@ def _validate_homology(node, job: Job):
             raise JobError("signed sums with more than one term require even k "
                            "(the invariant is only additive at even levels)")
         for t in terms:
-            if not isinstance(t, dict) or t.get("sign") not in (1, -1) or "term" not in t:
+            if (not isinstance(t, dict) or type(t.get("sign")) is not int
+                    or t["sign"] not in (1, -1) or "term" not in t):
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
             _validate_homology(t["term"], job)
         return
@@ -219,7 +247,7 @@ def _validate_homology(node, job: Job):
         return
     atom = node.get("atom")
     if atom == "sep_twist":
-        index = int(node.get("index", 0))
+        index = _integer(node.get("index", 0), "sep_twist index")
         if not 1 <= index <= job.genus - 1:
             raise JobError(f"sep_twist index must be in 1..genus-1, got {index}")
     elif atom == "wedge3":
@@ -236,11 +264,11 @@ def _validate_homology(node, job: Job):
                 raise JobError("wedge triple must list exactly three vectors")
             for v in triple:
                 parse_hvector(v, job.genus, what="wedge vector")
-            int(t["coef"])
+            _integer(t["coef"], "wedge coef")
     elif atom == "bounding_pair":
         if job.k != 1:
             raise JobError("bounding_pair atoms define weight-2 data and require k = 1")
-        index = int(node.get("index", 0))
+        index = _integer(node.get("index", 0), "bounding_pair index")
         if not 1 <= index <= job.genus:
             raise JobError(f"bounding_pair index must be in 1..genus, got {index}")
     else:
@@ -380,6 +408,23 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _pi1_cochain(job: Job, timings: dict) -> tuple[DepthResult, JohnsonCochain]:
+    """Build the pi1 element, verify its depth, and extract the level-k cochain."""
+    t0 = time.perf_counter()
+    f = build_endomorphism(job.element, job)
+    truncation = job.truncation if job.truncation is not None else _default_truncation(job.k)
+    depth = filtration_depth(f, truncation - 1)
+    if depth.value < job.k:
+        raise DepthError(
+            f"element has filtration depth {depth} < k = {job.k}; the level-{job.k} "
+            "invariant is undefined")
+    timings["depth_s"] = time.perf_counter() - t0
+    t1 = time.perf_counter()
+    tau = tau_on_H(f, job.k)
+    timings["tau_s"] = time.perf_counter() - t1
+    return depth, tau
+
+
 def run_tau(job: Job):
     """Depth check plus the level-k cochain, without the polynomial tail.
 
@@ -387,12 +432,7 @@ def run_tau(job: Job):
     atom; returns (DepthResult | None, JohnsonCochain).
     """
     if job.pipeline == "pi1":
-        f = build_endomorphism(job.element, job)
-        truncation = job.truncation if job.truncation is not None else _default_truncation(job.k)
-        depth = filtration_depth(f, truncation - 1)
-        if depth.value < job.k:
-            raise DepthError(f"element has filtration depth {depth} < k = {job.k}")
-        return depth, tau_on_H(f, job.k)
+        return _pi1_cochain(job, {})
     if job.element.get("atom") in ("wedge3", "bounding_pair"):
         return None, _atom_cochain(job.element, job, _Trace())
     raise JobError("tau needs a pi1 job or a homology job whose element is a single cochain atom")
@@ -404,18 +444,7 @@ def run_job(job: Job, *, want_timings: bool = False) -> CertificationReport:
     trace = _Trace(atom_taus=[] if job.pipeline == "homology" else None)
     t0 = time.perf_counter()
     if job.pipeline == "pi1":
-        f = build_endomorphism(job.element, job)
-        truncation = job.truncation if job.truncation is not None else _default_truncation(job.k)
-        depth = filtration_depth(f, truncation - 1)
-        trace.observed_depth = depth
-        if depth.value < job.k:
-            raise DepthError(
-                f"element has filtration depth {depth} < k = {job.k}; the level-{job.k} "
-                "invariant is undefined")
-        timings["depth_s"] = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        trace.tau = tau_on_H(f, job.k)
-        timings["tau_s"] = time.perf_counter() - t1
+        trace.observed_depth, trace.tau = _pi1_cochain(job, timings)
         t2 = time.perf_counter()
         psi = psi_matrix(trace.tau, job.k, job.contraction)
         timings["psi_s"] = time.perf_counter() - t2

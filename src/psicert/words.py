@@ -203,11 +203,7 @@ def sep_twist(genus: int, index: int) -> FreeEndomorphism:
     twist conjugates a_j, b_j by gamma for j <= index and fixes the rest.
     index = genus would be boundary-parallel and is rejected.
     """
-    if not 1 <= index <= genus - 1:
-        raise ValueError(f"separating-curve index must be in 1..genus-1, got {index}")
-    gamma = GroupWord.identity(genus)
-    for j in range(1, index + 1):
-        gamma = gamma * commutator(a_gen(genus, j), b_gen(genus, j))
+    gamma = sep_twist_gamma(genus, index)
     gamma_inv = gamma.inverse()
     images = []
     for i in range(1, 2 * genus + 1):

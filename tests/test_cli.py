@@ -82,6 +82,39 @@ class TestCertify:
             assert cert is None or cert["prime"] == 19
 
 
+def hostile_documents() -> dict[str, str]:
+    twist = twist_job()
+    docs = {
+        "index-list": dict(twist, element={"op": "sep_twist", "index": [1]}),
+        "index-bool": dict(twist, element={"op": "sep_twist", "index": True}),
+        "primes-scalar": dict(twist, options={"primes": 5}),
+        "primes-composite": dict(twist, options={"primes": [9]}),
+        "primes-bool": dict(twist, options={"primes": [True]}),
+        "top-level-array": [twist],
+        "custom-non-string": dict(twist, element={"op": "custom", "images": [1, 2, 3, 4]}),
+        "sign-bool": dict(twist, pipeline="homology", element={"sum": [
+            {"sign": True, "term": {"atom": "sep_twist", "index": 1}}]}),
+        "genus-float": dict(twist, genus=2.5),
+    }
+    texts = {name: json.dumps(doc) for name, doc in docs.items()}
+    deep = json.dumps(twist["element"])
+    for _ in range(3000):
+        deep = f'{{"op": "compose", "factors": [{deep}]}}'
+    texts["nested-too-deeply"] = json.dumps(dict(twist, element=None)).replace("null", deep)
+    return texts
+
+
+@pytest.mark.parametrize("name", sorted(hostile_documents()))
+@pytest.mark.parametrize("command", ["certify", "tau"])
+def test_hostile_document_exits_2(tmp_path, capsys, name, command):
+    path = tmp_path / "job.json"
+    path.write_text(hostile_documents()[name])
+    assert main([command, "--job", str(path)]) == 2
+    assert main([command, "--job", str(path), "--truncation", "5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestTau:
     def test_pi1(self, tmp_path, capsys):
         job = write_job(tmp_path, twist_job())

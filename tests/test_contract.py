@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from checks import check_inner_conjugation_invariance, check_pairing_positivity, random_tensor
-from psicert.contract import (ContractionSpec, diagonal_action, omega0, phi_contract,
-                              psi_matrix, symbol_intersection, tensor_pairing, theta)
+from checks import (check_inner_conjugation_invariance, check_pairing_positivity,
+                    diagonal_action, omega0, random_tensor, tensor_pairing, theta)
+from psicert.contract import ContractionSpec, phi_contract, psi_matrix, symbol_intersection
 from psicert.homology import HVector, IntMatrix, conjugate, transvection
 from psicert.johnson import JohnsonCochain, bp_tau, tau_on_H
 from psicert.tensors import TruncatedTensor

@@ -101,6 +101,17 @@ class TestValidation:
         with pytest.raises(JobError):
             parse_job(base_job(options={"truncation": 2}))
 
+    @pytest.mark.parametrize("options, message", [
+        ({"primes": [13, 9]}, "prime"),
+        ({"primes": [1]}, "prime"),
+        ({"primes": [True]}, "integer"),
+        ({"divide_by": True}, "integer"),
+        ({"truncation": 4.0}, "integer"),
+    ])
+    def test_options_type_checked_at_parse_time(self, options, message):
+        with pytest.raises(JobError, match=message):
+            parse_job(base_job(options=options))
+
     def test_bad_hvector(self):
         doc = base_job(k=1, pipeline="homology", element={
             "atom": "wedge3",

@@ -1,14 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
-                    check_factor_roundtrip, naive_charpoly)
+                    check_factor_roundtrip, cyclotomic, naive_charpoly)
 from psicert.homology import HVector, IntMatrix, transvection
-from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, casson_bleiler,
-                             charpoly, criterion, cyclotomic, euler_phi, factor_z,
-                             find_certificate, has_root_of_unity, irreducible_mod_p,
-                             is_power_substitution, squarefree_decomposition)
+from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, charpoly, criterion,
+                             factor_z, find_certificate, irreducible_mod_p,
+                             squarefree_decomposition)
 
 QUINTIC = IntPolynomial.of_coeffs([151200, -13500, 3837, 107, -21, 1])
 OCTIC = IntPolynomial.of_coeffs([553, -558, 241, -76, -18, 26, -8, 0, 1])
@@ -16,6 +16,23 @@ OCTIC = IntPolynomial.of_coeffs([553, -558, 241, -76, -18, 26, -8, 0, 1])
 
 def poly(*asc):
     return IntPolynomial.of_coeffs(asc)
+
+
+def has_monic_divisor_mod(f: list[int], p: int) -> bool:
+    """Brute force: some monic g with 1 <= deg g <= deg f / 2 divides f mod p
+    (f ascending and monic)."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            rem = list(f)
+            for i in range(n, d - 1, -1):
+                c = rem[i] % p
+                for j, b in enumerate(g):
+                    rem[i - d + j] -= c * b
+            if all(c % p == 0 for c in rem[:d]):
+                return True
+    return False
 
 
 def companion(p: IntPolynomial) -> IntMatrix:
@@ -118,6 +135,16 @@ class TestFactorZ:
             (1, 0, -10, 0, 1), (1, 0, 0, 0, 1)]
         assert find_certificate(hard) is None
 
+    def test_fast_path_certificate_is_the_scan_prime(self):
+        rng = random.Random(0x43455254)
+        inputs = [QUINTIC, OCTIC]
+        while len(inputs) < 40:
+            f = poly(*([rng.randrange(-20, 21) for _ in range(rng.randrange(2, 9))] + [1]))
+            if find_certificate(f) is not None:
+                inputs.append(f)
+        for f in inputs:
+            assert factor_z(f).certificates == {f: find_certificate(f).prime}
+
     def test_repeated_cyclotomic_square(self):
         p = (cyclotomic(5) * cyclotomic(8)) ** 2
         fz = factor_z(p)
@@ -171,6 +198,15 @@ class TestIrreducibleModP:
         with pytest.raises(ValueError):
             irreducible_mod_p(poly(1, 0, 3), 3)
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_brute_force_oracle(self, p):
+        # every monic polynomial of degree 1..4 over GF(p), squarefree or not
+        for n in range(1, 5):
+            for low in itertools.product(range(p), repeat=n):
+                f = list(low) + [1]
+                expected = not has_monic_divisor_mod(f, p)
+                assert irreducible_mod_p(poly(*f), p) is expected, (f, p)
+
 
 class TestCriterion:
     def test_even_degree_square(self):
@@ -216,17 +252,7 @@ class TestCriterion:
 
 
 class TestRootsOfUnity:
-    def test_cyclotomic_detected(self):
-        assert has_root_of_unity(poly(1, 1, 1)) is True
-
-    def test_shifted_linear(self):
-        assert has_root_of_unity(poly(-2, 1)) is False
-
-    def test_golden_quadratic(self):
-        assert has_root_of_unity(poly(1, -3, 1)) is False
-
-    def test_larger_order(self):
-        assert has_root_of_unity(cyclotomic(12) * poly(1, -3, 1)) is True
+    """The cyclotomic oracle that the factoring tests compare against."""
 
     def test_cyclotomic_table(self):
         assert cyclotomic(1) == poly(-1, 1)
@@ -241,37 +267,6 @@ class TestRootsOfUnity:
                 if n % d == 0:
                     prod = prod * cyclotomic(d)
             assert prod == poly(*([-1] + [0] * (n - 1) + [1]))
-
-    def test_phi(self):
-        assert [euler_phi(d) for d in (1, 2, 6, 12, 17)] == [1, 1, 2, 4, 16]
-
-
-class TestPowerSubstitution:
-    def test_detected(self):
-        assert is_power_substitution(poly(1, 0, 3, 0, 1)) == 2
-
-    def test_absent(self):
-        assert is_power_substitution(poly(1, -3, 1)) is None
-
-    def test_constant_convention(self):
-        assert is_power_substitution(poly(5)) is None
-
-
-class TestCassonBleiler:
-    def test_certified(self):
-        rep = casson_bleiler(companion(poly(1, -3, 1)))
-        assert rep.verdict == CERTIFIED
-        assert rep.irreducible and not rep.root_of_unity and rep.power_substitution is None
-
-    def test_identity_inconclusive(self):
-        rep = casson_bleiler(IntMatrix.identity(4))
-        assert rep.verdict == INCONCLUSIVE
-        assert rep.root_of_unity is True
-
-    def test_power_substitution_inconclusive(self):
-        rep = casson_bleiler(companion(poly(1, 0, 3, 0, 1)))
-        assert rep.verdict == INCONCLUSIVE
-        assert rep.power_substitution == 2
 
 
 class TestPolynomialBasics:
