@@ -48,14 +48,6 @@ class ContractionSpec:
         pairs = tuple((2 * j + 1, 2 * j + 2) for j in range(arity // 2))
         return ContractionSpec(pairs, arity)
 
-    def to_json_obj(self) -> dict:
-        return {"pairs": [list(p) for p in self.pairs], "output": self.output}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "ContractionSpec":
-        pairs = tuple((int(p[0]), int(p[1])) for p in obj["pairs"])
-        return ContractionSpec(pairs, int(obj["output"]))
-
 
 def phi_contract(t: TruncatedTensor, spec: ContractionSpec) -> HVector:
     """Contract a homogeneous tensor of degree = spec.arity down to H."""

@@ -19,12 +19,6 @@ from .errors import GenusMismatchError
 GENERATOR_KINDS = ("a", "b")
 
 
-def basis_name(position: int) -> str:
-    """Name of the 0-based coordinate position, e.g. 0 -> 'a1', 3 -> 'b2'."""
-    kind = GENERATOR_KINDS[position % 2]
-    return f"{kind}{position // 2 + 1}"
-
-
 def basis_position(name: str, genus: int) -> int:
     """0-based coordinate position of a generator name like 'b3'."""
     name = name.strip()
@@ -168,18 +162,12 @@ class IntMatrix:
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
 
-    def trace(self) -> int:
-        return sum(self.rows[i][i] for i in range(self.dimension))
-
     def column(self, j: int) -> tuple[int, ...]:
         return tuple(r[j] for r in self.rows)
 
     def apply(self, coords) -> tuple[int, ...]:
         """Image of a coordinate (column) vector."""
         return tuple(sum(r[k] * coords[k] for k in range(self.dimension)) for r in self.rows)
-
-    def is_even(self) -> bool:
-        return all(x % 2 == 0 for r in self.rows for x in r)
 
     def exact_divide(self, d: int) -> "IntMatrix":
         if d == 0:
@@ -227,16 +215,14 @@ def char_coeffs(m: IntMatrix) -> list[int]:
 
 
 def determinant(m: IntMatrix) -> int:
-    coeffs = char_coeffs(m)
-    n = m.dimension
-    return coeffs[0] if n % 2 == 0 else -coeffs[0]
+    return (-1) ** m.dimension * char_coeffs(m)[0]
 
 
 def inverse_unimodular(m: IntMatrix) -> IntMatrix:
     """Exact inverse for det = +-1, via Cayley-Hamilton (integer Horner)."""
     coeffs = char_coeffs(m)  # ascending: c0 + c1 x + ... + x^n
     n = m.dimension
-    det = determinant(m)
+    det = (-1) ** n * coeffs[0]
     if det not in (1, -1):
         raise ValueError(f"matrix is not unimodular (det {det})")
     acc = IntMatrix.identity(n)

@@ -5,9 +5,9 @@ invariant matrix:
 
 * ``pi1``: the element is an expression tree of free-group endomorphisms
   (built-in separating twists, inner automorphisms, user-supplied custom
-  endomorphisms, compositions, positive powers).  The pipeline verifies the
-  filtration depth, extracts the level-k cochain from Magnus expansions,
-  and contracts it.
+  endomorphisms, compositions, positive powers).  The pipeline reads the
+  filtration depth and the level-k cochain off one Magnus expansion per
+  generator, and contracts the cochain.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
@@ -25,14 +25,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contract import ContractionSpec, psi_matrix
-from .errors import DepthError, JobError
+from .errors import JobError
 from .homology import HVector, IntMatrix, sp_check, transvection, conjugate
-from .johnson import (DepthResult, JohnsonCochain, bp_tau, cochain_from_wedge3,
-                      filtration_depth, tau_on_H)
+from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, bp_tau, cochain_from_wedge3,
+                      depth_and_tau, tau_on_H)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
-from .words import (FreeEndomorphism, compose_endos, inner_automorphism,
+from .words import (MAX_WORD_LETTERS, FreeEndomorphism, compose_endos, inner_automorphism,
                     parse_word, sep_twist)
 
 SCHEMA_VERSION = 1
@@ -91,20 +92,58 @@ def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
 # job parsing
 # ---------------------------------------------------------------------------
 
+# With MAX_WORD_LETTERS, the cap on the letters one composition may write into
+# an image, this cap on power exponents keeps the pi1 build finite; both admit
+# the largest benchmark case (exponent 80, 17 x 1289 letters) about threefold.
+MAX_EXPONENT = 256
+
+# The element tree below uses NamedTuples: a frozen dataclass takes about
+# 1 ms to create at import, a NamedTuple about 0.14 ms.
+
+
+class Compose(NamedTuple):
+    """pi1 node: factors[0] after factors[1] after ..., all that `exponent` times."""
+
+    factors: tuple
+    exponent: int = 1
+
+
+class Atom(NamedTuple):
+    """Homology leaf: `index` for sep_twist and bounding_pair, `terms` for wedge3."""
+
+    kind: str
+    index: int | None = None
+    terms: tuple[WedgeTerm, ...] = ()
+
+
+class Sum(NamedTuple):
+    """Homology node: (sign, term) pairs."""
+
+    terms: tuple
+
+
+class Conjugate(NamedTuple):
+    """Homology node: `inner` conjugated by a checked symplectic matrix."""
+
+    inner: object
+    conjugator: IntMatrix
+
+
 @dataclass(frozen=True)
 class Job:
     genus: int
     k: int
     pipeline: str
-    element: dict
+    element: FreeEndomorphism | Compose | Atom | Sum | Conjugate
     name: str | None = None
     divide_by: int = 1
     primes: tuple[int, ...] | None = None
-    truncation: int | None = None
+    truncation: int | None = None  # parse_job sets k+2, or 2k+2 at odd k, when absent
     contraction: ContractionSpec | None = None
 
 
 def parse_job(obj: dict) -> Job:
+    """Check a job document and lower its element to a tree of nodes, in one walk."""
     if not isinstance(obj, dict):
         raise JobError("job document must be a JSON object")
     schema = obj.get("schema")
@@ -135,27 +174,17 @@ def parse_job(obj: dict) -> Job:
             raise JobError("primes must be a list of primes")
         primes = tuple(_integer(p, "each of primes") for p in primes)
         for p in primes:
-            if not _is_prime(p):
-                raise JobError(f"primes must all be prime, got {p}")
-    truncation = options.get("truncation")
-    if truncation is not None:
-        truncation = _integer(truncation, "truncation")
-        if truncation < k + 1:
-            raise JobError(f"truncation must be at least k+1 = {k + 1}")
+            if not (p < 1 << 64 and _is_prime(p)):
+                raise JobError(f"primes must all be primes below 2^64, got {p}")
+    truncation = _integer(options.get("truncation", 2 * k + 2 if k % 2 else k + 2), "truncation")
+    if truncation < k + 1:
+        raise JobError(f"truncation must be at least k+1 = {k + 1}")
     contraction = options.get("contraction_spec")
     if contraction is not None:
-        try:
-            contraction = ContractionSpec.from_json_obj(contraction)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise JobError(f"bad contraction spec: {exc}") from None
-    name = obj.get("name")
-    job = Job(genus, k, pipeline, element, name, divide_by, primes, truncation, contraction)
-    # validate the element tree eagerly so bad documents fail before any work
-    if pipeline == "pi1":
-        _validate_pi1(element, job)
-    else:
-        _validate_homology(element, job)
-    return job
+        contraction = _contraction_spec(contraction)
+    tree = _parse_pi1(element, genus) if pipeline == "pi1" else _parse_homology(element, genus, k)
+    return Job(genus, k, pipeline, tree, obj.get("name"), divide_by, primes, truncation,
+               contraction)
 
 
 def load_job(path, options: dict | None = None) -> Job:
@@ -177,187 +206,154 @@ def load_job(path, options: dict | None = None) -> Job:
     return parse_job(doc)
 
 
-def _validate_pi1(node, job: Job):
+def _contraction_spec(obj) -> ContractionSpec:
+    pairs = obj.get("pairs") if isinstance(obj, dict) else None
+    if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
+        raise JobError("contraction spec needs 'pairs', an array of two-slot arrays")
+    pairs = tuple(tuple(_integer(slot, "contraction slot") for slot in p) for p in pairs)
+    output = _integer(obj.get("output"), "contraction output")
+    try:
+        return ContractionSpec(pairs, output)
+    except ValueError as exc:
+        raise JobError(f"bad contraction spec: {exc}") from None
+
+
+def _index(node: dict, what: str, top: int, top_name: str) -> int:
+    index = _integer(node.get("index", 0), f"{what} index")
+    if not 1 <= index <= top:
+        raise JobError(f"{what} index must be in 1..{top_name}, got {index}")
+    return index
+
+
+def _parse_pi1(node, genus: int):
     if not isinstance(node, dict) or "op" not in node:
         raise JobError("pi1 element nodes must be objects with an 'op' field")
     op = node["op"]
     if op == "sep_twist":
-        index = _integer(node.get("index", 0), "sep_twist index")
-        if not 1 <= index <= job.genus - 1:
-            raise JobError(f"sep_twist index must be in 1..genus-1, got {index}")
-    elif op == "inner":
+        return sep_twist(genus, _index(node, "sep_twist", genus - 1, "genus-1"))
+    if op == "inner":
         if not isinstance(node.get("word"), str):
             raise JobError("inner node needs a 'word' string")
-        parse_word(node["word"], job.genus)
-    elif op == "custom":
+        return inner_automorphism(parse_word(node["word"], genus))
+    if op == "custom":
         images = node.get("images")
-        if (not isinstance(images, list) or len(images) != 2 * job.genus
+        if (not isinstance(images, list) or len(images) != 2 * genus
                 or not all(isinstance(w, str) for w in images)):
-            raise JobError(f"custom node needs exactly {2 * job.genus} image word strings")
-        for w in images:
-            parse_word(w, job.genus)
-    elif op == "compose":
+            raise JobError(f"custom node needs exactly {2 * genus} image word strings")
+        return FreeEndomorphism(genus, tuple(parse_word(w, genus) for w in images))
+    if op == "compose":
         factors = node.get("factors")
         if not isinstance(factors, list) or not factors:
             raise JobError("compose node needs a nonempty 'factors' list")
-        for f in factors:
-            _validate_pi1(f, job)
-    elif op == "power":
+        return Compose(tuple(_parse_pi1(f, genus) for f in factors))
+    if op == "power":
         exponent = _integer(node.get("exponent", 0), "power exponent")
-        if exponent < 1:
-            raise JobError("power exponent must be a positive integer")
-        _validate_pi1(node.get("base"), job)
-    else:
-        raise JobError(f"unknown pi1 op {op!r}")
+        if not 1 <= exponent <= MAX_EXPONENT:
+            raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {exponent}")
+        return Compose((_parse_pi1(node.get("base"), genus),), exponent)
+    raise JobError(f"unknown pi1 op {op!r}")
 
 
-def _validate_homology(node, job: Job):
+def _parse_homology(node, genus: int, k: int):
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
     if "sum" in node:
         terms = node["sum"]
         if not isinstance(terms, list) or not terms:
             raise JobError("sum node needs a nonempty list of terms")
-        if len(terms) > 1 and job.k % 2 == 1:
+        if len(terms) > 1 and k % 2 == 1:
             raise JobError("signed sums with more than one term require even k "
                            "(the invariant is only additive at even levels)")
+        parsed = []
         for t in terms:
             if (not isinstance(t, dict) or type(t.get("sign")) is not int
                     or t["sign"] not in (1, -1) or "term" not in t):
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
-            _validate_homology(t["term"], job)
-        return
+            parsed.append((t["sign"], _parse_homology(t["term"], genus, k)))
+        return Sum(tuple(parsed))
     if "conjugate" in node:
-        has_matrix = "matrix" in node
-        has_tv = "transvections" in node
-        if has_matrix == has_tv:
+        if ("matrix" in node) == ("transvections" in node):
             raise JobError("conjugate node needs exactly one of 'matrix' or 'transvections'")
-        if has_matrix:
-            m = parse_matrix(node["matrix"], what="conjugator matrix")
-            if m.dimension != 2 * job.genus:
-                raise JobError(f"conjugator matrix must be {2 * job.genus}x{2 * job.genus}")
-            if not sp_check(m):
-                raise JobError("non-symplectic conjugator matrix")
+        if "matrix" in node:
+            s = parse_matrix(node["matrix"], what="conjugator matrix")
+            if s.dimension != 2 * genus:
+                raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
         else:
             if not isinstance(node["transvections"], list) or not node["transvections"]:
                 raise JobError("transvections must be a nonempty list of homology classes")
+            s = IntMatrix.identity(2 * genus)
             for v in node["transvections"]:
-                parse_hvector(v, job.genus, what="transvection class")
-        _validate_homology(node["conjugate"], job)
-        return
+                s = s * transvection(parse_hvector(v, genus, what="transvection class"))
+        if not sp_check(s):
+            raise JobError("non-symplectic conjugator matrix")
+        return Conjugate(_parse_homology(node["conjugate"], genus, k), s)
     atom = node.get("atom")
+    if atom in ("wedge3", "bounding_pair") and k != 1:
+        raise JobError(f"{atom} atoms define weight-2 data and require k = 1")
     if atom == "sep_twist":
-        index = _integer(node.get("index", 0), "sep_twist index")
-        if not 1 <= index <= job.genus - 1:
-            raise JobError(f"sep_twist index must be in 1..genus-1, got {index}")
-    elif atom == "wedge3":
-        if job.k != 1:
-            raise JobError("wedge3 atoms define weight-2 data and require k = 1")
+        return Atom(atom, _index(node, "sep_twist", genus - 1, "genus-1"))
+    if atom == "wedge3":
         terms = node.get("terms")
         if not isinstance(terms, list) or not terms:
             raise JobError("wedge3 node needs a nonempty 'terms' list")
+        parsed = []
         for t in terms:
             if not isinstance(t, dict) or "coef" not in t or "triple" not in t:
                 raise JobError("wedge terms must be objects with 'coef' and 'triple'")
-            triple = t["triple"]
-            if not isinstance(triple, list) or len(triple) != 3:
+            if not isinstance(t["triple"], list) or len(t["triple"]) != 3:
                 raise JobError("wedge triple must list exactly three vectors")
-            for v in triple:
-                parse_hvector(v, job.genus, what="wedge vector")
-            _integer(t["coef"], "wedge coef")
-    elif atom == "bounding_pair":
-        if job.k != 1:
-            raise JobError("bounding_pair atoms define weight-2 data and require k = 1")
-        index = _integer(node.get("index", 0), "bounding_pair index")
-        if not 1 <= index <= job.genus:
-            raise JobError(f"bounding_pair index must be in 1..genus, got {index}")
-    else:
-        raise JobError(f"unknown homology node {sorted(node.keys())}")
+            vectors = tuple(parse_hvector(v, genus, what="wedge vector") for v in t["triple"])
+            parsed.append((_integer(t["coef"], "wedge coef"), vectors))
+        return Atom(atom, terms=tuple(parsed))
+    if atom == "bounding_pair":
+        return Atom(atom, _index(node, "bounding_pair", genus, "genus"))
+    raise JobError(f"unknown homology node {sorted(node.keys())}")
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 # ---------------------------------------------------------------------------
 
-def build_endomorphism(node: dict, job: Job) -> FreeEndomorphism:
-    op = node["op"]
-    if op == "sep_twist":
-        return sep_twist(job.genus, int(node["index"]))
-    if op == "inner":
-        return inner_automorphism(parse_word(node["word"], job.genus))
-    if op == "custom":
-        images = tuple(parse_word(w, job.genus) for w in node["images"])
-        return FreeEndomorphism(job.genus, images)
-    if op == "compose":
-        endos = [build_endomorphism(f, job) for f in node["factors"]]
-        out = endos[-1]
-        for f in reversed(endos[:-1]):
-            out = compose_endos(f, out)
-        return out
-    if op == "power":
-        base = build_endomorphism(node["base"], job)
-        out = base
-        for _ in range(int(node["exponent"]) - 1):
-            out = compose_endos(base, out)
-        return out
-    raise JobError(f"unknown pi1 op {op!r}")
+def _compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
+    """f after g, refused when it could write more than MAX_WORD_LETTERS letters into an image."""
+    letters = max(len(w) for w in f.images) * max(len(w) for w in g.images)
+    if letters > MAX_WORD_LETTERS:
+        raise JobError(f"a composition could write {letters} letters, cap {MAX_WORD_LETTERS}")
+    return compose_endos(f, g)
 
 
-def _default_truncation(k: int) -> int:
-    return k + 2 if k % 2 == 0 else 2 * k + 2
+def build_endomorphism(node) -> FreeEndomorphism:
+    """The endomorphism of a parsed pi1 element."""
+    if isinstance(node, FreeEndomorphism):
+        return node
+    endos = [build_endomorphism(f) for f in node.factors]
+    base = endos[-1]
+    for f in reversed(endos[:-1]):
+        base = _compose(f, base)
+    out = base
+    for _ in range(node.exponent - 1):
+        out = _compose(base, out)
+    return out
 
 
-@dataclass
-class _Trace:
-    """Mutable intermediate accumulator for one run."""
-
-    observed_depth: DepthResult | None = None
-    tau: JohnsonCochain | None = None
-    atom_taus: list | None = None
-
-
-def _atom_cochain(node: dict, job: Job, trace: _Trace) -> JohnsonCochain:
-    atom = node["atom"]
-    if atom == "sep_twist":
-        f = sep_twist(job.genus, int(node["index"]))
-        c = tau_on_H(f, job.k)
-        desc = {"atom": "sep_twist", "index": int(node["index"])}
-    elif atom == "wedge3":
-        terms = [(int(t["coef"]),
-                  tuple(parse_hvector(v, job.genus) for v in t["triple"]))
-                 for t in node["terms"]]
-        c = cochain_from_wedge3(job.genus, terms)
-        desc = {"atom": "wedge3"}
-    elif atom == "bounding_pair":
-        c = bp_tau(job.genus, int(node["index"]))
-        desc = {"atom": "bounding_pair", "index": int(node["index"])}
-    else:
-        raise JobError(f"unknown atom {atom!r}")
-    if trace.atom_taus is not None:
-        trace.atom_taus.append({**desc, "tau": c.to_json_obj()})
-    return c
+def _atom_cochain(atom: Atom, job: Job) -> JohnsonCochain:
+    if atom.kind == "sep_twist":
+        return tau_on_H(sep_twist(job.genus, atom.index), job.k)
+    if atom.kind == "wedge3":
+        return cochain_from_wedge3(job.genus, atom.terms)
+    return bp_tau(job.genus, atom.index)
 
 
-def _eval_homology(node: dict, job: Job, trace: _Trace) -> IntMatrix:
-    if "sum" in node:
-        total = None
-        for t in node["sum"]:
-            m = _eval_homology(t["term"], job, trace)
-            m = m if t["sign"] == 1 else -m
-            total = m if total is None else total + m
-        return total
-    if "conjugate" in node:
-        inner_m = _eval_homology(node["conjugate"], job, trace)
-        if "matrix" in node:
-            s = parse_matrix(node["matrix"], what="conjugator matrix")
-        else:
-            s = IntMatrix.identity(2 * job.genus)
-            for v in node["transvections"]:
-                s = s * transvection(parse_hvector(v, job.genus))
-        if not sp_check(s):
-            raise JobError("non-symplectic conjugator matrix")
-        return conjugate(s, inner_m)
-    c = _atom_cochain(node, job, trace)
+def _eval_homology(node, job: Job, atom_taus: list) -> IntMatrix:
+    """The invariant matrix of a parsed homology element; appends each atom's cochain."""
+    if isinstance(node, Sum):
+        terms = [sign * _eval_homology(term, job, atom_taus) for sign, term in node.terms]
+        return sum(terms[1:], terms[0])
+    if isinstance(node, Conjugate):
+        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus))
+    c = _atom_cochain(node, job)
+    index = {} if node.index is None else {"index": node.index}
+    atom_taus.append({"atom": node.kind, **index, "tau": c.to_json_obj()})
     return psi_matrix(c, job.k, job.contraction)
 
 
@@ -408,21 +404,9 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _pi1_cochain(job: Job, timings: dict) -> tuple[DepthResult, JohnsonCochain]:
+def _pi1_cochain(job: Job) -> tuple[DepthResult, JohnsonCochain]:
     """Build the pi1 element, verify its depth, and extract the level-k cochain."""
-    t0 = time.perf_counter()
-    f = build_endomorphism(job.element, job)
-    truncation = job.truncation if job.truncation is not None else _default_truncation(job.k)
-    depth = filtration_depth(f, truncation - 1)
-    if depth.value < job.k:
-        raise DepthError(
-            f"element has filtration depth {depth} < k = {job.k}; the level-{job.k} "
-            "invariant is undefined")
-    timings["depth_s"] = time.perf_counter() - t0
-    t1 = time.perf_counter()
-    tau = tau_on_H(f, job.k)
-    timings["tau_s"] = time.perf_counter() - t1
-    return depth, tau
+    return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
 
 
 def run_tau(job: Job):
@@ -432,24 +416,26 @@ def run_tau(job: Job):
     atom; returns (DepthResult | None, JohnsonCochain).
     """
     if job.pipeline == "pi1":
-        return _pi1_cochain(job, {})
-    if job.element.get("atom") in ("wedge3", "bounding_pair"):
-        return None, _atom_cochain(job.element, job, _Trace())
+        return _pi1_cochain(job)
+    if isinstance(job.element, Atom) and job.element.kind != "sep_twist":
+        return None, _atom_cochain(job.element, job)
     raise JobError("tau needs a pi1 job or a homology job whose element is a single cochain atom")
 
 
 def run_job(job: Job, *, want_timings: bool = False) -> CertificationReport:
-    """Run the full pipeline for a validated job."""
+    """Run the full pipeline for a parsed job."""
     timings: dict[str, float] = {}
-    trace = _Trace(atom_taus=[] if job.pipeline == "homology" else None)
+    depth = tau = atom_taus = None
     t0 = time.perf_counter()
     if job.pipeline == "pi1":
-        trace.observed_depth, trace.tau = _pi1_cochain(job, timings)
+        depth, tau = _pi1_cochain(job)
         t2 = time.perf_counter()
-        psi = psi_matrix(trace.tau, job.k, job.contraction)
+        timings["tau_s"] = t2 - t0
+        psi = psi_matrix(tau, job.k, job.contraction)
         timings["psi_s"] = time.perf_counter() - t2
     else:
-        psi = _eval_homology(job.element, job, trace)
+        atom_taus = []
+        psi = _eval_homology(job.element, job, atom_taus)
         timings["psi_s"] = time.perf_counter() - t0
     divided = None
     work = psi
@@ -464,6 +450,5 @@ def run_job(job: Job, *, want_timings: bool = False) -> CertificationReport:
     result = criterion(chi, job.primes)
     timings["polynomial_s"] = time.perf_counter() - t3
     timings["total_s"] = time.perf_counter() - t0
-    return CertificationReport(job, trace.observed_depth, trace.tau, trace.atom_taus,
-                               psi, divided, result,
+    return CertificationReport(job, depth, tau, atom_taus, psi, divided, result,
                                timings if want_timings else None)

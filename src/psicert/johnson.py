@@ -83,14 +83,29 @@ class DepthResult:
     value: int
     exact: bool
 
-    def at_least(self, k: int) -> bool:
-        return self.value >= k
-
     def to_json_obj(self) -> dict:
         return {"value": self.value, "exact": self.exact}
 
     def __str__(self) -> str:
         return str(self.value) if self.exact else f">= {self.value}"
+
+
+def _expansions(f: FreeEndomorphism, truncation: int) -> list[TruncatedTensor]:
+    """M(f(x) x^{-1}) - 1 at `truncation`, one per generator x in basis order."""
+    unit = TruncatedTensor.unit(f.genus, truncation)
+    out = []
+    for i in range(1, 2 * f.genus + 1):
+        g = generator(f.genus, i)
+        out.append(magnus_expand(apply_endo(f, g) * g.inverse(), truncation) - unit)
+    return out
+
+
+def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
+    """Depth read off expansions carried at truncation max_k + 1."""
+    degrees = [d for e in expansions if (d := e.min_degree()) is not None]
+    if not degrees:
+        return DepthResult(max_k, exact=False)
+    return DepthResult(min(degrees) - 1, exact=True)
 
 
 def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
@@ -101,21 +116,7 @@ def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
     """
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    truncation = max_k + 1
-    first_nonzero = None
-    for i in range(1, 2 * f.genus + 1):
-        g = generator(f.genus, i)
-        w = apply_endo(f, g) * g.inverse()
-        if w.is_identity():
-            continue
-        expansion = magnus_expand(w, truncation)
-        expansion = expansion - TruncatedTensor.unit(f.genus, truncation)
-        d = expansion.min_degree()
-        if d is not None and (first_nonzero is None or d < first_nonzero):
-            first_nonzero = d
-    if first_nonzero is None:
-        return DepthResult(max_k, exact=False)
-    return DepthResult(first_nonzero - 1, exact=True)
+    return _depth(_expansions(f, max_k + 1), max_k)
 
 
 def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
@@ -127,19 +128,24 @@ def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
     """
     if k < 1:
         raise ValueError("level k must be at least 1")
-    truncation = k + 1
-    images = []
-    for i in range(1, 2 * f.genus + 1):
-        g = generator(f.genus, i)
-        w = apply_endo(f, g) * g.inverse()
-        expansion = magnus_expand(w, truncation) - TruncatedTensor.unit(f.genus, truncation)
-        d = expansion.min_degree()
-        if d is not None and d <= k:
-            raise DepthError(
-                f"endomorphism depth is at most {d - 1} < {k}: generator {i} image has a "
-                f"degree-{d} term")
-        images.append(graded_part(expansion, truncation))
-    return JohnsonCochain(f.genus, truncation, tuple(images))
+    return depth_and_tau(f, k, k + 1)[1]
+
+
+def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
+    """filtration_depth(f, truncation - 1) and tau_on_H(f, k), from one expansion per generator.
+
+    Needs truncation >= k + 1, where the degree-(k+1) parts are already
+    exact.  Raises DepthError when the depth is below k.
+    """
+    if truncation < k + 1:
+        raise ValueError(f"truncation must be at least k+1 = {k + 1}")
+    expansions = _expansions(f, truncation)
+    depth = _depth(expansions, truncation - 1)
+    if depth.value < k:
+        raise DepthError(
+            f"element has filtration depth {depth} < k = {k}; the level-{k} "
+            "invariant is undefined")
+    return depth, JohnsonCochain(f.genus, k + 1, tuple(graded_part(e, k + 1) for e in expansions))
 
 
 def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:

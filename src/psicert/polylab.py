@@ -37,8 +37,32 @@ INCONCLUSIVE = "INCONCLUSIVE"
 CERTIFICATE_METHOD = "distinct-degree-gcd"
 
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+    """Miller-Rabin with the prime bases 2..37: exact for every n < 2^64
+    (indeed below 3.3e24), a strong probable-prime test above."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 DEFAULT_CERT_PRIMES = tuple(p for p in range(2, 100) if _is_prime(p))

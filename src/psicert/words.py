@@ -20,6 +20,9 @@ Letter = tuple[int, int]
 
 _TOKEN = re.compile(r"([ab])([0-9]+)(?:\^(-?[0-9]+))?$")
 
+# Longest word parse_word reads, before free reduction; jobs cap compositions by it too.
+MAX_WORD_LETTERS = 1 << 16
+
 
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     out: list[Letter] = []
@@ -126,6 +129,8 @@ def parse_word(text: str, genus: int) -> GroupWord:
         e = 1 if exponent is None else int(exponent)
         if e == 0:
             raise ValueError(f"zero exponent in {token!r}")
+        if len(letters) + abs(e) > MAX_WORD_LETTERS:
+            raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         sign = 1 if e > 0 else -1
         letters.extend([(idx, sign)] * abs(e))
     return reduce_word(genus, letters)

@@ -95,6 +95,20 @@ def hostile_documents() -> dict[str, str]:
         "sign-bool": dict(twist, pipeline="homology", element={"sum": [
             {"sign": True, "term": {"atom": "sep_twist", "index": 1}}]}),
         "genus-float": dict(twist, genus=2.5),
+        "contraction-pairs-string": dict(twist, options={"contraction_spec": {
+            "pairs": "12", "output": 3}}),
+        "contraction-slot-float": dict(twist, options={"contraction_spec": {
+            "pairs": [[1.9, 2]], "output": 3}}),
+        "contraction-slot-bool": dict(twist, options={"contraction_spec": {
+            "pairs": [[True, 2]], "output": 3}}),
+        "contraction-output-string": dict(twist, options={"contraction_spec": {
+            "pairs": [[1, 2]], "output": "3"}}),
+        "primes-beyond-2-64": dict(twist, options={"primes": [2**64 + 13]}),
+        "power-exponent-huge": dict(twist, element={
+            "op": "power", "base": twist["element"], "exponent": 10**12}),
+        "power-nested": dict(twist, element={"op": "power", "exponent": 40, "base": {
+            "op": "power", "base": twist["element"], "exponent": 40}}),
+        "word-exponent-huge": dict(twist, element={"op": "inner", "word": "a1^1000000000000"}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

@@ -1,5 +1,6 @@
 import pytest
 
+from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import IntMatrix
 from psicert.jobs import canonical_json, parse_job, run_job
@@ -107,10 +108,29 @@ class TestValidation:
         ({"primes": [True]}, "integer"),
         ({"divide_by": True}, "integer"),
         ({"truncation": 4.0}, "integer"),
+        ({"primes": [2**64 + 13]}, "2\\^64"),
+        ({"contraction_spec": {"pairs": [[1, 2]], "output": 3.0}}, "integer"),
     ])
     def test_options_type_checked_at_parse_time(self, options, message):
         with pytest.raises(JobError, match=message):
             parse_job(base_job(options=options))
+
+    def test_primes_up_to_2_64_parse_quickly(self):
+        job = parse_job(base_job(options={"primes": [2**64 - 59]}))
+        assert job.primes == (2**64 - 59,)
+
+    def test_power_exponent_capped(self):
+        element = {"op": "power", "base": {"op": "sep_twist", "index": 1}}
+        parse_job(base_job(element=dict(element, exponent=jobs.MAX_EXPONENT)))
+        with pytest.raises(JobError, match="exponent"):
+            parse_job(base_job(element=dict(element, exponent=jobs.MAX_EXPONENT + 1)))
+
+    def test_image_letters_capped(self):
+        # t^40 has 321-letter images, so t^40 after t^40 could write 321^2 letters
+        t40 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 40}
+        job = parse_job(base_job(element={"op": "compose", "factors": [t40, t40]}))
+        with pytest.raises(JobError, match="letters"):
+            run_job(job)
 
     def test_bad_hvector(self):
         doc = base_job(k=1, pipeline="homology", element={
@@ -119,6 +139,29 @@ class TestValidation:
         })
         with pytest.raises(JobError):
             parse_job(doc)
+
+
+class TestWorkDoneOnce:
+    def test_conjugator_checked_once(self, monkeypatch):
+        calls = []
+        real = jobs.sp_check
+        monkeypatch.setattr(jobs, "sp_check", lambda m: calls.append(m) or real(m))
+        doc = base_job(pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        })
+        run_job(parse_job(doc))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_one_expansion_per_generator(self, monkeypatch, k):
+        calls = []
+        real = johnson.magnus_expand
+        monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(w) or real(w, t))
+        doc = base_job(genus=3, k=k, element={"op": "compose", "factors": [
+            {"op": "sep_twist", "index": 1}, {"op": "sep_twist", "index": 2}]})
+        run_job(parse_job(doc))
+        assert 0 < len(calls) <= 6
 
 
 class TestRunJob:

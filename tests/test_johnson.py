@@ -6,8 +6,8 @@ from checks import (check_derivation_leibniz, check_tau_additivity, check_tau_im
                     random_tensor)
 from psicert.errors import DepthError, TruncationError
 from psicert.homology import HVector
-from psicert.johnson import (JohnsonCochain, bp_tau, cochain_from_wedge3, derivation_apply,
-                             filtration_depth, tau_on_H, tau_squared)
+from psicert.johnson import (JohnsonCochain, bp_tau, cochain_from_wedge3, depth_and_tau,
+                             derivation_apply, filtration_depth, tau_on_H, tau_squared)
 from psicert.tensors import TruncatedTensor, graded_part, lie_bracket, magnus_expand
 from psicert.words import (FreeEndomorphism, a_gen, apply_endo, b_gen, commutator,
                            compose_endos, generator, identity_endo, inner_automorphism,
@@ -85,6 +85,29 @@ class TestTauOnH:
 
     def test_images_are_lie_suite(self):
         check_tau_images_are_lie()
+
+
+class TestDepthAndTau:
+    @pytest.mark.parametrize("k,truncation", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 8)])
+    def test_matches_separate_routines(self, k, truncation):
+        t1, t2 = sep_twist(3, 1), sep_twist(3, 2)
+        commutator_of_twists = compose_endos(compose_endos(t1, t2), compose_endos(
+            sep_twist_inverse(3, 1), sep_twist_inverse(3, 2)))
+        for f in (t1, compose_endos(t1, t2), commutator_of_twists, identity_endo(3)):
+            depth = filtration_depth(f, truncation - 1)
+            if depth.value < k:
+                with pytest.raises(DepthError, match="filtration depth"):
+                    depth_and_tau(f, k, truncation)
+            else:
+                assert depth_and_tau(f, k, truncation) == (depth, tau_on_H(f, k))
+
+    def test_depth_failure_names_depth_and_level(self):
+        with pytest.raises(DepthError, match="depth 1 < k = 2"):
+            depth_and_tau(inner_automorphism(a_gen(2, 1)), 2, 4)
+
+    def test_truncation_floor(self):
+        with pytest.raises(ValueError):
+            depth_and_tau(sep_twist(2, 1), 2, 2)
 
 
 class TestDerivation:

@@ -6,8 +6,8 @@ import pytest
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, naive_charpoly)
 from psicert.homology import HVector, IntMatrix, transvection
-from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, charpoly, criterion,
-                             factor_z, find_certificate, irreducible_mod_p,
+from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, _is_prime, charpoly,
+                             criterion, factor_z, find_certificate, irreducible_mod_p,
                              squarefree_decomposition)
 
 QUINTIC = IntPolynomial.of_coeffs([151200, -13500, 3837, 107, -21, 1])
@@ -206,6 +206,26 @@ class TestIrreducibleModP:
                 f = list(low) + [1]
                 expected = not has_monic_divisor_mod(f, p)
                 assert irreducible_mod_p(poly(*f), p) is expected, (f, p)
+
+
+class TestIsPrime:
+    def test_trial_division_oracle(self):
+        sieve = bytearray([1]) * 100_000
+        sieve[0] = sieve[1] = 0
+        for d in range(2, 317):
+            if sieve[d]:
+                sieve[d * d::d] = bytes(len(range(d * d, 100_000, d)))
+        assert [n for n in range(100_000) if _is_prime(n) != bool(sieve[n])] == []
+
+    def test_strong_pseudoprime_to_bases_2_to_31(self):
+        # a strong probable prime to every prime base up to 31: only base 37
+        # shows that 3825123056546413051 = 149491 * 747451 * 34233211
+        assert 149491 * 747451 * 34233211 == 3825123056546413051
+        assert _is_prime(3825123056546413051) is False
+
+    def test_large_primes(self):
+        assert _is_prime(2**61 - 1) and _is_prime(2**64 - 59)
+        assert not _is_prime((2**31 - 1) * (2**61 - 1))
 
 
 class TestCriterion:
