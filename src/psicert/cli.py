@@ -49,7 +49,7 @@ def _write_output(text: str, out_path: str | None):
 def _load_job(args) -> Job:
     """The job file named on the command line, with its option overrides."""
     options = {}
-    if args.primes is not None:
+    if getattr(args, "primes", None) is not None:
         options["primes"] = [int(p) for p in args.primes.split(",") if p.strip()]
     if args.truncation is not None:
         options["truncation"] = args.truncation
@@ -121,7 +121,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="emit the depth check and level-k cochain")
     p.add_argument("--job", required=True)
     p.add_argument("--out")
-    p.add_argument("--primes", help=argparse.SUPPRESS)
     p.add_argument("--truncation", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_tau)
 

@@ -344,17 +344,25 @@ def _atom_cochain(atom: Atom, job: Job) -> JohnsonCochain:
     return bp_tau(job.genus, atom.index)
 
 
-def _eval_homology(node, job: Job, atom_taus: list) -> IntMatrix:
-    """The invariant matrix of a parsed homology element; appends each atom's cochain."""
+def _eval_homology(node, job: Job, atom_taus: list, done: dict) -> IntMatrix:
+    """The invariant matrix of a parsed homology element; appends each atom's cochain.
+
+    `done` maps each atom already evaluated to its (cochain entry, matrix), so
+    an atom that occurs again is listed again but computed once.
+    """
     if isinstance(node, Sum):
-        terms = [sign * _eval_homology(term, job, atom_taus) for sign, term in node.terms]
+        terms = [sign * _eval_homology(term, job, atom_taus, done) for sign, term in node.terms]
         return sum(terms[1:], terms[0])
     if isinstance(node, Conjugate):
-        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus))
-    c = _atom_cochain(node, job)
-    index = {} if node.index is None else {"index": node.index}
-    atom_taus.append({"atom": node.kind, **index, "tau": c.to_json_obj()})
-    return psi_matrix(c, job.k, job.contraction)
+        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done))
+    if node not in done:
+        c = _atom_cochain(node, job)
+        index = {} if node.index is None else {"index": node.index}
+        done[node] = ({"atom": node.kind, **index, "tau": c.to_json_obj()},
+                      psi_matrix(c, job.k, job.contraction))
+    entry, psi = done[node]
+    atom_taus.append(entry)
+    return psi
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +443,7 @@ def run_job(job: Job, *, want_timings: bool = False) -> CertificationReport:
         timings["psi_s"] = time.perf_counter() - t2
     else:
         atom_taus = []
-        psi = _eval_homology(job.element, job, atom_taus)
+        psi = _eval_homology(job.element, job, atom_taus, {})
         timings["psi_s"] = time.perf_counter() - t0
     divided = None
     work = psi

@@ -189,22 +189,21 @@ WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
 
 def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
     """Weight-2 cochain of a sum of coefficient-weighted wedge triples."""
-    terms = list(terms)
-    for _, (u, v, w) in terms:
+    # (vector, coefficient, bracket): the image of x sums coef * <vector, x> * bracket
+    parts = []
+    for coeff, (u, v, w) in terms:
         for vec in (u, v, w):
             if vec.genus != genus:
                 raise GenusMismatchError("wedge vector has wrong genus")
+        tu, tv, tw = (TruncatedTensor.from_hvector(vec, 2) for vec in (u, v, w))
+        parts += [(u, coeff, lie_bracket(tv, tw)), (v, coeff, lie_bracket(tw, tu)),
+                  (w, coeff, lie_bracket(tu, tv))]
     images = []
     for p in range(2 * genus):
         x = HVector.basis(genus, p)
         img = TruncatedTensor.zero(genus, 2)
-        for coeff, (u, v, w) in terms:
-            tu = TruncatedTensor.from_hvector(u, 2)
-            tv = TruncatedTensor.from_hvector(v, 2)
-            tw = TruncatedTensor.from_hvector(w, 2)
-            img = img + lie_bracket(tv, tw).scale(coeff * intersection(u, x))
-            img = img + lie_bracket(tw, tu).scale(coeff * intersection(v, x))
-            img = img + lie_bracket(tu, tv).scale(coeff * intersection(w, x))
+        for vec, coeff, bracket in parts:
+            img = img + bracket.scale(coeff * intersection(vec, x))
         images.append(img)
     return JohnsonCochain(genus, 2, tuple(images))
 

@@ -7,11 +7,13 @@ coefficient (the zero polynomial is the empty tuple).
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and Yun squarefree decomposition;
   2. for each squarefree part, the certificate scan `find_certificate` looks
-     for a small prime modulo which the part is irreducible; one found
-     short-circuits everything, and its prime is the part's certificate;
+     for a prime modulo which the part is irreducible, trying the job's
+     primes in order and then the default small primes not among them; one
+     found short-circuits everything, and `criterion` reuses the scan;
   3. otherwise: Cantor-Zassenhaus factorization modulo a small odd prime
      with good reduction, linear Hensel lifting to above the Mignotte
-     bound, and exhaustive subset recombination.
+     bound, and exhaustive subset recombination: subsets in increasing
+     size, each tested by one product mod p^a and one exact trial division.
 The recombination is exhaustive over subsets, so the returned factors are
 irreducible by construction even when no modular certificate exists.
 Both the certificate test and the modular factorization run on one lazy
@@ -554,26 +556,14 @@ def _symmetric(c: int, modulus: int) -> int:
     return c
 
 
-def _product_mod(parts, modulus):
-    out = [1]
-    for g in parts:
-        new = [0] * (len(out) + len(g) - 1)
-        for i, a in enumerate(out):
-            if not a:
-                continue
-            for j, b in enumerate(g):
-                new[i + j] = (new[i + j] + a * b) % modulus
-        out = new
-    return out
-
-
-def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random):
+def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, scan):
     """Irreducible factors of a primitive squarefree f (deg >= 1, lc > 0),
-    plus {factor: certificate prime} for factors certified by the fast path."""
+    plus {factor: certificate prime} for factors certified by the fast path,
+    which tests f modulo the primes of `scan` in order."""
     if f.degree == 1:
         return [f], {}
     # fast path: f irreducible modulo a small prime is irreducible over Z
-    cert = find_certificate(f)
+    cert = find_certificate(f, scan)
     if cert is not None:
         return [f], {f: cert.prime}
     # choose an odd working prime with good reduction
@@ -587,33 +577,30 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random):
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
 
+    # Subsets in increasing size: a candidate lc * prod(subset) mod p^a is a
+    # true factor (times a divisor of lc) exactly when it divides lc * current,
+    # and every smaller subset has been rejected by then, so it is irreducible.
     factors = []
     remaining = list(range(len(lifted)))
     current = f
     size = 1
     while 2 * size <= len(remaining):
-        found = None
+        lc = current.leading
+        target = current.scale(lc)
         for combo in itertools.combinations(remaining, size):
-            lc = current.leading
-            g_mod = _product_mod([lifted[i] for i in combo], modulus)
-            g_int = IntPolynomial.of_coeffs([_symmetric(lc * c % modulus, modulus) for c in g_mod])
-            h_mod = _product_mod([lifted[i] for i in remaining if i not in combo], modulus)
-            h_int = IntPolynomial.of_coeffs([_symmetric(lc * c % modulus, modulus) for c in h_mod])
-            if g_int * h_int == current.scale(lc):
-                found = (combo, g_int.primitive_part(), h_int.primitive_part())
+            product = [1]
+            for i in combo:
+                product = _gf_mul(product, lifted[i], modulus)
+            g = IntPolynomial.of_coeffs([_symmetric(lc * c, modulus) for c in product])
+            division = target.divmod_exact(g)
+            if division is not None and division[1].is_zero():
+                factors.append(g.primitive_part())
+                current = division[0].primitive_part()
+                remaining = [i for i in remaining if i not in combo]
                 break
-        if found is None:
+        else:
             size += 1
-            continue
-        combo, g, h = found
-        if g.leading < 0:
-            g = -g
-        factors.append(g)
-        current = h if h.leading > 0 else -h
-        remaining = [i for i in remaining if i not in combo]
-        size = 1
-    if current.degree >= 1:
-        factors.append(current)
+    factors.append(current)
     factors.sort(key=lambda q: (q.degree, q.coeffs))
     return factors, {}
 
@@ -625,6 +612,7 @@ class Factorization:
     constant: int
     factors: tuple[tuple[IntPolynomial, int], ...]
     certificates: dict  # IntPolynomial -> prime, for fast-path certified factors
+    scanned: frozenset = frozenset()  # factors the fast path tested modulo every listed prime
 
     def expand(self) -> IntPolynomial:
         out = IntPolynomial.constant(self.constant)
@@ -633,11 +621,13 @@ class Factorization:
         return out
 
 
-def factor_z(p: IntPolynomial) -> Factorization:
+def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     """Complete irreducible factorization over Z.
 
     Factors are primitive with positive leading coefficient, sorted by
     (degree, coefficients); the integer constant carries content and sign.
+    The fast path tests each squarefree part modulo the listed `primes` in
+    order, then modulo the default primes not among them.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -646,13 +636,17 @@ def factor_z(p: IntPolynomial) -> Factorization:
     rng = random.Random(repr(p.coeffs))
     collected: dict[IntPolynomial, int] = {}
     certificates: dict[IntPolynomial, int] = {}
+    scan = tuple(dict.fromkeys([*(primes or ()), *DEFAULT_CERT_PRIMES]))
+    scanned = set()
     for sqfree, mult in squarefree_decomposition(primitive):
-        irreducibles, certs = _zassenhaus_squarefree(sqfree, rng)
+        irreducibles, certs = _zassenhaus_squarefree(sqfree, rng, scan)
         certificates.update(certs)
+        if sqfree.degree > 1:
+            scanned.add(sqfree)
         for q in irreducibles:
             collected[q] = collected.get(q, 0) + mult
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
-    return Factorization(constant, factors, certificates)
+    return Factorization(constant, factors, certificates, frozenset(scanned))
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +663,7 @@ class Certificate:
 
 
 def find_certificate(q: IntPolynomial, primes=None) -> Certificate | None:
-    """Smallest listed prime for which q is irreducible modulo it."""
+    """First listed prime for which q is irreducible modulo it."""
     if q.degree < 1:
         return None
     for prime in (primes if primes is not None else DEFAULT_CERT_PRIMES):
@@ -724,7 +718,7 @@ def criterion(p: IntPolynomial, primes=None) -> CriterionReport:
     """
     if not p.is_monic():
         raise ValueError("criterion expects a monic polynomial")
-    fz = factor_z(p)
+    fz = factor_z(p, primes)
     degrees = [q.degree for q, m in fz.factors for _ in range(m)]
     linear = any(d == 1 for d in degrees)
     split = even_degree_split(degrees)
@@ -744,5 +738,5 @@ def criterion(p: IntPolynomial, primes=None) -> CriterionReport:
         if known is not None and (primes is None or known in primes):
             certs.append(Certificate(known))
         else:
-            certs.append(find_certificate(q, primes))
+            certs.append(None if q in fz.scanned else find_certificate(q, primes))
     return CriterionReport(p, fz.factors, verdict, reasons, tuple(certs))

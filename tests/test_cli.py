@@ -156,6 +156,14 @@ class TestTau:
         assert main(["tau", "--job", job]) == 2
 
 
+    def test_primes_flag_refused(self, tmp_path):
+        # the cochain does not depend on certificate primes
+        job = write_job(tmp_path, twist_job())
+        with pytest.raises(SystemExit) as exc:
+            main(["tau", "--job", job, "--primes", "19"])
+        assert exc.value.code == 2
+
+
 class TestCharpolyCommand:
     def test_basic(self, tmp_path, capsys):
         path = tmp_path / "m.json"

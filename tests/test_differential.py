@@ -1,0 +1,75 @@
+"""factor_z against sympy's factor_list on inputs that stress recombination.
+
+sympy is not a dependency of psicert; without it these tests are skipped.
+Both sides write a polynomial as an integer constant (content and sign)
+times primitive factors with positive leading coefficient, so the two
+factorizations must agree exactly.
+"""
+import random
+
+import pytest
+
+from psicert.polylab import IntPolynomial, factor_z
+
+sympy = pytest.importorskip("sympy")
+X = sympy.symbols("x")
+
+
+def to_sympy(p: IntPolynomial):
+    return sympy.Poly(list(reversed(p.coeffs)), X)
+
+
+def from_sympy(expr) -> IntPolynomial:
+    return IntPolynomial.of_coeffs(reversed(sympy.Poly(expr, X).all_coeffs()))
+
+
+def assert_same_factorization(p: IntPolynomial):
+    constant, factors = sympy.factor_list(to_sympy(p).as_expr())
+    fz = factor_z(p)
+    assert fz.constant == int(constant)
+    assert sorted((q.coeffs, m) for q, m in fz.factors) == sorted(
+        (from_sympy(q).coeffs, m) for q, m in factors)
+
+
+def random_poly(rng: random.Random, degree: int, bound: int, lead: int = 1) -> IntPolynomial:
+    return IntPolynomial.of_coeffs([rng.randint(-bound, bound) for _ in range(degree)] + [lead])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_swinnerton_dyer(n):
+    # degrees 4, 8 and 16: irreducible, yet split into linear or quadratic
+    # factors modulo every prime, so only recombination proves irreducibility
+    sd = from_sympy(sympy.swinnerton_dyer_poly(n, X))
+    assert_same_factorization(sd)
+    assert_same_factorization(sd * from_sympy(sympy.swinnerton_dyer_poly(n - 1, X)))
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3, 4), (5, 8, 12), (7, 7, 9), (15, 16, 20, 24),
+                                    (3, 6, 9, 18, 30)])
+def test_cyclotomic_products(orders):
+    p = IntPolynomial.one()
+    for d in orders:
+        p = p * from_sympy(sympy.cyclotomic_poly(d, X))
+    assert_same_factorization(p)
+
+
+def test_even_polynomials():
+    rng = random.Random(0x45564E)
+    for _ in range(12):
+        q = random_poly(rng, rng.randrange(2, 7), 6)
+        even = IntPolynomial.of_coeffs([a for c in q.coeffs for a in (c, 0)][:-1])  # q(x^2)
+        assert_same_factorization(even)
+        assert_same_factorization(even * q)
+
+
+def test_non_monic_large_coefficients():
+    rng = random.Random(0x4C415247)
+    for _ in range(12):
+        parts = [random_poly(rng, rng.randrange(1, 5), 10**6, lead=rng.randint(2, 10**4))
+                 for _ in range(rng.randrange(2, 4))]
+        p = IntPolynomial.constant(rng.choice((-1, 1)) * rng.randint(1, 60))
+        for q in parts:
+            p = p * q
+        assert_same_factorization(p)
+        assert_same_factorization(p * parts[0])
+

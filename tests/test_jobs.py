@@ -3,7 +3,8 @@ import pytest
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import IntMatrix
-from psicert.jobs import canonical_json, parse_job, run_job
+from psicert.fixtures import bundled_dir
+from psicert.jobs import canonical_json, load_job, parse_job, run_job
 from psicert.polylab import IntPolynomial
 
 
@@ -162,6 +163,17 @@ class TestWorkDoneOnce:
             {"op": "sep_twist", "index": 1}, {"op": "sep_twist", "index": 2}]})
         run_job(parse_job(doc))
         assert 0 < len(calls) <= 6
+
+    @pytest.mark.parametrize("name, indices", [
+        ("genus5-positive", [1, 2, 3, 1, 2]), ("genus2-negative", [1, 1])])
+    def test_repeated_atom_computed_once(self, monkeypatch, name, indices):
+        calls = []
+        real = jobs.tau_on_H
+        monkeypatch.setattr(jobs, "tau_on_H", lambda f, k: calls.append(f) or real(f, k))
+        report = run_job(load_job(bundled_dir() / name / "job.json"))
+        assert len(calls) == len(set(indices))
+        # every occurrence is still listed, in order
+        assert [t["index"] for t in report.atom_taus] == indices
 
 
 class TestRunJob:

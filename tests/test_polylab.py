@@ -5,6 +5,7 @@ import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, naive_charpoly)
+from psicert import polylab
 from psicert.homology import HVector, IntMatrix, transvection
 from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, _is_prime, charpoly,
                              criterion, factor_z, find_certificate, irreducible_mod_p,
@@ -33,6 +34,15 @@ def has_monic_divisor_mod(f: list[int], p: int) -> bool:
             if all(c % p == 0 for c in rem[:d]):
                 return True
     return False
+
+
+def record_tests(monkeypatch) -> list:
+    """Record each (polynomial, prime) that irreducible_mod_p is asked about."""
+    tested = []
+    real = polylab.irreducible_mod_p
+    monkeypatch.setattr(polylab, "irreducible_mod_p",
+                        lambda f, p: tested.append((f, p)) or real(f, p))
+    return tested
 
 
 def companion(p: IntPolynomial) -> IntMatrix:
@@ -144,6 +154,15 @@ class TestFactorZ:
                 inputs.append(f)
         for f in inputs:
             assert factor_z(f).certificates == {f: find_certificate(f).prime}
+
+    def test_non_monic_recombination(self):
+        # g(2x) and g(3x) for g = x^4 - 10x^2 + 1: irreducible, and reducible
+        # modulo every prime not dividing the leading coefficient
+        g2, g3 = poly(1, 0, -40, 0, 16), poly(1, 0, -90, 0, 81)
+        assert find_certificate(g2) is None and find_certificate(g3) is None
+        fz = factor_z((g2 * g3 * poly(-7, 2)).scale(-14))
+        assert fz.constant == -14
+        assert [q for q, _ in fz.factors] == [poly(-7, 2), g3, g2]
 
     def test_repeated_cyclotomic_square(self):
         p = (cyclotomic(5) * cyclotomic(8)) ** 2
@@ -260,6 +279,30 @@ class TestCriterion:
         rep = criterion(QUINTIC * QUINTIC, primes=[17])
         assert rep.certificates[0].prime == 17
         assert rep.certificates[0].method == "distinct-degree-gcd"
+
+    def test_certifying_job_prime_ends_the_scan(self, monkeypatch):
+        tested = record_tests(monkeypatch)
+        rep = criterion(QUINTIC * QUINTIC, primes=[17])
+        assert rep.certificates[0].prime == 17
+        assert tested == [(QUINTIC, 17)]
+
+    def test_job_primes_scanned_first(self, monkeypatch):
+        # neither 19 nor 3 certifies QUINTIC; the default 17 does, after 2..13
+        tested = record_tests(monkeypatch)
+        rep = criterion(QUINTIC * QUINTIC, primes=[19, 3])
+        assert rep.certificates == (None,)
+        assert [p for _, p in tested] == [19, 3, 2, 5, 7, 11, 13, 17]
+
+    @pytest.mark.parametrize("primes", [None, [19, 3], [3, 5, 7], []])
+    def test_each_factor_prime_pair_tested_once(self, monkeypatch, primes):
+        tested = record_tests(monkeypatch)
+        for p in (QUINTIC * QUINTIC, OCTIC * poly(-1, 1), poly(1, 0, 0, 0, 1),
+                  poly(1, 0, -10, 0, 1) * cyclotomic(7) ** 2, cyclotomic(9) * cyclotomic(15)):
+            tested.clear()
+            rep = criterion(p, primes)
+            assert len(tested) == len(set(tested)), p
+            for (q, _), cert in zip(rep.factors, rep.certificates):
+                assert cert == find_certificate(q, primes)
 
     def test_scaling_robustness(self):
         rng = random.Random(13)
