@@ -12,8 +12,8 @@ the exact factor structure of the characteristic polynomial.
 from .contract import ContractionSpec, phi_contract, psi_matrix
 from .errors import DepthError, FixtureError, GenusMismatchError, JobError, TruncationError
 from .fixtures import verify_fixtures
-from .homology import (HVector, IntMatrix, conjugate, intersection, inverse_unimodular,
-                       sp_check, symplectic_form, transvection)
+from .homology import (HVector, IntMatrix, conjugate, intersection, sp_check, symplectic_form,
+                       symplectic_inverse, transvection)
 from .jobs import CertificationReport, Job, load_job, parse_job, run_job, run_tau
 from .johnson import (DepthResult, JohnsonCochain, bp_tau, cochain_from_wedge3,
                       derivation_apply, filtration_depth, tau_on_H, tau_squared)

@@ -5,6 +5,12 @@ class GenusMismatchError(ValueError):
     """Operands live over surfaces of different genus."""
 
 
+def _same_genus(x, y):
+    """Raise GenusMismatchError unless x and y carry the same genus."""
+    if x.genus != y.genus:
+        raise GenusMismatchError(f"genus {x.genus} vs {y.genus}")
+
+
 class TruncationError(ValueError):
     """A tensor operation needed degrees beyond the carried truncation."""
 

@@ -6,15 +6,14 @@ odd p.  The algebraic intersection pairing satisfies <a_i, b_i> = +1.
 
 Matrices act on column vectors: column j of a matrix is the image of the j-th
 basis vector.  All arithmetic is over arbitrary-precision integers; the
-characteristic polynomial uses the division-free Berkowitz scheme and the
-inverse of a unimodular matrix comes from Cayley-Hamilton, so no rationals
-ever appear.
+characteristic polynomial uses the division-free Berkowitz scheme and a
+symplectic matrix s is inverted as -J s^T J, so no rationals ever appear.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenusMismatchError
+from .errors import _same_genus
 
 GENERATOR_KINDS = ("a", "b")
 
@@ -73,11 +72,6 @@ class HVector:
 
     def is_zero(self) -> bool:
         return not any(self.coords)
-
-
-def _same_genus(u, v):
-    if u.genus != v.genus:
-        raise GenusMismatchError(f"genus {u.genus} vs {v.genus}")
 
 
 def intersection(u: HVector, v: HVector) -> int:
@@ -218,20 +212,6 @@ def determinant(m: IntMatrix) -> int:
     return (-1) ** m.dimension * char_coeffs(m)[0]
 
 
-def inverse_unimodular(m: IntMatrix) -> IntMatrix:
-    """Exact inverse for det = +-1, via Cayley-Hamilton (integer Horner)."""
-    coeffs = char_coeffs(m)  # ascending: c0 + c1 x + ... + x^n
-    n = m.dimension
-    det = (-1) ** n * coeffs[0]
-    if det not in (1, -1):
-        raise ValueError(f"matrix is not unimodular (det {det})")
-    acc = IntMatrix.identity(n)
-    for i in range(n - 1, 0, -1):
-        acc = acc * m + coeffs[i] * IntMatrix.identity(n)
-    # m * acc = -c0 * I, so inverse = -c0 * acc with c0 = +-1
-    return acc * (-coeffs[0])
-
-
 def symplectic_form(genus: int) -> IntMatrix:
     rows = [[0] * (2 * genus) for _ in range(2 * genus)]
     for j in range(genus):
@@ -259,7 +239,21 @@ def transvection(beta: HVector) -> IntMatrix:
     return IntMatrix.from_columns(cols)
 
 
+def symplectic_inverse(s: IntMatrix) -> IntMatrix:
+    """-J s^T J, the inverse of a symplectic s; ValueError when s is not symplectic.
+
+    s (-J s^T J) = I holds exactly when s^T J s = J, which the product checks.
+    """
+    if s.dimension % 2:
+        raise ValueError("symplectic matrices have even dimension")
+    j = symplectic_form(s.dimension // 2)
+    inv = -(j * s.transpose() * j)
+    if s * inv != IntMatrix.identity(s.dimension):
+        raise ValueError("matrix is not symplectic")
+    return inv
+
+
 def conjugate(s: IntMatrix, m: IntMatrix) -> IntMatrix:
-    """s m s^{-1} with the inverse computed exactly (s must be unimodular)."""
+    """s m s^{-1} for a symplectic s, inverted exactly by symplectic_inverse."""
     s._same_dim(m)
-    return s * m * inverse_unimodular(s)
+    return s * m * symplectic_inverse(s)

@@ -96,6 +96,11 @@ def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
 # an image, this cap on power exponents keeps the pi1 build finite; both admit
 # the largest benchmark case (exponent 80, 17 x 1289 letters) about threefold.
 MAX_EXPONENT = 256
+# Expansion cost grows steeply with the truncation (one genus-2 twist on a
+# 2-core x86 VM: 0.24 s at 20, 0.7 s at 24, 11 s and 263 MiB at 40); these
+# caps admit the largest benchmark genus (12) and truncation (8) threefold.
+MAX_GENUS = 36
+MAX_TRUNCATION = 24
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -156,8 +161,8 @@ def parse_job(obj: dict) -> Job:
         element = obj["element"]
     except KeyError as exc:
         raise JobError(f"missing required job field {exc.args[0]!r}") from None
-    if genus < 1:
-        raise JobError("genus must be positive")
+    if not 1 <= genus <= MAX_GENUS:
+        raise JobError(f"genus must be in 1..{MAX_GENUS}, got {genus}")
     if k < 1:
         raise JobError("k must be at least 1")
     if pipeline not in PIPELINES:
@@ -179,6 +184,9 @@ def parse_job(obj: dict) -> Job:
     truncation = _integer(options.get("truncation", 2 * k + 2 if k % 2 else k + 2), "truncation")
     if truncation < k + 1:
         raise JobError(f"truncation must be at least k+1 = {k + 1}")
+    if truncation > MAX_TRUNCATION:
+        raise JobError(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION} "
+                       "(the default is k+2, or 2k+2 at odd k)")
     contraction = options.get("contraction_spec")
     if contraction is not None:
         contraction = _contraction_spec(contraction)

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthError, GenusMismatchError, TruncationError
+from .errors import DepthError, GenusMismatchError, TruncationError, _same_genus
 from .homology import HVector, intersection
 from .tensors import TruncatedTensor, dynkin_is_lie, graded_part, lie_bracket, magnus_expand
-from .words import FreeEndomorphism, apply_endo, generator
+from .words import FreeEndomorphism, generator
 
 
 @dataclass(frozen=True)
@@ -55,8 +55,7 @@ class JohnsonCochain:
         return self.images[position]
 
     def __add__(self, other: "JohnsonCochain") -> "JohnsonCochain":
-        if self.genus != other.genus:
-            raise GenusMismatchError(f"genus {self.genus} vs {other.genus}")
+        _same_genus(self, other)
         if self.weight != other.weight:
             raise ValueError(f"weight {self.weight} vs {other.weight}")
         return JohnsonCochain(self.genus, self.weight,
@@ -93,11 +92,8 @@ class DepthResult:
 def _expansions(f: FreeEndomorphism, truncation: int) -> list[TruncatedTensor]:
     """M(f(x) x^{-1}) - 1 at `truncation`, one per generator x in basis order."""
     unit = TruncatedTensor.unit(f.genus, truncation)
-    out = []
-    for i in range(1, 2 * f.genus + 1):
-        g = generator(f.genus, i)
-        out.append(magnus_expand(apply_endo(f, g) * g.inverse(), truncation) - unit)
-    return out
+    return [magnus_expand(img * generator(f.genus, i, -1), truncation) - unit
+            for i, img in enumerate(f.images, 1)]
 
 
 def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
@@ -155,8 +151,7 @@ def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:
     raising the degree by weight - 1 per replacement; the input truncation
     must accommodate that.
     """
-    if c.genus != t.genus:
-        raise GenusMismatchError(f"genus {c.genus} vs {t.genus}")
+    _same_genus(c, t)
     lift = c.weight - 1
     if t.max_degree() + lift > t.truncation:
         raise TruncationError(

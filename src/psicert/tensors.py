@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import GenusMismatchError, TruncationError
+from .errors import TruncationError, _same_genus
 from .homology import HVector
 from .words import GroupWord, letter_name
 
@@ -132,11 +132,6 @@ class TruncatedTensor:
         return [{"word": [letter_name(s) for s in w], "coeff": str(c)} for w, c in items]
 
 
-def _same_genus(s, t):
-    if s.genus != t.genus:
-        raise GenusMismatchError(f"genus {s.genus} vs {t.genus}")
-
-
 def tensor_mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
     """Concatenation product, truncated at min(truncations)."""
     _same_genus(s, t)
@@ -174,30 +169,23 @@ def graded_part(t: TruncatedTensor, degree: int) -> TruncatedTensor:
 def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:
     """Magnus expansion of a word, multiplicative and truncated.
 
-    Generator letters map to 1 + X, inverse letters to the truncated
-    geometric series, and the factors multiply left to right.
+    Generator letters map to 1 + X and inverse letters to the truncated
+    geometric series 1 - X + X^2 - ...; the factors multiply left to right,
+    so each letter keeps every term and adds its shift by X, or by X^d with
+    sign (-1)^d for every d that fits for an inverse letter.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
     acc = {(): 1}
     for idx, sign in w.letters:
-        if sign == 1:
-            factor = {(): 1, (idx,): 1}
-        else:
-            factor = {tuple([idx] * d): (-1) ** d for d in range(truncation + 1)}
-        out: dict[BasisWord, int] = {}
-        for w1, c1 in acc.items():
-            room = truncation - len(w1)
-            for w2, c2 in factor.items():
-                if len(w2) > room:
-                    continue
-                key = w1 + w2
-                v = out.get(key, 0) + c1 * c2
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        acc = out
+        reach = 1 if sign == 1 else truncation
+        out = dict(acc)
+        for word, c in acc.items():
+            for _ in range(min(reach, truncation - len(word))):
+                word += (idx,)
+                c *= sign
+                out[word] = out.get(word, 0) + c
+        acc = {word: c for word, c in out.items() if c}
     return TruncatedTensor(w.genus, truncation, acc)
 
 

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
-from .errors import GenusMismatchError
+from .errors import GenusMismatchError, _same_genus
 from .homology import IntMatrix
 
 Letter = tuple[int, int]
@@ -66,14 +67,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(self.genus, tuple((i, -s) for i, s in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "GroupWord":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = GroupWord.identity(self.genus)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def is_identity(self) -> bool:
         return not self.letters
 
@@ -82,11 +75,6 @@ class GroupWord:
 
     def __str__(self) -> str:
         return format_word(self)
-
-
-def _same_genus(x, y):
-    if x.genus != y.genus:
-        raise GenusMismatchError(f"genus {x.genus} vs {y.genus}")
 
 
 def generator(genus: int, index: int, sign: int = 1) -> GroupWord:
@@ -168,6 +156,11 @@ class FreeEndomorphism:
     def image_of(self, index: int) -> GroupWord:
         return self.images[index - 1]
 
+    @cached_property
+    def _inverse_letters(self) -> tuple[tuple[Letter, ...], ...]:
+        """Letters of each image's inverse, built on first use."""
+        return tuple(tuple((i, -s) for i, s in reversed(w.letters)) for w in self.images)
+
 
 def identity_endo(genus: int) -> FreeEndomorphism:
     return FreeEndomorphism(genus, tuple(generator(genus, i) for i in range(1, 2 * genus + 1)))
@@ -175,17 +168,11 @@ def identity_endo(genus: int) -> FreeEndomorphism:
 
 def apply_endo(f: FreeEndomorphism, w: GroupWord) -> GroupWord:
     _same_genus(f, w)
+    images, inverses = f.images, f._inverse_letters
     letters: list[Letter] = []
     for idx, sign in w.letters:
-        img = f.images[idx - 1]
-        if sign == -1:
-            img = img.inverse()
-        for l in img.letters:
-            if letters and letters[-1][0] == l[0] and letters[-1][1] == -l[1]:
-                letters.pop()
-            else:
-                letters.append(l)
-    return GroupWord(f.genus, tuple(letters))
+        letters += images[idx - 1].letters if sign == 1 else inverses[idx - 1]
+    return GroupWord(f.genus, _reduce_letters(letters))
 
 
 def compose_endos(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:

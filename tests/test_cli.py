@@ -129,6 +129,27 @@ def test_hostile_document_exits_2(tmp_path, capsys, name, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def oversized_documents() -> dict[str, dict]:
+    twist = twist_job()
+    return {
+        "truncation-80": dict(twist, options={"truncation": 80}),
+        "odd-k-39": dict(twist, k=39),
+        "homology-k-1000": dict(twist, k=1000, pipeline="homology",
+                                element={"atom": "sep_twist", "index": 1}),
+        "genus-10-6": dict(twist, genus=10**6),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(oversized_documents()))
+@pytest.mark.parametrize("command", ["certify", "tau"])
+def test_oversized_document_exits_2(tmp_path, capsys, name, command):
+    # refused at parse time: without the caps these run for minutes or longer
+    job = write_job(tmp_path, oversized_documents()[name])
+    assert main([command, "--job", job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 class TestTau:
     def test_pi1(self, tmp_path, capsys):
         job = write_job(tmp_path, twist_job())

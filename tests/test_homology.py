@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from psicert.errors import GenusMismatchError
 from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate, determinant,
-                              intersection, inverse_unimodular, sp_check, symplectic_form,
+                              intersection, sp_check, symplectic_form, symplectic_inverse,
                               transvection)
 
 # the 10x10 symplectic conjugator used by the bundled genus-5 example
@@ -102,11 +102,26 @@ class TestInverse:
             for _ in range(4):
                 beta = HVector(n // 2, tuple(rng.randrange(-2, 3) for _ in range(n)))
                 m = m * transvection(beta)
-            assert m * inverse_unimodular(m) == IntMatrix.identity(n)
+            assert m * symplectic_inverse(m) == IntMatrix.identity(n)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(ValueError):
-            inverse_unimodular(IntMatrix.diagonal([2, 1]))
+            symplectic_inverse(IntMatrix.diagonal([2, 1]))
+
+    def test_unimodular_non_symplectic_rejected(self):
+        # determinant 1, but e_1 and e_3 stop pairing to zero
+        rows = [list(r) for r in IntMatrix.identity(4).rows]
+        rows[0][2] = 1
+        s = IntMatrix.from_rows(rows)
+        assert determinant(s) == 1 and not sp_check(s)
+        with pytest.raises(ValueError, match="not symplectic"):
+            symplectic_inverse(s)
+        with pytest.raises(ValueError, match="not symplectic"):
+            conjugate(s, IntMatrix.diagonal([3, 3, 0, 0]))
+
+    def test_odd_dimension_rejected(self):
+        with pytest.raises(ValueError):
+            symplectic_inverse(IntMatrix.identity(3))
 
 
 class TestConjugate:
@@ -152,4 +167,4 @@ class TestCharCoeffsBasics:
     def test_symplectic_form_unimodular(self):
         j = symplectic_form(3)
         assert determinant(j) == 1
-        assert inverse_unimodular(j) == j.transpose()
+        assert symplectic_inverse(j) == j.transpose()

@@ -126,6 +126,24 @@ class TestValidation:
         with pytest.raises(JobError, match="exponent"):
             parse_job(base_job(element=dict(element, exponent=jobs.MAX_EXPONENT + 1)))
 
+    def test_genus_and_truncation_capped(self):
+        parse_job(base_job(genus=jobs.MAX_GENUS))
+        parse_job(base_job(options={"truncation": jobs.MAX_TRUNCATION}))
+        with pytest.raises(JobError, match="genus"):
+            parse_job(base_job(genus=jobs.MAX_GENUS + 1))
+        with pytest.raises(JobError, match="truncation"):
+            parse_job(base_job(options={"truncation": jobs.MAX_TRUNCATION + 1}))
+
+    def test_default_truncation_bounds_k(self):
+        # the default truncation is k+2, or 2k+2 at odd k
+        even = jobs.MAX_TRUNCATION - 2
+        odd = (jobs.MAX_TRUNCATION - 2) // 2
+        assert parse_job(base_job(k=even)).truncation == jobs.MAX_TRUNCATION
+        assert parse_job(base_job(k=odd)).truncation == 2 * odd + 2
+        for k in (even + 1, odd + 2):
+            with pytest.raises(JobError, match="truncation"):
+                parse_job(base_job(k=k))
+
     def test_image_letters_capped(self):
         # t^40 has 321-letter images, so t^40 after t^40 could write 321^2 letters
         t40 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 40}

@@ -1,25 +1,31 @@
-"""The traced benchmark wraps psicert functions by name; each name must still resolve.
+"""The benchmark's tooling relies on psicert; these tests pin what it relies on.
 
-A simplification that deletes or renames a traced function fails here,
-before `perfbench/run.py --trace 1` fails on it.  The tracer module is
-loaded from its file and only read: nothing is wrapped.
+The traced benchmark wraps psicert functions by name, so a simplification
+that deletes or renames a traced function fails here, before
+`perfbench/run.py --trace 1` fails on it.  The job caps of `parse_job` must
+admit every job document the workload generator writes.  The benchmark
+modules are loaded from their files and only read: nothing is wrapped.
 """
 import importlib
 import importlib.util
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+import pytest
+
+from psicert.jobs import parse_job
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def tracer_targets() -> tuple:
-    spec = importlib.util.spec_from_file_location("psicert_bench_tracer", TRACER)
+def load_bench_module(name: str):
+    spec = importlib.util.spec_from_file_location(f"psicert_bench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_tracer_target_resolves():
-    targets = tracer_targets()
+    targets = load_bench_module("tracer").TARGETS
     assert targets
     missing = []
     for module_name, attr, _, _ in targets:
@@ -33,3 +39,13 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_caps_admit_every_benchmark_job(seed):
+    workloads = load_bench_module("workloads")
+    jobs = [case for name in workloads.WORKLOADS for case in workloads.generate(name, seed)
+            if case["kind"] == "job"]
+    assert jobs
+    for case in jobs:
+        parse_job(case["input"])
