@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tau", help="emit the depth check and level-k cochain")
     p.add_argument("--job", required=True)
     p.add_argument("--out")
-    p.add_argument("--truncation", type=int, help=argparse.SUPPRESS)
+    p.add_argument("--truncation", type=int, help="expansion truncation override")
     p.set_defaults(func=_cmd_tau)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial of a matrix file")

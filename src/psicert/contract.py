@@ -79,8 +79,6 @@ def psi_matrix(c: JohnsonCochain, k: int, spec: ContractionSpec | None = None) -
         raise ValueError(f"cochain weight {c.weight} does not match level {k} (need {k + 1})")
     target = c if k % 2 == 0 else tau_squared(c)
     arity = k + 1 if k % 2 == 0 else 2 * k + 1
-    if arity % 2 == 0:
-        raise ValueError("internal parity error: contraction arity must be odd")
     if spec is None:
         spec = ContractionSpec.default(arity)
     if spec.arity != arity:

@@ -208,10 +208,6 @@ def char_coeffs(m: IntMatrix) -> list[int]:
     return list(reversed(poly))
 
 
-def determinant(m: IntMatrix) -> int:
-    return (-1) ** m.dimension * char_coeffs(m)[0]
-
-
 def symplectic_form(genus: int) -> IntMatrix:
     rows = [[0] * (2 * genus) for _ in range(2 * genus)]
     for j in range(genus):

@@ -50,10 +50,6 @@ class JohnsonCochain:
         z = TruncatedTensor.zero(genus, weight)
         return JohnsonCochain(genus, weight, (z,) * (2 * genus))
 
-    def image_of(self, position: int) -> TruncatedTensor:
-        """Image of the 0-based basis position."""
-        return self.images[position]
-
     def __add__(self, other: "JohnsonCochain") -> "JohnsonCochain":
         _same_genus(self, other)
         if self.weight != other.weight:
@@ -91,9 +87,11 @@ class DepthResult:
 
 def _expansions(f: FreeEndomorphism, truncation: int) -> list[TruncatedTensor]:
     """M(f(x) x^{-1}) - 1 at `truncation`, one per generator x in basis order."""
-    unit = TruncatedTensor.unit(f.genus, truncation)
-    return [magnus_expand(img * generator(f.genus, i, -1), truncation) - unit
-            for i, img in enumerate(f.images, 1)]
+    # an expansion's empty-word coefficient is always 1
+    expansions = (magnus_expand(img * generator(f.genus, i, -1), truncation)
+                  for i, img in enumerate(f.images, 1))
+    return [TruncatedTensor(f.genus, truncation, {w: c for w, c in e.terms.items() if w})
+            for e in expansions]
 
 
 def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
@@ -196,10 +194,18 @@ def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
     images = []
     for p in range(2 * genus):
         x = HVector.basis(genus, p)
-        img = TruncatedTensor.zero(genus, 2)
+        img: dict[tuple[int, ...], int] = {}
         for vec, coeff, bracket in parts:
-            img = img + bracket.scale(coeff * intersection(vec, x))
-        images.append(img)
+            k = coeff * intersection(vec, x)
+            if not k:
+                continue
+            for w, c in bracket.terms.items():
+                v = img.get(w, 0) + k * c
+                if v:
+                    img[w] = v
+                else:
+                    img.pop(w, None)
+        images.append(TruncatedTensor(genus, 2, img))
     return JohnsonCochain(genus, 2, tuple(images))
 
 

@@ -1,8 +1,11 @@
 """Exact integer polynomials: characteristic polynomials, factorization over Z,
 and the factor-structure certification criterion.
 
-Representation: ascending coefficient tuples with a nonzero leading
-coefficient (the zero polynomial is the empty tuple).
+Representation: over Z, `IntPolynomial`, an ascending coefficient tuple
+with a nonzero leading coefficient (the zero polynomial is the empty
+tuple).  Modulo m (a prime, or a prime power in Hensel lifting and
+recombination), every product and remainder goes through the `_gf_*`
+kernel on trimmed ascending lists of ints in [0, m).
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and Yun squarefree decomposition;
@@ -236,40 +239,31 @@ def charpoly(m: IntMatrix) -> IntPolynomial:
 # gcd and squarefree decomposition over Z
 # ---------------------------------------------------------------------------
 
-def _shifted(b: IntPolynomial, k: int) -> IntPolynomial:
-    return IntPolynomial.of_coeffs([0] * k + list(b.coeffs))
-
-
 def _pseudo_rem(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     # a scaled by a power of lc(b), reduced below deg b; exact integer steps
-    lead = b.leading
-    r = a
-    while not r.is_zero() and r.degree >= b.degree:
-        c = r.leading
-        shift = r.degree - b.degree
-        r = r.scale(lead) - _shifted(b, shift).scale(c)
-    return r
+    lead, n = b.leading, b.degree
+    r = list(a.coeffs)
+    while len(r) > n:
+        c, shift = r[-1], len(r) - 1 - n
+        r = [lead * x for x in r]
+        for j, d in enumerate(b.coeffs):
+            r[shift + j] -= c * d
+        while r and r[-1] == 0:
+            r.pop()
+    return IntPolynomial(tuple(r))
 
 
 def gcd_z(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    """Primitive gcd over Z with positive leading coefficient (primitive PRS)."""
+    """Primitive gcd over Z with positive leading coefficient (primitive PRS);
+    coprime inputs give the gcd of their contents."""
     if a.is_zero() and b.is_zero():
         return IntPolynomial.zero()
-    ca = abs(a.content()) if not a.is_zero() else 0
-    cb = abs(b.content()) if not b.is_zero() else 0
-    content = math.gcd(ca, cb)
     p, q = a.primitive_part(), b.primitive_part()
     if p.degree < q.degree:
         p, q = q, p
     while not q.is_zero():
-        r = _pseudo_rem(p, q).primitive_part()
-        p, q = q, r
-    if p.is_zero():
-        return IntPolynomial.constant(content)
-    p = p.primitive_part()
-    if p.leading < 0:
-        p = -p
-    return p * content if p.degree == 0 else p
+        p, q = q, _pseudo_rem(p, q).primitive_part()
+    return p if p.degree > 0 else IntPolynomial.constant(math.gcd(a.content(), b.content()))
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
@@ -281,28 +275,16 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     if p.is_zero():
         raise ValueError("zero polynomial")
     work = p.primitive_part()
-    if work.leading < 0:
-        work = -work
-    if work.degree < 1:
-        return []
-    out = []
     g = gcd_z(work, work.derivative())
-    c = work.divmod_exact(g)[0] if g.degree > 0 else work
-    if g.degree == 0:
-        return [(work, 1)]
+    c = work.divmod_exact(g)[0]
     d = work.derivative().divmod_exact(g)[0] - c.derivative()
-    i = 1
-    while True:
-        if c.degree < 1:
-            break
+    out, i = [], 1
+    while c.degree > 0:
         p_i = gcd_z(c, d)
-        next_c = c.divmod_exact(p_i)[0] if p_i.degree > 0 else c
+        c = c.divmod_exact(p_i)[0]
+        d = d.divmod_exact(p_i)[0] - c.derivative()
         if p_i.degree > 0:
             out.append((p_i, i))
-            d = d.divmod_exact(p_i)[0] - next_c.derivative()
-        else:
-            d = d - next_c.derivative()
-        c = next_c
         i += 1
     return out
 
@@ -363,20 +345,17 @@ def _gf_rem(a, b, p):
     return _gf_divmod(a, b, p)[1]
 
 
-def _gf_gcd(a, b, p):
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def _gf_monic(a, p):
     if not a or a[-1] == 1:
         return a[:]
     inv = pow(a[-1], p - 2, p)
     return [c * inv % p for c in a]
+
+
+def _gf_gcd(a, b, p):
+    while b:
+        a, b = b, _gf_rem(a, b, p)
+    return _gf_monic(a, p)
 
 
 def _gf_pow_mod(base, e, mod, p):
@@ -405,8 +384,6 @@ def irreducible_mod_p(f: IntPolynomial, prime: int) -> bool:
     n = len(fbar) - 1
     if n <= 0:
         raise ValueError("polynomial is constant modulo the prime")
-    if n != f.degree:
-        raise AssertionError("unreachable: leading coefficient vanished")
     return next(_distinct_degree(fbar, prime))[1] == n
 
 
@@ -496,42 +473,25 @@ def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: i
     mod p^exponent with f = lc * prod(lifts) mod p^exponent.
     """
     lc = f.leading
-    lc_inv_mod_p = pow(lc % p, p - 2, p)
-    # CRT basis: sigma_i with sigma_i * prod_{j != i} g_j = 1 mod g_i
-    sigmas = []
-    for i, g in enumerate(factors):
-        others = [1]
-        for j, h in enumerate(factors):
-            if j != i:
-                others = _gf_mul(others, h, p)
-        others = _gf_rem(others, g, p)
-        sigmas.append(_gf_inverse_mod(others, g, p))
+    # CRT basis: sigma_i = (f / g_i)^-1 mod g_i, for f mod p = lc * prod(g_j)
+    fbar = _gf_from_int_poly(f, p)
+    sigmas = [_gf_inverse_mod(_gf_divmod(fbar, g, p)[0], g, p) for g in factors]
     lifted = [g[:] for g in factors]
     modulus = p
     for _ in range(exponent - 1):
-        # error E = (f - lc * prod(lifted)) / modulus  (exact), reduced mod p
-        prod = IntPolynomial.one()
+        # error E = f - lc * prod(lifted) reduced mod p * modulus: a multiple of modulus
+        next_modulus = modulus * p
+        prod = [lc % next_modulus]
         for g in lifted:
-            prod = prod * IntPolynomial.of_coeffs(g)
-        err = f - prod.scale(lc)
-        err_div = []
-        for c in err.coeffs:
-            q, r = divmod(c, modulus)
-            assert r == 0, "lift invariant broken"
-            err_div.append(q)
-        ebar = _gf_trim([c % p for c in err_div])
-        ebar = _gf_mul(ebar, [lc_inv_mod_p], p)
-        new = []
+            prod = _gf_mul(prod, g, next_modulus)
+        err = _gf_sub(_gf_from_int_poly(f, next_modulus), prod, next_modulus)
+        assert all(c % modulus == 0 for c in err), "lift invariant broken"
+        ebar = [c // modulus for c in err]
+        # delta_i = E / modulus * sigma_i mod g_i has degree < deg g_i
         for g, sigma, orig in zip(lifted, sigmas, factors):
-            delta = _gf_rem(_gf_mul(ebar, sigma, p), orig, p)
-            g2 = g[:]
-            if len(g2) < len(delta):
-                g2.extend([0] * (len(delta) - len(g2)))
-            for i, c in enumerate(delta):
-                g2[i] = g2[i] + modulus * c
-            new.append(g2)
-        lifted = new
-        modulus *= p
+            for i, c in enumerate(_gf_rem(_gf_mul(ebar, sigma, p), orig, p)):
+                g[i] += modulus * c
+        modulus = next_modulus
     return lifted, modulus
 
 

@@ -232,4 +232,4 @@ def dynkin_is_lie(t: TruncatedTensor) -> bool:
     m = t.max_degree()
     if m < 1 or not t.is_homogeneous(m):
         raise ValueError("input must be homogeneous of degree >= 1")
-    return dynkin_image(t) == t.scale(m)
+    return dynkin_image(t).terms == {w: m * c for w, c in t.terms.items()}

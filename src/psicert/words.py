@@ -67,9 +67,6 @@ class GroupWord:
     def inverse(self) -> "GroupWord":
         return GroupWord(self.genus, tuple((i, -s) for i, s in reversed(self.letters)))
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -153,17 +150,10 @@ class FreeEndomorphism:
             if w.genus != self.genus:
                 raise GenusMismatchError("image word has wrong genus")
 
-    def image_of(self, index: int) -> GroupWord:
-        return self.images[index - 1]
-
     @cached_property
     def _inverse_letters(self) -> tuple[tuple[Letter, ...], ...]:
         """Letters of each image's inverse, built on first use."""
         return tuple(tuple((i, -s) for i, s in reversed(w.letters)) for w in self.images)
-
-
-def identity_endo(genus: int) -> FreeEndomorphism:
-    return FreeEndomorphism(genus, tuple(generator(genus, i) for i in range(1, 2 * genus + 1)))
 
 
 def apply_endo(f: FreeEndomorphism, w: GroupWord) -> GroupWord:

@@ -2,8 +2,9 @@
 
 These run both from the per-module test files and from the acceptance
 gate, so the counts quoted there live here.  The module also holds the
-oracles that no pipeline stage uses: the tensor pairing, theta, omega0,
-the diagonal action, cyclotomic polynomials and the literal verdict
+oracles that no pipeline stage uses: the identity endomorphism, the
+determinant, the tensor pairing, theta, omega0, the diagonal action,
+cyclotomic and Swinnerton-Dyer polynomials and the literal verdict
 definition.
 """
 from __future__ import annotations
@@ -11,12 +12,34 @@ from __future__ import annotations
 import random
 
 from psicert.contract import psi_matrix
-from psicert.homology import IntMatrix
+from psicert.homology import IntMatrix, char_coeffs
 from psicert.johnson import derivation_apply, tau_on_H
 from psicert.polylab import IntPolynomial, charpoly, even_degree_split, factor_z
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, magnus_expand, tensor_mul
-from psicert.words import (GroupWord, compose_endos, inner_automorphism, reduce_word,
-                           sep_twist)
+from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
+                           inner_automorphism, reduce_word, sep_twist)
+
+
+def identity_endo(genus: int) -> FreeEndomorphism:
+    return FreeEndomorphism(genus, tuple(generator(genus, i) for i in range(1, 2 * genus + 1)))
+
+
+def determinant(m: IntMatrix) -> int:
+    return (-1) ** m.dimension * char_coeffs(m)[0]
+
+
+def swinnerton_dyer(primes) -> IntPolynomial:
+    """prod (x - sum(+-sqrt(p))) over all sign choices: irreducible over Z, yet
+    a product of factors of degree at most 2 modulo every prime."""
+    x = IntPolynomial.of_coeffs([0, 1])
+    f = x
+    for p in primes:
+        # f(x + s) = a + s b with s^2 = p by Horner, and f(x + s) f(x - s) = a^2 - p b^2
+        a = b = IntPolynomial.zero()
+        for c in reversed(f.coeffs):
+            a, b = a * x + b.scale(p) + IntPolynomial.constant(c), a + b * x
+        f = a * a - (b * b).scale(p)
+    return f
 
 
 def random_word(rng: random.Random, genus: int, max_len: int) -> GroupWord:

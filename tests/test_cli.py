@@ -184,6 +184,12 @@ class TestTau:
             main(["tau", "--job", job, "--primes", "19"])
         assert exc.value.code == 2
 
+    def test_truncation_flag_listed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["tau", "--help"])
+        assert exc.value.code == 0
+        assert "--truncation" in capsys.readouterr().out
+
 
 class TestCharpolyCommand:
     def test_basic(self, tmp_path, capsys):

@@ -45,7 +45,7 @@ class TestPhiContract:
 
     def test_twist_image_contracts_to_three(self):
         c = tau_on_H(sep_twist(2, 1), 2)
-        out = phi_contract(c.image_of(0), ContractionSpec.default(3))
+        out = phi_contract(c.images[0], ContractionSpec.default(3))
         assert out == HVector.basis(2, 0).scale(3)
 
     def test_arity_mismatch(self):

@@ -1,4 +1,5 @@
-"""factor_z against sympy's factor_list on inputs that stress recombination.
+"""factor_z against sympy's factor_list on inputs that stress recombination,
+and gcd_z and squarefree_decomposition against sympy's gcd and sqf_list.
 
 sympy is not a dependency of psicert; without it these tests are skipped.
 Both sides write a polynomial as an integer constant (content and sign)
@@ -9,7 +10,7 @@ import random
 
 import pytest
 
-from psicert.polylab import IntPolynomial, factor_z
+from psicert.polylab import IntPolynomial, factor_z, gcd_z, squarefree_decomposition
 
 sympy = pytest.importorskip("sympy")
 X = sympy.symbols("x")
@@ -73,3 +74,43 @@ def test_non_monic_large_coefficients():
         assert_same_factorization(p)
         assert_same_factorization(p * parts[0])
 
+
+
+def random_with_content(rng: random.Random, q: IntPolynomial) -> IntPolynomial:
+    """q times a random content, and a random sign that may make lc negative."""
+    return q.scale(rng.choice((-1, 1)) * rng.randint(1, 12))
+
+
+def test_gcd_against_sympy():
+    # gcd_z gives the primitive gcd, or the gcd of the contents when the
+    # primitive parts are coprime; sympy's gcd keeps the content gcd throughout
+    rng = random.Random(0x47434421)
+    for _ in range(40):
+        common = IntPolynomial.one()
+        for _ in range(rng.randrange(0, 3)):
+            common = common * random_poly(rng, rng.randrange(1, 4), 5, lead=rng.randint(1, 3))
+        a = random_with_content(rng, common * random_poly(rng, rng.randrange(0, 4), 5))
+        b = random_with_content(rng, common * random_poly(rng, rng.randrange(0, 4), 5))
+        expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).as_expr())
+        if expected.degree > 0:
+            expected = expected.primitive_part()
+        assert gcd_z(a, b) == expected, (a.coeffs, b.coeffs)
+        assert gcd_z(b, a) == expected
+
+
+def test_squarefree_against_sympy():
+    rng = random.Random(0x53514621)
+    for trial in range(40):
+        p = IntPolynomial.one()
+        for mult in range(1, 5):
+            if rng.random() < 0.6:
+                q = random_poly(rng, rng.randrange(1, 3), 6, lead=rng.randint(1, 3))
+                p = p * q ** mult
+        if trial % 4 == 0:  # squarefree input
+            p = random_poly(rng, rng.randrange(1, 8), 9)
+        p = random_with_content(rng, p)
+        if p.degree < 1:
+            continue
+        _, factors = sympy.sqf_list(to_sympy(p).as_expr())
+        assert sorted((q.coeffs, m) for q, m in squarefree_decomposition(p)) == sorted(
+            (from_sympy(q).coeffs, m) for q, m in factors), p.coeffs

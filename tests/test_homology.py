@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from checks import determinant
 from psicert.errors import GenusMismatchError
-from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate, determinant,
+from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate,
                               intersection, sp_check, symplectic_form, symplectic_inverse,
                               transvection)
 

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
-                    check_factor_roundtrip, cyclotomic, naive_charpoly)
+                    check_factor_roundtrip, cyclotomic, naive_charpoly, swinnerton_dyer)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix, transvection
 from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, _is_prime, charpoly,
@@ -169,6 +169,38 @@ class TestFactorZ:
         fz = factor_z(p)
         assert [(q, m) for q, m in fz.factors] == [
             (cyclotomic(8), 2), (cyclotomic(5), 2)]
+
+
+class TestHenselLift:
+    # lc(g(2x) g(3x)) = 1296 is 1 modulo the working prime 7; with the factor
+    # 2x - 7 of test_non_monic_recombination it is 2
+    @pytest.mark.parametrize("f", [
+        swinnerton_dyer((2, 3, 5, 7)),
+        poly(1, 0, -40, 0, 16) * poly(1, 0, -90, 0, 81),
+        poly(1, 0, -40, 0, 16) * poly(1, 0, -90, 0, 81) * poly(-7, 2),
+    ], ids=["SD-16", "g(2x)g(3x)", "g(2x)g(3x)(2x-7)"])
+    def test_lift_invariants(self, f):
+        # factor_z's working prime: the first odd prime with good reduction
+        p = next(q for q in range(3, 100, 2) if _is_prime(q) and f.leading % q and
+                 polylab._gf_squarefree(polylab._gf_from_int_poly(f, q), q))
+        fbar = polylab._gf_monic(polylab._gf_from_int_poly(f, p), p)
+        modular = polylab._factor_mod_p(fbar, p, random.Random(0))
+        assert len(modular) > 1
+        exponent = polylab._mignotte_exponent(f, p)
+        lifted, modulus = polylab._hensel_lift(f, p, modular, exponent)
+        assert modulus == p ** exponent
+        product = IntPolynomial.constant(f.leading)
+        for g, orig in zip(lifted, modular, strict=True):
+            assert len(g) == len(orig) and g[-1] == 1
+            assert all(0 <= c < modulus for c in g)
+            assert [c % p for c in g] == orig
+            product = product * IntPolynomial.of_coeffs(g)
+        assert all(c % modulus == 0 for c in (f - product).coeffs)
+
+    def test_swinnerton_dyer_oracle(self):
+        assert swinnerton_dyer((2,)) == poly(-2, 0, 1)
+        assert swinnerton_dyer((2, 3)) == poly(1, 0, -10, 0, 1)
+        assert swinnerton_dyer((2, 3, 5, 7)).degree == 16
 
 
 class TestSquarefree:

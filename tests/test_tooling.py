@@ -3,16 +3,23 @@
 The traced benchmark wraps psicert functions by name, so a simplification
 that deletes or renames a traced function fails here, before
 `perfbench/run.py --trace 1` fails on it.  The job caps of `parse_job` must
-admit every job document the workload generator writes.  The benchmark
-modules are loaded from their files and only read: nothing is wrapped.
+admit every job document the workload generator writes.  The reports of
+the fixture jobs and of the smaller polynomial cases must hash to the
+recorded seed-1 digests, so that a byte change in a report fails here and
+not only in a benchmark run.  The benchmark modules and `digests.json` are
+loaded from their files and only read: nothing is wrapped or written.
 """
+import hashlib
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-from psicert.jobs import parse_job
+from psicert.homology import IntMatrix
+from psicert.jobs import canonical_json, parse_job, run_job
+from psicert.polylab import charpoly, criterion
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,3 +56,24 @@ def test_caps_admit_every_benchmark_job(seed):
     assert jobs
     for case in jobs:
         parse_job(case["input"])
+
+
+def test_report_digests_pinned():
+    """Fixture jobs and the polynomial cases up to 24 rows reproduce the
+    seed-1 digests that `perfbench/run.py` checks, byte for byte."""
+    workloads = load_bench_module("workloads")
+    recorded = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
+    checked = 0
+    for name in workloads.WORKLOADS:
+        for case in workloads.generate(name, workloads.DEFAULT_SEED):
+            if case["kind"] == "job" and case["id"].startswith("fixture/"):
+                text = run_job(parse_job(case["input"])).to_json()
+            elif case["kind"] == "matrix" and len(case["input"]) <= 24:
+                report = criterion(charpoly(IntMatrix.from_rows(case["input"])))
+                text = canonical_json(report.to_json_obj())
+            else:
+                continue
+            digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+            assert digest == recorded[name][case["id"]], case["id"]
+            checked += 1
+    assert checked == 7 + 73
