@@ -7,7 +7,9 @@ invariant matrix:
   (built-in separating twists, inner automorphisms, user-supplied custom
   endomorphisms, compositions, positive powers).  The pipeline reads the
   filtration depth and the level-k cochain off one Magnus expansion per
-  generator, and contracts the cochain.
+  generator, and contracts the cochain.  Taken in order of increasing
+  image length, the generators are expanded at the job truncation until
+  one expansion has a nonzero term of degree <= k+1, and at k+1 after it.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of

@@ -85,17 +85,15 @@ class DepthResult:
         return str(self.value) if self.exact else f">= {self.value}"
 
 
-def _expansions(f: FreeEndomorphism, truncation: int) -> list[TruncatedTensor]:
-    """M(f(x) x^{-1}) - 1 at `truncation`, one per generator x in basis order."""
+def _expansion(f: FreeEndomorphism, i: int, truncation: int) -> TruncatedTensor:
+    """M(f(x) x^{-1}) - 1 at `truncation` for the generator x of basis index i (from 0)."""
+    e = magnus_expand(f.images[i] * generator(f.genus, i + 1, -1), truncation)
     # an expansion's empty-word coefficient is always 1
-    expansions = (magnus_expand(img * generator(f.genus, i, -1), truncation)
-                  for i, img in enumerate(f.images, 1))
-    return [TruncatedTensor(f.genus, truncation, {w: c for w, c in e.terms.items() if w})
-            for e in expansions]
+    return TruncatedTensor(f.genus, truncation, {w: c for w, c in e.terms.items() if w})
 
 
 def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
-    """Depth read off expansions carried at truncation max_k + 1."""
+    """Depth read off expansions whose lowest nonzero degrees are exact up to max_k + 1."""
     degrees = [d for e in expansions if (d := e.min_degree()) is not None]
     if not degrees:
         return DepthResult(max_k, exact=False)
@@ -110,7 +108,7 @@ def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
     """
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    return _depth(_expansions(f, max_k + 1), max_k)
+    return _depth([_expansion(f, i, max_k + 1) for i in range(len(f.images))], max_k)
 
 
 def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
@@ -130,10 +128,23 @@ def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthRe
 
     Needs truncation >= k + 1, where the degree-(k+1) parts are already
     exact.  Raises DepthError when the depth is below k.
+
+    The generators are expanded in order of increasing image length, at
+    `truncation` until one expansion has a nonzero term of degree <= k+1,
+    and at k+1 after that.  The lowest nonzero degree of an expansion is
+    exact at any truncation at or above it, so the depth is unchanged; only
+    when no expansion has such a term does the depth need `truncation`,
+    and then every generator was expanded at it.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
-    expansions = _expansions(f, truncation)
+    expansions = [None] * len(f.images)
+    next_truncation = truncation
+    for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i].letters)):
+        e = expansions[i] = _expansion(f, i, next_truncation)
+        low = e.min_degree()
+        if low is not None and low <= k + 1:
+            next_truncation = k + 1
     depth = _depth(expansions, truncation - 1)
     if depth.value < k:
         raise DepthError(

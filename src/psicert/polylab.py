@@ -552,6 +552,10 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, scan):
             for i in combo:
                 product = _gf_mul(product, lifted[i], modulus)
             g = IntPolynomial.of_coeffs([_symmetric(lc * c, modulus) for c in product])
+            # a factor's constant term divides the target's: skip the division otherwise
+            g0 = g.coeffs[0]
+            if (target.coeffs[0] % g0) if g0 else target.coeffs[0]:
+                continue
             division = target.divmod_exact(g)
             if division is not None and division[1].is_zero():
                 factors.append(g.primitive_part())

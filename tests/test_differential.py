@@ -45,6 +45,15 @@ def test_swinnerton_dyer(n):
     assert_same_factorization(sd * from_sympy(sympy.swinnerton_dyer_poly(n - 1, X)))
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_zero_constant_term(n):
+    # x joins the modular factors of SD-8 or SD-16 in recombination; the
+    # constant-term test must not reject it
+    sd = from_sympy(sympy.swinnerton_dyer_poly(n, X))
+    assert_same_factorization(IntPolynomial.of_coeffs([0, 1]) * sd)
+    assert_same_factorization(IntPolynomial.of_coeffs([0, 0, 1]) * sd)
+
+
 @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (5, 8, 12), (7, 7, 9), (15, 16, 20, 24),
                                     (3, 6, 9, 18, 30)])
 def test_cyclotomic_products(orders):

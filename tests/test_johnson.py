@@ -4,9 +4,11 @@ import pytest
 
 from checks import (check_derivation_leibniz, check_tau_additivity, check_tau_images_are_lie,
                     identity_endo, random_tensor)
+from psicert import johnson
 from psicert.errors import DepthError, TruncationError
 from psicert.homology import HVector
-from psicert.johnson import (JohnsonCochain, bp_tau, cochain_from_wedge3, depth_and_tau,
+from psicert.jobs import parse_job, run_job
+from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
                              derivation_apply, filtration_depth, tau_on_H, tau_squared)
 from psicert.tensors import TruncatedTensor, graded_part, lie_bracket, magnus_expand
 from psicert.words import (FreeEndomorphism, a_gen, apply_endo, b_gen, commutator,
@@ -108,6 +110,86 @@ class TestDepthAndTau:
     def test_truncation_floor(self):
         with pytest.raises(ValueError):
             depth_and_tau(sep_twist(2, 1), 2, 2)
+
+
+def full_expansions(f, truncation):
+    """M(f(x) x^{-1}) - 1 of every generator, all at the same truncation."""
+    out = []
+    for i, img in enumerate(f.images, 1):
+        e = magnus_expand(img * generator(f.genus, i, -1), truncation)
+        out.append(e - TruncatedTensor.unit(f.genus, truncation))
+    return out
+
+
+def power(f, e):
+    out = f
+    for _ in range(e - 1):
+        out = compose_endos(f, out)
+    return out
+
+
+def oracle_elements():
+    """(name, element) pairs for the lazy-versus-full comparison."""
+    t1, t2 = sep_twist(3, 1), sep_twist(3, 2)
+    h = inner_automorphism(parse_word("a1 b2 a3^-1", 3))
+    h_inv = inner_automorphism(parse_word("a3 b2^-1 a1^-1", 3))
+    yield from ((f"sep_twist/{g}/{i}", sep_twist(g, i))
+                for g in range(2, 6) for i in sorted({1, g - 1}))
+    yield "compose", compose_endos(t1, t2)
+    yield "compose/inverse", compose_endos(t2, sep_twist_inverse(3, 1))
+    yield "power", power(sep_twist(2, 1), 3)
+    yield "conjugated", compose_endos(h, compose_endos(compose_endos(t1, t2), h_inv))
+    yield "identity", identity_endo(3)
+    yield "inner", inner_automorphism(a_gen(2, 1))
+
+
+class TestLazyExpansion:
+    """depth_and_tau expands most generators only to degree k+1; the depth,
+    the cochain and the DepthError must be those of the full expansions."""
+
+    @pytest.mark.parametrize("k,truncation", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 8)])
+    @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in oracle_elements()])
+    def test_matches_full_expansions(self, f, k, truncation):
+        full = full_expansions(f, truncation)
+        depth = _depth(full, truncation - 1)
+        if depth.value < k:
+            with pytest.raises(DepthError) as lazy_error:
+                depth_and_tau(f, k, truncation)
+            assert str(lazy_error.value) == (
+                f"element has filtration depth {depth} < k = {k}; the level-{k} "
+                "invariant is undefined")
+            return
+        lazy_depth, cochain = depth_and_tau(f, k, truncation)
+        assert lazy_depth == depth
+        assert cochain.images == tuple(graded_part(e, k + 1) for e in full)
+
+    def test_cases_cover_each_branch(self):
+        # zero cochain at k=1, and DepthError at k=2 and at k=3
+        depth, cochain = depth_and_tau(sep_twist(3, 1), 1, 4)
+        assert depth.value == 2 and depth.exact and cochain.is_zero()
+        with pytest.raises(DepthError, match="depth 1 < k = 2"):
+            depth_and_tau(inner_automorphism(a_gen(2, 1)), 2, 4)
+        with pytest.raises(DepthError, match="depth 2 < k = 3"):
+            depth_and_tau(sep_twist(3, 1), 3, 8)
+
+    def test_truncation_drops_after_first_low_part(self, monkeypatch):
+        genus, k, truncation = 4, 2, 4
+        f = sep_twist(genus, 2)
+        calls = []
+        real = johnson.magnus_expand
+        monkeypatch.setattr(johnson, "magnus_expand",
+                            lambda w, t: calls.append((w, t)) or real(w, t))
+        run_job(parse_job({"schema": 1, "name": "lazy", "genus": genus, "k": k,
+                           "pipeline": "pi1", "element": {"op": "sep_twist", "index": 2},
+                           "options": {"truncation": truncation}}))
+        order = sorted(range(2 * genus), key=lambda i: len(f.images[i].letters))
+        assert [w for w, _ in calls] == [f.images[i] * generator(genus, i + 1, -1) for i in order]
+        lows = [e.min_degree() for e in (real(w, t) - TruncatedTensor.unit(genus, t)
+                                         for w, t in calls)]
+        first = next(n for n, d in enumerate(lows) if d is not None and d <= k + 1)
+        assert 0 < first < len(calls) - 1
+        assert [t for _, t in calls[:first + 1]] == [truncation] * (first + 1)
+        assert [t for _, t in calls[first + 1:]] == [k + 1] * (len(calls) - first - 1)
 
 
 class TestDerivation:

@@ -170,6 +170,26 @@ class TestFactorZ:
         assert [(q, m) for q, m in fz.factors] == [
             (cyclotomic(8), 2), (cyclotomic(5), 2)]
 
+    def test_constant_term_skips_divisions(self, monkeypatch):
+        # SD-16 splits into 8 quadratics modulo its working prime, so proving
+        # it irreducible tries all 8 + 28 + 56 + 70 = 162 subsets of at most 4;
+        # only candidates whose constant term divides 46225 reach a division
+        calls = []
+        real = IntPolynomial.divmod_exact
+        monkeypatch.setattr(IntPolynomial, "divmod_exact",
+                            lambda self, d: calls.append(d) or real(self, d))
+        sd16 = swinnerton_dyer((2, 3, 5, 7))
+        assert [q for q, _ in factor_z(sd16).factors] == [sd16]
+        assert 0 < len(calls) < 162 // 4
+
+    def test_zero_constant_term_in_recombination(self):
+        # x is a modular factor with constant term 0: it must still divide
+        sd8 = swinnerton_dyer((2, 3, 5))
+        assert find_certificate(sd8) is None
+        fz = factor_z(poly(0, 1) * sd8)
+        assert fz.constant == 1
+        assert [(q, m) for q, m in fz.factors] == [(poly(0, 1), 1), (sd8, 1)]
+
 
 class TestHenselLift:
     # lc(g(2x) g(3x)) = 1296 is 1 modulo the working prime 7; with the factor
