@@ -140,7 +140,7 @@ def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthRe
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
     expansions = [None] * len(f.images)
     next_truncation = truncation
-    for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i].letters)):
+    for i in sorted(range(len(f.images)), key=lambda j: len(f.images[j].letters)):
         e = expansions[i] = _expansion(f, i, next_truncation)
         low = e.min_degree()
         if low is not None and low <= k + 1:
