@@ -11,18 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import HVector, IntMatrix
+from .homology import HVector, IntMatrix, symbol_intersection
 from .johnson import JohnsonCochain, tau_squared
 from .tensors import TruncatedTensor
-
-
-def symbol_intersection(p: int, q: int) -> int:
-    """Intersection number of basis symbols: <a_j, b_j> = 1, <b_j, a_j> = -1."""
-    if p % 2 == 1 and q == p + 1:
-        return 1
-    if p % 2 == 0 and q == p - 1:
-        return -1
-    return 0
 
 
 @dataclass(frozen=True)

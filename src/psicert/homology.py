@@ -74,6 +74,11 @@ class HVector:
         return not any(self.coords)
 
 
+def symbol_intersection(p: int, q: int) -> int:
+    """Intersection number of basis symbols 1..2g: <a_j, b_j> = 1 = -<b_j, a_j>, else 0."""
+    return q - p if (p + 1) // 2 == (q + 1) // 2 else 0
+
+
 def intersection(u: HVector, v: HVector) -> int:
     """Algebraic intersection number, bilinear with <a_i, b_i> = 1."""
     _same_genus(u, v)
@@ -209,11 +214,9 @@ def char_coeffs(m: IntMatrix) -> list[int]:
 
 
 def symplectic_form(genus: int) -> IntMatrix:
-    rows = [[0] * (2 * genus) for _ in range(2 * genus)]
-    for j in range(genus):
-        rows[2 * j][2 * j + 1] = 1
-        rows[2 * j + 1][2 * j] = -1
-    return IntMatrix.from_rows(rows)
+    """J with J[p][q] = <e_p, e_q>, the intersection pairing on the ordered basis."""
+    n = 2 * genus
+    return IntMatrix.from_rows([[symbol_intersection(p + 1, q + 1) for q in range(n)] for p in range(n)])
 
 
 def sp_check(m: IntMatrix) -> bool:

@@ -103,6 +103,9 @@ MAX_EXPONENT = 256
 # caps admit the largest benchmark genus (12) and truncation (8) threefold.
 MAX_GENUS = 36
 MAX_TRUNCATION = 24
+# Each listed prime costs a Miller-Rabin test here and a scan in `criterion`;
+# the bundled fixtures list one prime each.
+MAX_PRIMES = 64
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -179,6 +182,8 @@ def parse_job(obj: dict) -> Job:
     if primes is not None:
         if not isinstance(primes, list):
             raise JobError("primes must be a list of primes")
+        if len(primes) > MAX_PRIMES:
+            raise JobError(f"primes lists {len(primes)} entries, cap {MAX_PRIMES}")
         primes = tuple(_integer(p, "each of primes") for p in primes)
         for p in primes:
             if not (p < 1 << 64 and _is_prime(p)):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 from .errors import DepthError, GenusMismatchError, TruncationError, _same_genus
 from .homology import HVector, intersection
-from .tensors import TruncatedTensor, dynkin_is_lie, graded_part, lie_bracket, magnus_expand
+from .tensors import (TruncatedTensor, _sum_terms, dynkin_is_lie, graded_part, lie_bracket,
+                      magnus_expand)
 from .words import FreeEndomorphism, generator
 
 
@@ -165,17 +166,13 @@ def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:
     if t.max_degree() + lift > t.truncation:
         raise TruncationError(
             f"derivation raises degree to {t.max_degree() + lift} beyond truncation {t.truncation}")
-    out: dict[tuple[int, ...], int] = {}
-    for word, coeff in t.terms.items():
-        for j, s in enumerate(word):
-            for cw, cc in c.images[s - 1].terms.items():
-                key = word[:j] + cw + word[j + 1:]
-                v = out.get(key, 0) + coeff * cc
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-    return TruncatedTensor(t.genus, t.truncation, out)
+    def replaced():
+        for word, coeff in t.terms.items():
+            for j, s in enumerate(word):
+                head, tail = word[:j], word[j + 1:]
+                for cw, cc in c.images[s - 1].terms.items():
+                    yield head + cw + tail, coeff * cc
+    return TruncatedTensor(t.genus, t.truncation, _sum_terms(replaced()))
 
 
 def tau_squared(c: JohnsonCochain) -> JohnsonCochain:
@@ -205,18 +202,9 @@ def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
     images = []
     for p in range(2 * genus):
         x = HVector.basis(genus, p)
-        img: dict[tuple[int, ...], int] = {}
-        for vec, coeff, bracket in parts:
-            k = coeff * intersection(vec, x)
-            if not k:
-                continue
-            for w, c in bracket.terms.items():
-                v = img.get(w, 0) + k * c
-                if v:
-                    img[w] = v
-                else:
-                    img.pop(w, None)
-        images.append(TruncatedTensor(genus, 2, img))
+        scaled = ((coeff * intersection(vec, x), bracket) for vec, coeff, bracket in parts)
+        images.append(TruncatedTensor(genus, 2, _sum_terms(
+            (w, k * c) for k, bracket in scaled if k for w, c in bracket.terms.items())))
     return JohnsonCochain(genus, 2, tuple(images))
 
 

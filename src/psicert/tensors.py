@@ -13,8 +13,9 @@ central subgroup the expansion minus 1 starts in degree m, and that leading
 part is the word's class in the degree-m layer of the free Lie algebra,
 embedded in the tensor algebra by iterated brackets [x, y] = xy - yx.
 Membership of a homogeneous tensor in that embedded layer is certified by
-the Dynkin idempotent: left-to-right bracketing multiplies a degree-m Lie
-element by m.
+the Dynkin map, D(x) = x and D(u s) = [D(u), s] for a word u and a letter s,
+which multiplies a degree-m Lie element by m.  Term dicts are built by
+`_sum_terms`, which drops the cancelled words once, at the end.
 """
 from __future__ import annotations
 
@@ -71,16 +72,8 @@ class TruncatedTensor:
     def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         _same_genus(self, other)
         d = min(self.truncation, other.truncation)
-        out = {w: c for w, c in self.terms.items() if len(w) <= d}
-        for w, c in other.terms.items():
-            if len(w) > d:
-                continue
-            s = out.get(w, 0) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return TruncatedTensor(self.genus, d, out)
+        return TruncatedTensor(self.genus, d, _sum_terms(
+            (w, c) for t in (self, other) for w, c in t.terms.items() if len(w) <= d))
 
     def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
         return self + other.scale(-1)
@@ -132,25 +125,21 @@ class TruncatedTensor:
         return [{"word": [letter_name(s) for s in w], "coeff": str(c)} for w, c in items]
 
 
+def _sum_terms(pairs) -> dict[BasisWord, int]:
+    """Sum (word, coefficient) pairs into a term dict, dropping zero sums once."""
+    out: dict[BasisWord, int] = {}
+    for w, c in pairs:
+        out[w] = out.get(w, 0) + c
+    return {w: c for w, c in out.items() if c}
+
+
 def tensor_mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
     """Concatenation product, truncated at min(truncations)."""
     _same_genus(s, t)
     d = min(s.truncation, t.truncation)
-    out: dict[BasisWord, int] = {}
-    for w1, c1 in s.terms.items():
-        if len(w1) > d:
-            continue
-        room = d - len(w1)
-        for w2, c2 in t.terms.items():
-            if len(w2) > room:
-                continue
-            w = w1 + w2
-            v = out.get(w, 0) + c1 * c2
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return TruncatedTensor(s.genus, d, out)
+    return TruncatedTensor(s.genus, d, _sum_terms(
+        (w1 + w2, c1 * c2) for w1, c1 in s.terms.items()
+        for w2, c2 in t.terms.items() if len(w1) + len(w2) <= d))
 
 
 def lie_bracket(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
@@ -189,35 +178,30 @@ def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:
     return TruncatedTensor(w.genus, truncation, acc)
 
 
-def _left_bracketing(word: BasisWord) -> dict[BasisWord, int]:
-    # [[...[x1,x2],...],xm] expanded in the tensor algebra
-    acc = {word[:1]: 1}
-    for s in word[1:]:
-        out: dict[BasisWord, int] = {}
-        for w, c in acc.items():
-            for key, v in ((w + (s,), c), ((s,) + w, -c)):
-                t = out.get(key, 0) + v
-                if t:
-                    out[key] = t
-                else:
-                    out.pop(key, None)
-        acc = out
-    return acc
+def _dynkin_pairs(terms: dict[BasisWord, int]):
+    # letters map to themselves; the words u s ending in s give [D(sum of u), s]
+    prefixes: dict[int, dict[BasisWord, int]] = {}
+    for word, c in terms.items():
+        if len(word) == 1:
+            yield word, c
+        else:
+            prefixes.setdefault(word[-1], {})[word[:-1]] = c
+    for s, u in prefixes.items():
+        for w, c in _sum_terms(_dynkin_pairs(u)).items():
+            yield w + (s,), c
+            yield (s,) + w, -c
 
 
 def dynkin_image(t: TruncatedTensor) -> TruncatedTensor:
-    """Left-to-right bracketing applied termwise (the Dynkin map)."""
-    out: dict[BasisWord, int] = {}
-    for word, coeff in t.terms.items():
-        if not word:
-            raise ValueError("Dynkin map is undefined in degree 0")
-        for w, c in _left_bracketing(word).items():
-            v = out.get(w, 0) + coeff * c
-            if v:
-                out[w] = v
-            else:
-                out.pop(w, None)
-    return TruncatedTensor(t.genus, t.truncation, out)
+    """The Dynkin map, linear with D(x) = x on letters and D(u s) = [D(u), s].
+
+    Words of degree >= 2 are grouped by their last letter s, and D of each
+    group's sum of prefixes is computed once, recursively, then bracketed
+    with s: no word is expanded into its own 2^(m-1) terms.
+    """
+    if () in t.terms:
+        raise ValueError("Dynkin map is undefined in degree 0")
+    return TruncatedTensor(t.genus, t.truncation, _sum_terms(_dynkin_pairs(t.terms)))
 
 
 def dynkin_is_lie(t: TruncatedTensor) -> bool:

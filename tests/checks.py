@@ -3,9 +3,9 @@
 These run both from the per-module test files and from the acceptance
 gate, so the counts quoted there live here.  The module also holds the
 oracles that no pipeline stage uses: the identity endomorphism, the
-determinant, the tensor pairing, theta, omega0, the diagonal action,
-cyclotomic and Swinnerton-Dyer polynomials and the literal verdict
-definition.
+determinant, the word-by-word Dynkin map, the tensor pairing, theta,
+omega0, the diagonal action, cyclotomic and Swinnerton-Dyer polynomials and
+the literal verdict definition.
 """
 from __future__ import annotations
 
@@ -125,6 +125,25 @@ def omega0(genus: int) -> TruncatedTensor:
         terms[(a, b)] = 1
         terms[(b, a)] = -1
     return TruncatedTensor(genus, 2, terms)
+
+
+def left_normed_dynkin(t: TruncatedTensor) -> TruncatedTensor:
+    """The Dynkin map one word at a time: x1 x2 ... xm -> [[...[x1, x2], ...], xm],
+    expanded into its 2^(m-1) signed words (reference for `dynkin_image`)."""
+    out: dict[tuple[int, ...], int] = {}
+    for word, coeff in t.terms.items():
+        if not word:
+            raise ValueError("Dynkin map is undefined in degree 0")
+        acc = {word[:1]: coeff}
+        for s in word[1:]:
+            bracketed: dict[tuple[int, ...], int] = {}
+            for w, c in acc.items():
+                for key, v in ((w + (s,), c), ((s,) + w, -c)):
+                    bracketed[key] = bracketed.get(key, 0) + v
+            acc = bracketed
+        for w, c in acc.items():
+            out[w] = out.get(w, 0) + c
+    return TruncatedTensor(t.genus, t.truncation, {w: c for w, c in out.items() if c})
 
 
 def theta(t: TruncatedTensor) -> TruncatedTensor:

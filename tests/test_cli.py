@@ -104,6 +104,8 @@ def hostile_documents() -> dict[str, str]:
         "contraction-output-string": dict(twist, options={"contraction_spec": {
             "pairs": [[1, 2]], "output": "3"}}),
         "primes-beyond-2-64": dict(twist, options={"primes": [2**64 + 13]}),
+        # refused by the length cap; testing each entry took 21 s in parse_job (2-core x86 VM)
+        "primes-repeated-10-5": dict(twist, options={"primes": [2**64 - 59] * 10**5}),
         "power-exponent-huge": dict(twist, element={
             "op": "power", "base": twist["element"], "exponent": 10**12}),
         "power-nested": dict(twist, element={"op": "power", "exponent": 40, "base": {

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from checks import determinant
 from psicert.errors import GenusMismatchError
 from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate,
-                              intersection, sp_check, symplectic_form, symplectic_inverse,
-                              transvection)
+                              intersection, sp_check, symbol_intersection, symplectic_form,
+                              symplectic_inverse, transvection)
 
 # the 10x10 symplectic conjugator used by the bundled genus-5 example
 REFERENCE_CONJUGATOR = [
@@ -48,6 +48,14 @@ class TestIntersection:
     def test_genus_mismatch(self):
         with pytest.raises(GenusMismatchError):
             intersection(HVector.from_name("a1", 2), HVector.from_name("a1", 3))
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 4])
+    def test_one_pairing_on_basis_symbols(self, genus):
+        j = symplectic_form(genus)
+        for p in range(2 * genus):
+            for q in range(2 * genus):
+                e_p, e_q = HVector.basis(genus, p), HVector.basis(genus, q)
+                assert j.rows[p][q] == symbol_intersection(p + 1, q + 1) == intersection(e_p, e_q)
 
     @given(coords_strategy(), coords_strategy(), coords_strategy(), st.integers(-4, 4))
     @settings(max_examples=60)

@@ -134,6 +134,19 @@ class TestValidation:
         with pytest.raises(JobError, match="truncation"):
             parse_job(base_job(options={"truncation": jobs.MAX_TRUNCATION + 1}))
 
+    def test_primes_capped_before_primality(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(jobs, "_is_prime", lambda p: calls.append(p) or True)
+        big = 2**64 - 59
+        with pytest.raises(JobError, match="primes"):
+            parse_job(base_job(options={"primes": [big] * (jobs.MAX_PRIMES + 1)}))
+        with pytest.raises(JobError, match="primes"):
+            parse_job(base_job(options={"primes": ["x"] * (jobs.MAX_PRIMES + 1)}))
+        assert calls == []
+        job = parse_job(base_job(options={"primes": [big] * jobs.MAX_PRIMES}))
+        assert job.primes == (big,) * jobs.MAX_PRIMES
+        assert len(calls) == jobs.MAX_PRIMES
+
     def test_default_truncation_bounds_k(self):
         # the default truncation is k+2, or 2k+2 at odd k
         even = jobs.MAX_TRUNCATION - 2

@@ -216,6 +216,14 @@ class TestDerivation:
     def test_leibniz_suite(self):
         check_derivation_leibniz(100)
 
+    def test_cancelling_terms_dropped(self):
+        # c(a1) = [a1, a2]: D(a1 a1) = [a1, a2] a1 + a1 [a1, a2], where a1 a2 a1 cancels
+        bracket = lie_bracket(TruncatedTensor.symbol(2, 1, 2), TruncatedTensor.symbol(2, 3, 2))
+        zero = TruncatedTensor.zero(2, 2)
+        c = JohnsonCochain(2, 2, (bracket, zero, zero, zero))
+        t = TruncatedTensor(2, 3, {(1, 1): 1})
+        assert derivation_apply(c, t).terms == {(1, 1, 3): 1, (3, 1, 1): -1}
+
     def test_insufficient_truncation(self):
         c = tau_on_H(sep_twist(2, 1), 2)
         t = TruncatedTensor(2, 2, {(1, 2): 1})
@@ -271,6 +279,13 @@ class TestWedgeCochain:
         u, v, w = (HVector.from_name(n, g) for n in ("a1", "b1", "b2"))
         c = cochain_from_wedge3(g, [(3, (u, v, w))])
         assert c == cochain_from_wedge3(g, [(1, (u, v, w))]).scale(3)
+
+    def test_opposite_coefficients_cancel(self):
+        g = 2
+        tri = tuple(HVector.from_name(n, g) for n in ("a1", "b1", "b2"))
+        assert cochain_from_wedge3(g, [(1, tri), (-1, tri)]).is_zero()
+        c = cochain_from_wedge3(g, [(1, tri), (2, tri), (-1, tri)])
+        assert c == cochain_from_wedge3(g, [(2, tri)])
 
 
 class TestBoundingPair:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import check_magnus_multiplicativity, random_tensor, random_word
+from checks import check_magnus_multiplicativity, left_normed_dynkin, random_tensor, random_word
 from psicert.errors import GenusMismatchError, TruncationError
 from psicert.tensors import (TruncatedTensor, dynkin_image, dynkin_is_lie, graded_part,
                              lie_bracket, magnus_expand, tensor_mul)
@@ -13,6 +13,18 @@ from psicert.words import a_gen, b_gen, commutator
 
 def sym(genus, idx, trunc):
     return TruncatedTensor.symbol(genus, idx, trunc)
+
+
+class TestAdd:
+    def test_cancelling_terms_dropped(self):
+        t = sym(2, 1, 3) + sym(2, 4, 3)
+        assert (t + sym(2, 1, 3).scale(-1)).terms == {(4,): 1}
+        assert (t - t).is_zero()
+
+    def test_truncation_is_min(self):
+        s = TruncatedTensor(1, 4, {(1, 1, 1): 1, (2,): 1})
+        t = TruncatedTensor(1, 2, {(2,): -1, (1, 2): 3})
+        assert s + t == TruncatedTensor(1, 2, {(1, 2): 3})
 
 
 class TestTensorMul:
@@ -132,6 +144,36 @@ class TestDynkin:
 
     def test_zero_passes(self):
         assert dynkin_is_lie(TruncatedTensor.zero(1, 3))
+
+    def test_empty_word_rejected(self):
+        with pytest.raises(ValueError):
+            dynkin_image(TruncatedTensor(1, 2, {(): 1, (1, 2): 1}))
+
+    def test_matches_left_normed_expansion(self):
+        # random sums of words of one degree and of mixed degrees; genus 1 repeats letters
+        rng = random.Random(0x44594E4B)
+        for genus in (1, 2, 3):
+            for degree in range(1, 7):
+                for _ in range(6):
+                    t = random_tensor(rng, genus, degree, 6, terms=5)
+                    mixed = t + random_tensor(rng, genus, rng.randrange(1, 7), 6, terms=3)
+                    for x in (t, mixed):
+                        assert dynkin_image(x) == left_normed_dynkin(x)
+
+    def test_accepts_brackets_rejects_perturbation(self):
+        # a single word of degree >= 2 has coefficient sum 1, a Lie element 0,
+        # so adding one word to a Lie element never leaves a Lie element
+        rng = random.Random(0x50455254)
+        found = 0
+        while found < 40:
+            weight, genus = rng.randrange(2, 7), rng.randrange(1, 4)
+            bracket = random_bracket(rng, genus, weight)[1]
+            if bracket.is_zero():
+                continue
+            found += 1
+            assert dynkin_is_lie(bracket)
+            word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(weight))
+            assert not dynkin_is_lie(bracket + TruncatedTensor(genus, weight, {word: 1}))
 
 
 def random_bracket(rng, genus, weight):

@@ -7,12 +7,16 @@ admit every job document the workload generator writes.  The reports of
 every job case and of the smaller polynomial cases must hash to the
 recorded seed-1 digests, so that a byte change in a report fails here and
 not only in a benchmark run.  The benchmark modules and `digests.json` are
-loaded from their files and only read: nothing is wrapped or written.
+loaded from their files and only read: nothing is wrapped or written.  The
+benchmark's own test suite runs here too, in a subprocess, because it calls
+psicert names (aliases, module bindings) that no other test pins.
 """
 import hashlib
 import importlib
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,6 +50,13 @@ def test_every_tracer_target_resolves():
         if not found:
             missing.append(f"{module_name}.{attr}")
     assert missing == []
+
+
+def test_perfbench_suite_passes():
+    result = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                             "perfbench/tests"], cwd=PERFBENCH.parent, capture_output=True,
+                            text=True, timeout=300)
+    assert result.returncode == 0, result.stdout[-4000:] + result.stderr[-4000:]
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
