@@ -143,16 +143,10 @@ def main(argv=None) -> int:
     except DepthError as exc:
         print(f"depth error: {exc}", file=sys.stderr)
         return EXIT_DEPTH
-    except (JobError, FixtureError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except RecursionError:
         print("error: document nested too deeply", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValueError as exc:
+    except (FixtureError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

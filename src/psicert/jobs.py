@@ -103,9 +103,12 @@ MAX_EXPONENT = 256
 # caps admit the largest benchmark genus (12) and truncation (8) threefold.
 MAX_GENUS = 36
 MAX_TRUNCATION = 24
-# Each listed prime costs a Miller-Rabin test here and a scan in `criterion`;
+# Each listed prime costs a Miller-Rabin test here and a scan in `factor_z`;
 # the bundled fixtures list one prime each.
 MAX_PRIMES = 64
+# Each transvection class costs one 2g x 2g matrix product here; the benchmark
+# and the fixtures give 2 per conjugate node.
+MAX_TRANSVECTIONS = 64
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -294,10 +297,11 @@ def _parse_homology(node, genus: int, k: int):
             if s.dimension != 2 * genus:
                 raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
         else:
-            if not isinstance(node["transvections"], list) or not node["transvections"]:
-                raise JobError("transvections must be a nonempty list of homology classes")
+            classes = node["transvections"]
+            if not isinstance(classes, list) or not 1 <= len(classes) <= MAX_TRANSVECTIONS:
+                raise JobError(f"transvections must list 1..{MAX_TRANSVECTIONS} homology classes")
             s = IntMatrix.identity(2 * genus)
-            for v in node["transvections"]:
+            for v in classes:
                 s = s * transvection(parse_hvector(v, genus, what="transvection class"))
         if not sp_check(s):
             raise JobError("non-symplectic conjugator matrix")

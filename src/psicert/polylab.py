@@ -11,14 +11,16 @@ Factorization pipeline (all exact, no rationals):
   1. content/primitive split and Yun squarefree decomposition;
   2. for each squarefree part, the certificate scan `find_certificate` looks
      for a prime modulo which the part is irreducible, trying the job's
-     primes in order and then the default small primes not among them; one
-     found short-circuits everything, and `criterion` reuses the scan;
+     primes in order and then the default small primes; one found ends the
+     work and, if it may be reported, is the part's certificate;
   3. otherwise: Cantor-Zassenhaus factorization modulo a small odd prime
      with good reduction, linear Hensel lifting to above the Mignotte
      bound, and exhaustive subset recombination: subsets in increasing
      size, each tested by one product mod p^a and one exact trial division.
 The recombination is exhaustive over subsets, so the returned factors are
-irreducible by construction even when no modular certificate exists.
+irreducible by construction even when no modular certificate exists; each
+proper factor it splits off gets one scan for its own certificate, and
+`criterion` only reads the certificates that `factor_z` records.
 Both the certificate test and the modular factorization run on one lazy
 distinct-degree loop.
 
@@ -33,6 +35,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from typing import ClassVar
 
 from .homology import IntMatrix, char_coeffs
 
@@ -516,16 +519,15 @@ def _symmetric(c: int, modulus: int) -> int:
     return c
 
 
-def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, scan):
+def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     """Irreducible factors of a primitive squarefree f (deg >= 1, lc > 0),
-    plus {factor: certificate prime} for factors certified by the fast path,
-    which tests f modulo the primes of `scan` in order."""
+    each paired with the Certificate it found for it or None."""
     if f.degree == 1:
-        return [f], {}
+        return [(f, find_certificate(f, primes))]
     # fast path: f irreducible modulo a small prime is irreducible over Z
-    cert = find_certificate(f, scan)
+    cert = find_certificate(f, (*(primes or ()), *DEFAULT_CERT_PRIMES))
     if cert is not None:
-        return [f], {f: cert.prime}
+        return [(f, cert)]
     # choose an odd working prime with good reduction
     p = 3
     while not (_is_prime(p) and f.leading % p and _gf_squarefree(_gf_from_int_poly(f, p), p)):
@@ -533,7 +535,7 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, scan):
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
-        return [f], {f: p}
+        return [(f, Certificate(p))]
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
 
@@ -564,19 +566,20 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, scan):
                 break
         else:
             size += 1
+    if not factors:
+        return [(f, None)]  # the fast path has tested f modulo every listed prime
     factors.append(current)
-    factors.sort(key=lambda q: (q.degree, q.coeffs))
-    return factors, {}
+    return [(q, find_certificate(q, primes)) for q in factors]
 
 
 @dataclass(frozen=True)
 class Factorization:
-    """constant * prod(factor^multiplicity) reconstructs the input exactly."""
+    """constant * prod(factor^multiplicity) reconstructs the input exactly;
+    `certificates` maps each factor that has a certificate to its prime."""
 
     constant: int
     factors: tuple[tuple[IntPolynomial, int], ...]
-    certificates: dict  # IntPolynomial -> prime, for fast-path certified factors
-    scanned: frozenset = frozenset()  # factors the fast path tested modulo every listed prime
+    certificates: dict  # IntPolynomial -> prime
 
     def expand(self) -> IntPolynomial:
         out = IntPolynomial.constant(self.constant)
@@ -590,8 +593,9 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
 
     Factors are primitive with positive leading coefficient, sorted by
     (degree, coefficients); the integer constant carries content and sign.
-    The fast path tests each squarefree part modulo the listed `primes` in
-    order, then modulo the default primes not among them.
+    A factor's certificate is a prime, not dividing its leading coefficient,
+    modulo which it is irreducible; when `primes` are listed, only a listed
+    prime is reported.
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -600,17 +604,14 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     rng = random.Random(repr(p.coeffs))
     collected: dict[IntPolynomial, int] = {}
     certificates: dict[IntPolynomial, int] = {}
-    scan = tuple(dict.fromkeys([*(primes or ()), *DEFAULT_CERT_PRIMES]))
-    scanned = set()
     for sqfree, mult in squarefree_decomposition(primitive):
-        irreducibles, certs = _zassenhaus_squarefree(sqfree, rng, scan)
-        certificates.update(certs)
-        if sqfree.degree > 1:
-            scanned.add(sqfree)
-        for q in irreducibles:
-            collected[q] = collected.get(q, 0) + mult
+        for q, cert in _zassenhaus_squarefree(sqfree, rng, primes):
+            collected[q] = mult  # the squarefree parts are coprime
+            # the one rule for reporting a prime: any when none are listed
+            if cert and (primes is None or cert.prime in primes):
+                certificates[q] = cert.prime
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
-    return Factorization(constant, factors, certificates, frozenset(scanned))
+    return Factorization(constant, factors, certificates)
 
 
 # ---------------------------------------------------------------------------
@@ -620,17 +621,18 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
 @dataclass(frozen=True)
 class Certificate:
     prime: int
-    method: str = CERTIFICATE_METHOD
+    method: ClassVar[str] = CERTIFICATE_METHOD
 
     def to_json_obj(self) -> dict:
         return {"prime": self.prime, "method": self.method}
 
 
 def find_certificate(q: IntPolynomial, primes=None) -> Certificate | None:
-    """First listed prime for which q is irreducible modulo it."""
+    """First distinct prime of `primes` (default DEFAULT_CERT_PRIMES), not
+    dividing the leading coefficient, modulo which q is irreducible."""
     if q.degree < 1:
         return None
-    for prime in (primes if primes is not None else DEFAULT_CERT_PRIMES):
+    for prime in dict.fromkeys(DEFAULT_CERT_PRIMES if primes is None else primes):
         if q.leading % prime == 0:
             continue
         if irreducible_mod_p(q, prime):
@@ -678,7 +680,7 @@ def criterion(p: IntPolynomial, primes=None) -> CriterionReport:
     CERTIFIED iff no irreducible factor is linear and the factor multiset
     admits no split into two nonempty parts of even total degree ("nontrivial"
     reads as a proper two-part factorization; the polynomial never counts as
-    its own even factor).
+    its own even factor).  The certificates are those `factor_z` found.
     """
     if not p.is_monic():
         raise ValueError("criterion expects a monic polynomial")
@@ -696,11 +698,6 @@ def criterion(p: IntPolynomial, primes=None) -> CriterionReport:
         "two_odd_irreducible_factors": two_odd,
         "nontrivial_reading": "proper two-part factorizations only",
     }
-    certs = []
-    for q, _ in fz.factors:
-        known = fz.certificates.get(q)
-        if known is not None and (primes is None or known in primes):
-            certs.append(Certificate(known))
-        else:
-            certs.append(None if q in fz.scanned else find_certificate(q, primes))
-    return CriterionReport(p, fz.factors, verdict, reasons, tuple(certs))
+    certs = tuple(Certificate(fz.certificates[q]) if q in fz.certificates else None
+                  for q, _ in fz.factors)
+    return CriterionReport(p, fz.factors, verdict, reasons, certs)

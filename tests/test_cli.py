@@ -111,6 +111,11 @@ def hostile_documents() -> dict[str, str]:
         "power-nested": dict(twist, element={"op": "power", "exponent": 40, "base": {
             "op": "power", "base": twist["element"], "exponent": 40}}),
         "word-exponent-huge": dict(twist, element={"op": "inner", "word": "a1^1000000000000"}),
+        # refused by the length cap; without it, parse_job multiplied out one
+        # matrix per class (1000 random classes at genus 12: 5.2 s, 2-core x86 VM)
+        "transvections-10-4": dict(twist, pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "transvections": [[1, 0, 1, 0]] * 10**4}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

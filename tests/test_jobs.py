@@ -147,6 +147,24 @@ class TestValidation:
         assert job.primes == (big,) * jobs.MAX_PRIMES
         assert len(calls) == jobs.MAX_PRIMES
 
+    def test_transvections_capped_before_parsing(self, monkeypatch):
+        calls = []
+        real = jobs.transvection
+        monkeypatch.setattr(jobs, "transvection", lambda v: calls.append(v) or real(v))
+
+        def doc(count):
+            return base_job(pipeline="homology", element={
+                "conjugate": {"atom": "sep_twist", "index": 1},
+                "transvections": [[1, 0, 1, 0]] * count})
+
+        with pytest.raises(JobError, match="transvections"):
+            parse_job(doc(jobs.MAX_TRANSVECTIONS + 1))
+        with pytest.raises(JobError, match="transvections"):
+            parse_job(doc(10**5))
+        assert calls == []
+        parse_job(doc(jobs.MAX_TRANSVECTIONS))
+        assert len(calls) == jobs.MAX_TRANSVECTIONS
+
     def test_default_truncation_bounds_k(self):
         # the default truncation is k+2, or 2k+2 at odd k
         even = jobs.MAX_TRUNCATION - 2

@@ -7,9 +7,9 @@ from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, naive_charpoly, swinnerton_dyer)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix, transvection
-from psicert.polylab import (CERTIFIED, INCONCLUSIVE, IntPolynomial, _is_prime, charpoly,
-                             criterion, factor_z, find_certificate, irreducible_mod_p,
-                             squarefree_decomposition)
+from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE, Certificate,
+                             IntPolynomial, _is_prime, charpoly, criterion, factor_z,
+                             find_certificate, irreducible_mod_p, squarefree_decomposition)
 
 QUINTIC = IntPolynomial.of_coeffs([151200, -13500, 3837, 107, -21, 1])
 OCTIC = IntPolynomial.of_coeffs([553, -558, 241, -76, -18, 26, -8, 0, 1])
@@ -345,7 +345,7 @@ class TestCriterion:
         assert rep.certificates == (None,)
         assert [p for _, p in tested] == [19, 3, 2, 5, 7, 11, 13, 17]
 
-    @pytest.mark.parametrize("primes", [None, [19, 3], [3, 5, 7], []])
+    @pytest.mark.parametrize("primes", [None, [19, 3], [3, 5, 7], [], [17, 17, 3]])
     def test_each_factor_prime_pair_tested_once(self, monkeypatch, primes):
         tested = record_tests(monkeypatch)
         for p in (QUINTIC * QUINTIC, OCTIC * poly(-1, 1), poly(1, 0, 0, 0, 1),
@@ -364,6 +364,56 @@ class TestCriterion:
                                      for _ in range(n)])
             half = m.exact_divide(2)
             assert criterion(charpoly(m)).verdict == criterion(charpoly(half)).verdict
+
+
+# irreducible over Z: linear (one non-monic), cyclotomic (x^4 + 1 and Phi_12 are
+# reducible modulo every prime), the certified QUINTIC and OCTIC, SD-8 and the
+# non-monic g(2x) for g = x^4 - 10x^2 + 1 (no certificate at all)
+CERTIFICATE_POOL = ([poly(-1, 1), poly(1, 1), poly(2, 1), poly(3, 2)]
+                    + [cyclotomic(d) for d in (3, 5, 7, 8, 9, 12)]
+                    + [QUINTIC, OCTIC, swinnerton_dyer((2, 3, 5)), poly(1, 0, -40, 0, 16)])
+
+
+def certificate_oracle(q: IntPolynomial, primes):
+    """Brute force: the first prime, listed or (when none are listed) default,
+    not dividing the leading coefficient, modulo which q is irreducible."""
+    scan = DEFAULT_CERT_PRIMES if primes is None else primes
+    return next((r for r in scan if q.leading % r and irreducible_mod_p(q, r)), None)
+
+
+class TestCertificateRule:
+    @pytest.mark.parametrize("primes", [None, [], [19, 3], [17, 17, 3], [3] * 50],
+                             ids=["none", "empty", "19-3", "17-17-3", "3x50"])
+    def test_certificates_match_oracle(self, monkeypatch, primes):
+        rng = random.Random(0x5045524D)
+        tested = record_tests(monkeypatch)
+        for _ in range(12):
+            chosen = {q: rng.randrange(1, 4) for q in rng.sample(CERTIFICATE_POOL, 3)}
+            p = IntPolynomial.one()
+            for q, m in chosen.items():
+                p = p * q ** m
+            oracle = {q: certificate_oracle(q, primes) for q in chosen}
+            tested.clear()
+            fz = factor_z(p, primes)
+            assert dict(fz.factors) == chosen
+            assert fz.certificates == {q: r for q, r in oracle.items() if r is not None}
+            assert len(tested) == len(set(tested)), p
+            if p.is_monic():
+                rep = criterion(p, primes)
+                assert rep.certificates == tuple(
+                    None if oracle[q] is None else Certificate(oracle[q]) for q, _ in rep.factors)
+
+    def test_repeated_listed_prime_tested_once(self, monkeypatch):
+        tested = record_tests(monkeypatch)
+        p = poly(1, 0, 0, 0, 1) * poly(1, *[0] * 9, 1)  # (x^4 + 1)(x^10 + 1)
+        once = criterion(p, [2])
+        calls = len(tested)
+        tested.clear()
+        assert criterion(p, [2] * 1000) == once
+        assert len(tested) == calls
+        tested.clear()
+        assert find_certificate(poly(1, 0, 0, 0, 1), [3] * 1000) is None
+        assert tested == [(poly(1, 0, 0, 0, 1), 3)]
 
 
 class TestRootsOfUnity:

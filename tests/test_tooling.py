@@ -9,8 +9,10 @@ recorded seed-1 digests, so that a byte change in a report fails here and
 not only in a benchmark run.  The benchmark modules and `digests.json` are
 loaded from their files and only read: nothing is wrapped or written.  The
 benchmark's own test suite runs here too, in a subprocess, because it calls
-psicert names (aliases, module bindings) that no other test pins.
+psicert names (aliases, module bindings) that no other test pins.  The
+package itself imports only the standard library.
 """
+import ast
 import hashlib
 import importlib
 import importlib.util
@@ -26,6 +28,7 @@ from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.polylab import charpoly, criterion
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psicert"
 
 
 def load_bench_module(name: str):
@@ -89,3 +92,17 @@ def test_report_digests_pinned():
             assert digest == recorded[name][case["id"]], case["id"]
             checked += 1
     assert checked == 37 + 36 + 73
+
+
+def test_package_imports_only_stdlib():
+    """The package has no runtime dependency: every absolute import in
+    src/psicert names a standard-library module."""
+    names = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    assert len(names) >= 10
+    assert sorted(names - sys.stdlib_module_names) == []
