@@ -109,6 +109,10 @@ MAX_PRIMES = 64
 # Each transvection class costs one 2g x 2g matrix product here; the benchmark
 # and the fixtures give 2 per conjugate node.
 MAX_TRANSVECTIONS = 64
+# Berkowitz slows with the entry size of the conjugated matrix: a genus-36 twist
+# conjugated by 64 random transvections (280-bit entries) took 42 s in charpoly.
+# The benchmark's and the fixtures' conjugators have entries of at most 3 bits.
+MAX_CONJUGATOR_BITS = 16
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -272,6 +276,12 @@ def _parse_pi1(node, genus: int):
     raise JobError(f"unknown pi1 op {op!r}")
 
 
+def _check_conjugator_size(s: IntMatrix) -> None:
+    bits = max(abs(x).bit_length() for row in s.rows for x in row)
+    if bits > MAX_CONJUGATOR_BITS:
+        raise JobError(f"conjugator entries reach {bits} bits, cap {MAX_CONJUGATOR_BITS}")
+
+
 def _parse_homology(node, genus: int, k: int):
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
@@ -296,6 +306,7 @@ def _parse_homology(node, genus: int, k: int):
             s = parse_matrix(node["matrix"], what="conjugator matrix")
             if s.dimension != 2 * genus:
                 raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
+            _check_conjugator_size(s)
         else:
             classes = node["transvections"]
             if not isinstance(classes, list) or not 1 <= len(classes) <= MAX_TRANSVECTIONS:
@@ -303,6 +314,7 @@ def _parse_homology(node, genus: int, k: int):
             s = IntMatrix.identity(2 * genus)
             for v in classes:
                 s = s * transvection(parse_hvector(v, genus, what="transvection class"))
+                _check_conjugator_size(s)
         if not sp_check(s):
             raise JobError("non-symplectic conjugator matrix")
         return Conjugate(_parse_homology(node["conjugate"], genus, k), s)

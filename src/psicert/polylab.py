@@ -8,7 +8,10 @@ recombination), every product and remainder goes through the `_gf_*`
 kernel on trimmed ascending lists of ints in [0, m).
 
 Factorization pipeline (all exact, no rationals):
-  1. content/primitive split and Yun squarefree decomposition;
+  1. content/primitive split and squarefree decomposition: a primitive part
+     squarefree modulo an odd prime up to 13 not dividing its leading
+     coefficient is squarefree over Z and is kept whole; otherwise Yun's
+     algorithm splits it;
   2. for each squarefree part, the certificate scan `find_certificate` looks
      for a prime modulo which the part is irreducible, trying the job's
      primes in order and then the default small primes; one found ends the
@@ -16,7 +19,9 @@ Factorization pipeline (all exact, no rationals):
   3. otherwise: Cantor-Zassenhaus factorization modulo a small odd prime
      with good reduction, linear Hensel lifting to above the Mignotte
      bound, and exhaustive subset recombination: subsets in increasing
-     size, each tested by one product mod p^a and one exact trial division.
+     size, each tested first on its constant term, lc * prod(constant
+     terms) mod p^a, which must divide that of lc * f; only a subset that
+     passes gets its product mod p^a and one exact trial division.
 The recombination is exhaustive over subsets, so the returned factors are
 irreducible by construction even when no modular certificate exists; each
 proper factor it splits off gets one scan for its own certificate, and
@@ -270,14 +275,20 @@ def gcd_z(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
 
 
 def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Yun's algorithm on the primitive part; returns (factor, multiplicity) pairs.
+    """Squarefree decomposition of the primitive part; returns (factor,
+    multiplicity) pairs.
 
-    Factors are primitive with positive leading coefficient; content and
-    sign are NOT included (callers track them separately).
+    A primitive part that is squarefree modulo an odd prime up to 13 not
+    dividing its leading coefficient is squarefree over Z (its discriminant
+    is nonzero modulo that prime), and is returned as it is; otherwise Yun's
+    algorithm runs.  Factors are primitive with positive leading coefficient;
+    content and sign are NOT included (callers track them separately).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     work = p.primitive_part()
+    if _good_reduction_prime(work, 13):
+        return [(work, 1)]
     g = gcd_z(work, work.derivative())
     c = work.divmod_exact(g)[0]
     d = work.derivative().divmod_exact(g)[0] - c.derivative()
@@ -395,6 +406,17 @@ def _gf_squarefree(fbar, p):
     if not d:
         return False
     return len(_gf_gcd(fbar, d, p)) == 1
+
+
+def _good_reduction_prime(f: IntPolynomial, bound: int | None = None) -> int | None:
+    """First odd prime, up to `bound` when one is given, that does not divide
+    lc(f) and modulo which f is squarefree; None when there is none up to it."""
+    p = 3
+    while bound is None or p <= bound:
+        if _is_prime(p) and f.leading % p and _gf_squarefree(_gf_from_int_poly(f, p), p):
+            return p
+        p += 2
+    return None
 
 
 def _distinct_degree(fbar, p):
@@ -528,10 +550,7 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     cert = find_certificate(f, (*(primes or ()), *DEFAULT_CERT_PRIMES))
     if cert is not None:
         return [(f, cert)]
-    # choose an odd working prime with good reduction
-    p = 3
-    while not (_is_prime(p) and f.leading % p and _gf_squarefree(_gf_from_int_poly(f, p), p)):
-        p += 2
+    p = _good_reduction_prime(f)
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
@@ -549,15 +568,20 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     while 2 * size <= len(remaining):
         lc = current.leading
         target = current.scale(lc)
+        t0 = target.coeffs[0]
         for combo in itertools.combinations(remaining, size):
+            # a factor's constant term divides the target's; the candidate's is
+            # lc * prod(constant terms) mod p^a, so test it before the product
+            g0 = lc
+            for i in combo:
+                g0 = g0 * lifted[i][0] % modulus
+            g0 = _symmetric(g0, modulus)
+            if (t0 % g0) if g0 else t0:
+                continue
             product = [1]
             for i in combo:
                 product = _gf_mul(product, lifted[i], modulus)
             g = IntPolynomial.of_coeffs([_symmetric(lc * c, modulus) for c in product])
-            # a factor's constant term divides the target's: skip the division otherwise
-            g0 = g.coeffs[0]
-            if (target.coeffs[0] % g0) if g0 else target.coeffs[0]:
-                continue
             division = target.divmod_exact(g)
             if division is not None and division[1].is_zero():
                 factors.append(g.primitive_part())

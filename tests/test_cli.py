@@ -1,4 +1,5 @@
 import json
+import random
 import shutil
 
 import pytest
@@ -84,6 +85,7 @@ class TestCertify:
 
 def hostile_documents() -> dict[str, str]:
     twist = twist_job()
+    rng = random.Random(1)
     docs = {
         "index-list": dict(twist, element={"op": "sep_twist", "index": [1]}),
         "index-bool": dict(twist, element={"op": "sep_twist", "index": True}),
@@ -116,6 +118,11 @@ def hostile_documents() -> dict[str, str]:
         "transvections-10-4": dict(twist, pipeline="homology", element={
             "conjugate": {"atom": "sep_twist", "index": 1},
             "transvections": [[1, 0, 1, 0]] * 10**4}),
+        # refused by the conjugator size cap; without it the conjugator's entries
+        # reached 280 bits and charpoly took 42 s (2-core x86 VM)
+        "conjugator-280-bits": dict(twist, genus=36, pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "transvections": [[rng.randint(-3, 3) for _ in range(72)] for _ in range(64)]}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

@@ -107,6 +107,29 @@ def test_gcd_against_sympy():
         assert gcd_z(b, a) == expected
 
 
+def assert_same_squarefree(p: IntPolynomial):
+    _, factors = sympy.sqf_list(to_sympy(p).as_expr())
+    assert sorted((q.coeffs, m) for q, m in squarefree_decomposition(p)) == sorted(
+        (from_sympy(q).coeffs, m) for q, m in factors), p.coeffs
+
+
+def test_squarefree_fast_path_against_sympy():
+    # SD-16 and a dense charpoly are squarefree modulo a prime up to 13 and
+    # skip Yun's algorithm; x (x - 30030) is not (30030 = 2*3*5*7*11*13), and
+    # Phi_a^2 Phi_b is not squarefree at all, so both run it
+    rng = random.Random(0x53514650)
+    dense = [[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)]
+    charpoly = from_sympy(sympy.Matrix(dense).charpoly(X).as_expr())
+    inputs = [from_sympy(sympy.swinnerton_dyer_poly(4, X)), charpoly,
+              IntPolynomial.of_coeffs([0, -30030, 1])]
+    for a, b in ((1, 2), (5, 8), (12, 3), (7, 9)):
+        phi_a = from_sympy(sympy.cyclotomic_poly(a, X))
+        inputs.append(phi_a * phi_a * from_sympy(sympy.cyclotomic_poly(b, X)))
+    for p in inputs:
+        assert_same_squarefree(p)
+        assert_same_squarefree(p.scale(-6))
+
+
 def test_squarefree_against_sympy():
     rng = random.Random(0x53514621)
     for trial in range(40):
@@ -120,6 +143,4 @@ def test_squarefree_against_sympy():
         p = random_with_content(rng, p)
         if p.degree < 1:
             continue
-        _, factors = sympy.sqf_list(to_sympy(p).as_expr())
-        assert sorted((q.coeffs, m) for q, m in squarefree_decomposition(p)) == sorted(
-            (from_sympy(q).coeffs, m) for q, m in factors), p.coeffs
+        assert_same_squarefree(p)

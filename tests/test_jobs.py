@@ -165,6 +165,32 @@ class TestValidation:
         parse_job(doc(jobs.MAX_TRANSVECTIONS))
         assert len(calls) == jobs.MAX_TRANSVECTIONS
 
+    def test_conjugator_entries_capped(self, monkeypatch):
+        calls = []
+        real = jobs.transvection
+        monkeypatch.setattr(jobs, "transvection", lambda v: calls.append(v) or real(v))
+        top = 1 << jobs.MAX_CONJUGATOR_BITS
+
+        def shear(entry):  # symplectic: a1 -> a1, b1 -> b1 + entry a1
+            return [[1, entry, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+
+        def doc(**conjugator):
+            return base_job(pipeline="homology", element={
+                "conjugate": {"atom": "sep_twist", "index": 1}, **conjugator})
+
+        parse_job(doc(matrix=shear(top - 1)))
+        with pytest.raises(JobError, match="bits"):
+            parse_job(doc(matrix=shear(top)))
+        with pytest.raises(JobError, match="bits"):
+            parse_job(doc(matrix=shear(str(-top))))
+        # the transvection of c a1 has the entry c^2; checked after each product
+        root = 1 << jobs.MAX_CONJUGATOR_BITS // 2
+        parse_job(doc(transvections=[[root - 1, 0, 0, 0]]))
+        calls.clear()
+        with pytest.raises(JobError, match="bits"):
+            parse_job(doc(transvections=[[root, 0, 0, 0]] + [[1, 0, 1, 0]] * 63))
+        assert len(calls) == 1
+
     def test_default_truncation_bounds_k(self):
         # the default truncation is k+2, or 2k+2 at odd k
         even = jobs.MAX_TRUNCATION - 2

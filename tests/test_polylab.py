@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -182,6 +183,33 @@ class TestFactorZ:
         assert [q for q, _ in factor_z(sd16).factors] == [sd16]
         assert 0 < len(calls) < 162 // 4
 
+    def test_constant_term_tested_before_the_product(self, monkeypatch):
+        # a candidate's constant term is lc * prod(constant terms) mod p^a, so
+        # only the candidates that reach a division get a product mod p^a: one
+        # per factor of the subset, not one per subset (512 for SD-16)
+        recombination = polylab._zassenhaus_squarefree.__code__
+        products, divisions = [], []
+        real_mul, real_div = polylab._gf_mul, IntPolynomial.divmod_exact
+
+        def mul(a, b, m):
+            if sys._getframe(1).f_code is recombination:
+                products.append(m)
+            return real_mul(a, b, m)
+
+        def div(self, d):
+            if sys._getframe(1).f_code is recombination:
+                divisions.append(d)
+            return real_div(self, d)
+
+        monkeypatch.setattr(polylab, "_gf_mul", mul)
+        monkeypatch.setattr(IntPolynomial, "divmod_exact", div)
+        sd16 = swinnerton_dyer((2, 3, 5, 7))
+        assert [q for q, _ in factor_z(sd16).factors] == [sd16]
+        # the 8 modular factors are quadratics, so a subset has deg / 2 of them
+        assert 0 < len(products) == sum(d.degree // 2 for d in divisions) <= 4 * len(divisions)
+        p = polylab._good_reduction_prime(sd16)
+        assert set(products) == {p ** polylab._mignotte_exponent(sd16, p)}
+
     def test_zero_constant_term_in_recombination(self):
         # x is a modular factor with constant term 0: it must still divide
         sd8 = swinnerton_dyer((2, 3, 5))
@@ -249,6 +277,34 @@ class TestSquarefree:
             for q, m in squarefree_decomposition(p):
                 rebuilt = rebuilt * q ** m
             assert rebuilt == p.primitive_part()
+
+
+    @staticmethod
+    def record_gcds(monkeypatch) -> list:
+        calls = []
+        real = polylab.gcd_z
+        monkeypatch.setattr(polylab, "gcd_z", lambda a, b: calls.append((a, b)) or real(a, b))
+        return calls
+
+    def test_squarefree_modulo_small_prime_skips_yun(self, monkeypatch):
+        calls = self.record_gcds(monkeypatch)
+        rng = random.Random(20)
+        dense = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)])
+        for f in (swinnerton_dyer((2, 3, 5, 7)), charpoly(dense)):
+            assert polylab._good_reduction_prime(f, 13) is not None
+            assert squarefree_decomposition(f) == [(f, 1)]
+            assert squarefree_decomposition(f.scale(-6)) == [(f, 1)]
+        assert calls == []
+
+    def test_no_good_small_prime_falls_through_to_yun(self, monkeypatch):
+        # 30030 = 2 * 3 * 5 * 7 * 11 * 13: modulo each prime the fast path
+        # tries, x (x - 30030) reduces to x^2
+        f = poly(0, -30030, 1)
+        assert polylab._good_reduction_prime(f, 13) is None
+        assert polylab._good_reduction_prime(f) == 17
+        calls = self.record_gcds(monkeypatch)
+        assert squarefree_decomposition(f) == [(f, 1)]
+        assert calls
 
 
 class TestIrreducibleModP:
