@@ -12,6 +12,7 @@ symplectic matrix s is inverted as -J s^T J, so no rationals ever appear.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import _same_genus
 
@@ -194,13 +195,13 @@ def char_coeffs(m: IntMatrix) -> list[int]:
     a = m.rows
     poly = [1, -a[0][0]]  # descending coefficients for the 1x1 principal block
     for k in range(1, n):
+        block = [r[:k] for r in a[:k]]  # the leading k x k block
         row = a[k][:k]
-        col = [a[i][k] for i in range(k)]
-        items = [1, -a[k][k]]
-        vec = list(col)
-        for _ in range(k):
-            items.append(-sum(row[i] * vec[i] for i in range(k)))
-            vec = [sum(a[i][j] * vec[j] for j in range(k)) for i in range(k)]
+        vec = [r[k] for r in a[:k]]
+        items = [1, -a[k][k], -sum(map(mul, row, vec))]
+        for _ in range(k - 1):
+            vec = [sum(map(mul, r, vec)) for r in block]
+            items.append(-sum(map(mul, row, vec)))
         new = [0] * (k + 2)
         for i in range(k + 2):
             s = 0
@@ -236,6 +237,17 @@ def transvection(beta: HVector) -> IntMatrix:
         coeff = intersection(beta, e)
         cols.append(tuple(e.coords[i] + coeff * beta.coords[i] for i in range(n)))
     return IntMatrix.from_columns(cols)
+
+
+def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
+    """s * transvection(beta) as a rank-one update, with no matrix product:
+    column p of the product is s e_p + <beta, e_p> (s beta)."""
+    if s.dimension != 2 * beta.genus:
+        raise ValueError(f"dimension {s.dimension} vs genus {beta.genus}")
+    v = beta.coords
+    pairing = [x for j in range(0, len(v), 2) for x in (-v[j + 1], v[j])]  # <beta, e_p>
+    return IntMatrix(tuple(tuple(x + w * c for x, c in zip(row, pairing))
+                           for row, w in zip(s.rows, s.apply(v))))
 
 
 def symplectic_inverse(s: IntMatrix) -> IntMatrix:

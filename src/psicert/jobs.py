@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from .contract import ContractionSpec, psi_matrix
 from .errors import JobError
-from .homology import HVector, IntMatrix, sp_check, transvection, conjugate
+from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, bp_tau, cochain_from_wedge3,
                       depth_and_tau, tau_on_H)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
@@ -106,8 +106,8 @@ MAX_TRUNCATION = 24
 # Each listed prime costs a Miller-Rabin test here and a scan in `factor_z`;
 # the bundled fixtures list one prime each.
 MAX_PRIMES = 64
-# Each transvection class costs one 2g x 2g matrix product here; the benchmark
-# and the fixtures give 2 per conjugate node.
+# Each transvection class costs one rank-one update of the 2g x 2g conjugator
+# and a size check here; the benchmark and the fixtures give 2 per conjugate node.
 MAX_TRANSVECTIONS = 64
 # Berkowitz slows with the entry size of the conjugated matrix: a genus-36 twist
 # conjugated by 64 random transvections (280-bit entries) took 42 s in charpoly.
@@ -313,7 +313,7 @@ def _parse_homology(node, genus: int, k: int):
                 raise JobError(f"transvections must list 1..{MAX_TRANSVECTIONS} homology classes")
             s = IntMatrix.identity(2 * genus)
             for v in classes:
-                s = s * transvection(parse_hvector(v, genus, what="transvection class"))
+                s = times_transvection(s, parse_hvector(v, genus, what="transvection class"))
                 _check_conjugator_size(s)
         if not sp_check(s):
             raise JobError("non-symplectic conjugator matrix")

@@ -15,7 +15,9 @@ Factorization pipeline (all exact, no rationals):
   2. for each squarefree part, the certificate scan `find_certificate` looks
      for a prime modulo which the part is irreducible, trying the job's
      primes in order and then the default small primes; one found ends the
-     work and, if it may be reported, is the part's certificate;
+     work and, if it may be reported, is the part's certificate.  An odd
+     prime whose discriminant has the wrong parity for an irreducible
+     polynomial is rejected before the distinct-degree loop;
   3. otherwise: Cantor-Zassenhaus factorization modulo a small odd prime
      with good reduction, linear Hensel lifting to above the Mignotte
      bound, and exhaustive subset recombination: subsets in increasing
@@ -27,7 +29,8 @@ irreducible by construction even when no modular certificate exists; each
 proper factor it splits off gets one scan for its own certificate, and
 `criterion` only reads the certificates that `factor_z` records.
 Both the certificate test and the modular factorization run on one lazy
-distinct-degree loop.
+distinct-degree loop; the squarefree test modulo a prime and the
+discriminant each take one resultant Euclid, `_gf_resultant`.
 
 The verdict reads only the multiset of factor degrees, through the one
 predicate `even_degree_split`.  Verdicts are only ever
@@ -383,12 +386,46 @@ def _gf_pow_mod(base, e, mod, p):
     return result
 
 
+def _gf_derivative(a, p):
+    return _gf_trim([i * c % p for i, c in enumerate(a)][1:])
+
+
+def _gf_resultant(a, b, p):
+    """Res(a, b) over GF(p), taken at the actual degrees of a and b; 0 when
+    either is zero or they share a factor.  One Euclid: each step uses
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c."""
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        r = _gf_rem(a, b, p)
+        if not r:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        if m * n % 2:
+            res = -res
+        res = res * pow(b[-1], m - len(r) + 1, p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
 def irreducible_mod_p(f: IntPolynomial, prime: int) -> bool:
     """Distinct-degree irreducibility test for f modulo a prime.
 
     Requires the prime not to divide the leading coefficient.  True means
     f mod prime is irreducible over GF(prime); for monic f that certifies
     irreducibility over Z.
+
+    For an odd prime and degree n >= 2, the discriminant of f mod prime is
+    read first, as (-1)^(n(n-1)/2) Res(f, f') of the monic reduction with one
+    Euclid (f monic, so the degree of f', lower when the prime divides n,
+    does not change it).  By Stickelberger's theorem (Swan, Pacific J. Math.
+    12, 1962) a squarefree f with r irreducible factors modulo an odd prime
+    has a square discriminant exactly when n - r is even, so an irreducible f
+    has a nonzero square discriminant at odd n and a nonsquare one at even n.
+    A zero discriminant (f is not squarefree) or one of the wrong parity
+    rejects the prime without the distinct-degree loop.
     """
     if not _is_prime(prime):
         raise ValueError(f"{prime} is not prime")
@@ -398,14 +435,18 @@ def irreducible_mod_p(f: IntPolynomial, prime: int) -> bool:
     n = len(fbar) - 1
     if n <= 0:
         raise ValueError("polynomial is constant modulo the prime")
+    if prime != 2 and n >= 2:
+        disc = _gf_resultant(fbar, _gf_derivative(fbar, prime), prime)
+        if n * (n - 1) // 2 % 2:
+            disc = -disc % prime
+        if not disc or pow(disc, (prime - 1) // 2, prime) != (1 if n % 2 else prime - 1):
+            return False
     return next(_distinct_degree(fbar, prime))[1] == n
 
 
 def _gf_squarefree(fbar, p):
-    d = _gf_trim([(i * c) % p for i, c in enumerate(fbar)][1:])
-    if not d:
-        return False
-    return len(_gf_gcd(fbar, d, p)) == 1
+    # over a field Res(f, f') != 0 exactly when gcd(f, f') = 1
+    return _gf_resultant(fbar, _gf_derivative(fbar, p), p) != 0
 
 
 def _good_reduction_prime(f: IntPolynomial, bound: int | None = None) -> int | None:

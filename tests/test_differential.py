@@ -1,5 +1,6 @@
 """factor_z against sympy's factor_list on inputs that stress recombination,
-and gcd_z and squarefree_decomposition against sympy's gcd and sqf_list.
+gcd_z and squarefree_decomposition against sympy's gcd and sqf_list, and
+the Berkowitz char_coeffs against sympy's Matrix.charpoly.
 
 sympy is not a dependency of psicert; without it these tests are skipped.
 Both sides write a polynomial as an integer constant (content and sign)
@@ -10,6 +11,7 @@ import random
 
 import pytest
 
+from psicert.homology import IntMatrix, char_coeffs
 from psicert.polylab import IntPolynomial, factor_z, gcd_z, squarefree_decomposition
 
 sympy = pytest.importorskip("sympy")
@@ -144,3 +146,58 @@ def test_squarefree_against_sympy():
         if p.degree < 1:
             continue
         assert_same_squarefree(p)
+
+
+def dense_companion(rng: random.Random, p: IntPolynomial) -> list[list[int]]:
+    """The companion matrix of monic p, conjugated by 3n random elementary
+    matrices E = I + c e_i e_j^T (row i += c row j, then column j -= c column
+    i), so that it is dense and its characteristic polynomial is still p."""
+    n = p.degree
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        if i:
+            m[i][i - 1] = 1
+        m[i][n - 1] = -p.coeffs[i]
+    for _ in range(3 * n if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+        for row in m:
+            row[j] -= c * row[i]
+    return m
+
+
+def assert_same_charpoly(rows: list[list[int]]) -> IntPolynomial:
+    expected = sympy.Matrix(len(rows), len(rows), [x for r in rows for x in r]).charpoly(X)
+    got = char_coeffs(IntMatrix.from_rows(rows))
+    assert got == [int(c) for c in reversed(expected.all_coeffs())], rows
+    return IntPolynomial.of_coeffs(got)
+
+
+def test_char_coeffs_of_companions():
+    rng = random.Random(0x43484152)
+    cyclotomic_products = [(5, 8, 12), (7, 9), (15, 16, 20)]
+    inputs = [from_sympy(sympy.swinnerton_dyer_poly(n, X)) for n in (2, 3, 4)]
+    for orders in cyclotomic_products:
+        p = IntPolynomial.one()
+        for d in orders:
+            p = p * from_sympy(sympy.cyclotomic_poly(d, X))
+        inputs.append(p)
+    q = random_poly(rng, 8, 9)
+    inputs.append(IntPolynomial.of_coeffs([a for c in q.coeffs for a in (c, 0)][:-1]))  # q(x^2)
+    for p in inputs:
+        assert assert_same_charpoly(dense_companion(rng, p)) == p
+
+
+def test_char_coeffs_of_large_entries():
+    rng = random.Random(0x42495453)
+    for n in range(2, 9):
+        for bits in (8, 64, 200):
+            assert_same_charpoly([[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)]
+                                  for _ in range(n)])
+
+
+def test_char_coeffs_edge_cases():
+    assert char_coeffs(IntMatrix(())) == [1]
+    assert_same_charpoly([])
+    assert assert_same_charpoly([[-(1 << 200)]]) == IntPolynomial.of_coeffs([1 << 200, 1])

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
-from psicert.homology import IntMatrix
+from psicert.homology import HVector, IntMatrix, times_transvection, transvection
 from psicert.fixtures import bundled_dir
 from psicert.jobs import canonical_json, load_job, parse_job, run_job
 from psicert.polylab import IntPolynomial
@@ -149,8 +151,8 @@ class TestValidation:
 
     def test_transvections_capped_before_parsing(self, monkeypatch):
         calls = []
-        real = jobs.transvection
-        monkeypatch.setattr(jobs, "transvection", lambda v: calls.append(v) or real(v))
+        real = jobs.times_transvection
+        monkeypatch.setattr(jobs, "times_transvection", lambda s, v: calls.append(v) or real(s, v))
 
         def doc(count):
             return base_job(pipeline="homology", element={
@@ -167,8 +169,8 @@ class TestValidation:
 
     def test_conjugator_entries_capped(self, monkeypatch):
         calls = []
-        real = jobs.transvection
-        monkeypatch.setattr(jobs, "transvection", lambda v: calls.append(v) or real(v))
+        real = jobs.times_transvection
+        monkeypatch.setattr(jobs, "times_transvection", lambda s, v: calls.append(v) or real(s, v))
         top = 1 << jobs.MAX_CONJUGATOR_BITS
 
         def shear(entry):  # symplectic: a1 -> a1, b1 -> b1 + entry a1
@@ -183,7 +185,7 @@ class TestValidation:
             parse_job(doc(matrix=shear(top)))
         with pytest.raises(JobError, match="bits"):
             parse_job(doc(matrix=shear(str(-top))))
-        # the transvection of c a1 has the entry c^2; checked after each product
+        # the transvection of c a1 has the entry c^2; checked after each class
         root = 1 << jobs.MAX_CONJUGATOR_BITS // 2
         parse_job(doc(transvections=[[root - 1, 0, 0, 0]]))
         calls.clear()
@@ -215,6 +217,43 @@ class TestValidation:
         })
         with pytest.raises(JobError):
             parse_job(doc)
+
+
+class TestTransvectionUpdate:
+    """`parse_job` multiplies the conjugator by each transvection class as a
+    rank-one update; it must equal the full `IntMatrix` product."""
+
+    @pytest.mark.parametrize("genus", [2, 12, 36])
+    def test_update_equals_matrix_product(self, genus):
+        rng = random.Random(0x5452 + genus)
+        s = IntMatrix.identity(2 * genus)
+        classes = [[rng.randint(-3, 3) for _ in range(2 * genus)] for _ in range(6)]
+        classes.append([0] * (2 * genus))
+        for coords in classes:
+            beta = HVector(genus, tuple(coords))
+            updated = times_transvection(s, beta)
+            s = s * transvection(beta)
+            assert updated == s
+
+    @pytest.mark.parametrize("genus", [2, 12, 36])
+    def test_parsed_conjugator_equals_product(self, genus):
+        rng = random.Random(0x434A + genus)
+        classes = []
+        for _ in range(3):
+            coords = [0] * (2 * genus)
+            for i in rng.sample(range(2 * genus), min(3, 2 * genus)):
+                coords[i] = rng.choice((-2, -1, 1, 2))
+            classes.append(coords)
+        doc = base_job(genus=genus, pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1}, "transvections": classes})
+        expected = IntMatrix.identity(2 * genus)
+        for coords in classes:
+            expected = expected * transvection(HVector(genus, tuple(coords)))
+        assert parse_job(doc).element.conjugator == expected
+
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError):
+            times_transvection(IntMatrix.identity(4), HVector.from_name("a1", 3))
 
 
 class TestWorkDoneOnce:

@@ -335,6 +335,84 @@ class TestIrreducibleModP:
                 assert irreducible_mod_p(poly(*f), p) is expected, (f, p)
 
 
+def filter_inputs() -> list[IntPolynomial]:
+    """Seeded polynomials of degree 2..40 (every other one non-monic), and
+    known cases: QUINTIC, OCTIC, cyclotomic Phi_d and the Artin-Schreier
+    x^p - x - 1 are irreducible modulo some prime (the last modulo p, where
+    its derivative drops to the constant -1); SD-8, SD-16 and x^p - 2, which
+    is (x - 2)^p with a zero derivative modulo p, are reducible modulo every
+    prime."""
+    rng = random.Random(0x44495343)
+    seeded = [IntPolynomial.of_coeffs([rng.randint(-20, 20) for _ in range(n)]
+                                      + [1 if n % 2 else rng.randint(2, 40)])
+              for n in range(2, 41)]
+    artin_schreier = [poly(-1, -1, *[0] * (p - 2), 1) for p in (3, 5, 7, 11, 13)]
+    pth_powers = [poly(-2, *[0] * (p - 1), 1) for p in (3, 5, 7)]
+    return (seeded + [QUINTIC, OCTIC] + [cyclotomic(d) for d in (5, 7, 9, 11, 13, 25, 27)]
+            + artin_schreier + pth_powers
+            + [swinnerton_dyer((2, 3, 5)), swinnerton_dyer((2, 3, 5, 7))])
+
+
+class TestDiscriminantFilter:
+    """`irreducible_mod_p` rejects a prime by the parity of the discriminant
+    before the distinct-degree loop; the answers must be those of the loop."""
+
+    def test_filter_matches_distinct_degree(self):
+        irreducible = set()
+        for f in filter_inputs():
+            for p in DEFAULT_CERT_PRIMES:
+                if f.leading % p == 0:
+                    continue
+                fbar = polylab._gf_monic(polylab._gf_from_int_poly(f, p), p)
+                expected = next(polylab._distinct_degree(fbar, p))[1] == f.degree
+                assert irreducible_mod_p(f, p) is expected, (f.coeffs, p)
+                if expected:
+                    irreducible.add((f, p))
+        assert {(QUINTIC, 17), (OCTIC, 11), (cyclotomic(5), 3), (cyclotomic(27), 5),
+                (poly(-1, -1, 0, 0, 0, 1), 5)} <= irreducible
+        assert len(irreducible) > 200
+
+    def test_wrong_parity_skips_the_loop(self, monkeypatch):
+        runs = []
+        real = polylab._distinct_degree
+        monkeypatch.setattr(polylab, "_distinct_degree",
+                            lambda fbar, p: runs.append(p) or real(fbar, p))
+        assert irreducible_mod_p(poly(-1, 0, 1), 5) is False  # disc 4: a square, n even
+        assert irreducible_mod_p(poly(0, 0, 1), 3) is False  # disc 0: x^2 is not squarefree
+        assert irreducible_mod_p(poly(0, 1, 0, 1), 3) is False  # x (x^2 + 1): disc -4 = 2, n odd
+        assert runs == []
+        assert irreducible_mod_p(poly(1, 0, 1), 3) is True  # disc -4 = 2, a nonsquare mod 3
+        assert irreducible_mod_p(poly(1, 1, 1), 2) is True  # p = 2 always runs the loop
+        assert runs == [3, 2]
+
+    def test_resultant_against_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        x = sympy.symbols("x")
+
+        def to_sympy(f):
+            return sympy.Poly(list(reversed(f.coeffs)), x).as_expr()
+
+        rng = random.Random(0x52455355)
+        for trial in range(80):
+            p = rng.choice(DEFAULT_CERT_PRIMES)
+            degrees = sorted((rng.randrange(1, 9), rng.randrange(0, 9)), reverse=True)
+            a, b = (IntPolynomial.of_coeffs([rng.randint(-50, 50) for _ in range(d)]
+                                            + [rng.randrange(1, p) + p * rng.randint(0, 3)])
+                    for d in degrees)
+            if trial % 4 == 0:  # a common factor: the resultant is 0
+                common = IntPolynomial.of_coeffs([rng.randint(-5, 5), 1])
+                a, b = a * common, b * common
+            # sympy's resultant(f, g) omits the sign (-1)^(deg f deg g) when
+            # deg f < deg g, so it is asked with the larger degree first
+            expected = int(sympy.resultant(to_sympy(a), to_sympy(b), x)) % p
+            abar, bbar = polylab._gf_from_int_poly(a, p), polylab._gf_from_int_poly(b, p)
+            swapped = (-1) ** (a.degree * b.degree) * expected % p
+            assert polylab._gf_resultant(abar, bbar, p) == expected, (a.coeffs, b.coeffs, p)
+            assert polylab._gf_resultant(bbar, abar, p) == swapped, (a.coeffs, b.coeffs, p)
+        assert polylab._gf_resultant([], [1, 1], 5) == 0
+        assert polylab._gf_resultant([1, 1], [], 5) == 0
+
+
 class TestIsPrime:
     def test_trial_division_oracle(self):
         sieve = bytearray([1]) * 100_000

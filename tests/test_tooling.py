@@ -10,7 +10,9 @@ not only in a benchmark run.  The benchmark modules and `digests.json` are
 loaded from their files and only read: nothing is wrapped or written.  The
 benchmark's own test suite runs here too, in a subprocess, because it calls
 psicert names (aliases, module bindings) that no other test pins.  The
-package itself imports only the standard library.
+package itself imports only the standard library.  Every committed
+`BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
+and shows that metric better on that workload.
 """
 import ast
 import hashlib
@@ -27,8 +29,9 @@ from psicert.homology import IntMatrix
 from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.polylab import charpoly, criterion
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "psicert"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "psicert"
 
 
 def load_bench_module(name: str):
@@ -106,3 +109,16 @@ def test_package_imports_only_stdlib():
                 names.add(node.module.split(".")[0])
     assert len(names) >= 10
     assert sorted(names - sys.stdlib_module_names) == []
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)
+def test_bench_record_backs_its_claim(path):
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert {"parent", "change", "claim", "summary"} <= set(record)
+    workload, metric = record["claim"]["workload"], record["claim"]["metric"]
+    assert workload in {w["name"] for w in benchmark["workloads"]}
+    assert metric in {m["name"] for m in benchmark["end_to_end"]}
+    rows = [row for key, row in record["summary"].items() if key.split("/")[0] == workload]
+    assert rows
+    assert all(row[metric]["parent_over_change"] > 1 for row in rows)
