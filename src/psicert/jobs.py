@@ -65,13 +65,23 @@ def _entry(value) -> int:
 def parse_matrix(obj, *, what: str = "matrix") -> IntMatrix:
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise JobError(f"{what} must be a nonempty array of rows")
+    if len(obj) > MAX_MATRIX_DIMENSION:
+        raise JobError(f"{what} has {len(obj)} rows, cap {MAX_MATRIX_DIMENSION}")
+    if any(len(r) != len(obj) for r in obj):
+        raise JobError(f"{what} must be square")
     try:
         rows = [[_entry(x) for x in row] for row in obj]
     except (TypeError, ValueError) as exc:
         raise JobError(f"{what} entries must be integers or decimal strings: {exc}") from None
-    if any(len(r) != len(rows) for r in rows):
-        raise JobError(f"{what} must be square")
-    return IntMatrix.from_rows(rows)
+    m = IntMatrix.from_rows(rows)
+    _check_entry_bits(m, MAX_MATRIX_BITS, what)
+    return m
+
+
+def _check_entry_bits(m: IntMatrix, cap: int, what: str) -> None:
+    bits = max(abs(x).bit_length() for row in m.rows for x in row)
+    if bits > cap:
+        raise JobError(f"{what} entries reach {bits} bits, cap {cap}")
 
 
 def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
@@ -113,6 +123,13 @@ MAX_TRANSVECTIONS = 64
 # conjugated by 64 random transvections (280-bit entries) took 42 s in charpoly.
 # The benchmark's and the fixtures' conjugators have entries of at most 3 bits.
 MAX_CONJUGATOR_BITS = 16
+# Berkowitz is O(n^4) in the dimension of a matrix read by `parse_matrix` and
+# slows with its entry size.  On a 2-core x86 VM, charpoly took 0.96 s on a
+# 72 x 72 matrix with 3-bit entries, 2.3-3.8 s with 64-bit, 6.6 s with 128-bit
+# and over 290 s with 1000-bit entries.  The polynomial benchmark's matrices
+# reach 60 rows and 58-bit entries; a conjugator is 2g x 2g.
+MAX_MATRIX_DIMENSION = 2 * MAX_GENUS
+MAX_MATRIX_BITS = 64
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -276,12 +293,6 @@ def _parse_pi1(node, genus: int):
     raise JobError(f"unknown pi1 op {op!r}")
 
 
-def _check_conjugator_size(s: IntMatrix) -> None:
-    bits = max(abs(x).bit_length() for row in s.rows for x in row)
-    if bits > MAX_CONJUGATOR_BITS:
-        raise JobError(f"conjugator entries reach {bits} bits, cap {MAX_CONJUGATOR_BITS}")
-
-
 def _parse_homology(node, genus: int, k: int):
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
@@ -306,7 +317,7 @@ def _parse_homology(node, genus: int, k: int):
             s = parse_matrix(node["matrix"], what="conjugator matrix")
             if s.dimension != 2 * genus:
                 raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
-            _check_conjugator_size(s)
+            _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
         else:
             classes = node["transvections"]
             if not isinstance(classes, list) or not 1 <= len(classes) <= MAX_TRANSVECTIONS:
@@ -314,7 +325,7 @@ def _parse_homology(node, genus: int, k: int):
             s = IntMatrix.identity(2 * genus)
             for v in classes:
                 s = times_transvection(s, parse_hvector(v, genus, what="transvection class"))
-                _check_conjugator_size(s)
+                _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
         if not sp_check(s):
             raise JobError("non-symplectic conjugator matrix")
         return Conjugate(_parse_homology(node["conjugate"], genus, k), s)

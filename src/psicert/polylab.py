@@ -5,28 +5,35 @@ Representation: over Z, `IntPolynomial`, an ascending coefficient tuple
 with a nonzero leading coefficient (the zero polynomial is the empty
 tuple).  Modulo m (a prime, or a prime power in Hensel lifting and
 recombination), every product and remainder goes through the `_gf_*`
-kernel on trimmed ascending lists of ints in [0, m).
+kernel on trimmed ascending lists of ints in [0, m).  The kernel reduces
+lazily: a product sums the plain products and reduces once per output
+coefficient, and a division reduces only the coefficient each quotient step
+reads, then the remainder once.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
      squarefree modulo an odd prime up to 13 not dividing its leading
      coefficient is squarefree over Z and is kept whole; otherwise Yun's
      algorithm splits it;
-  2. for each squarefree part, the certificate scan `find_certificate` looks
-     for a prime modulo which the part is irreducible, trying the job's
-     primes in order and then the default small primes; one found ends the
-     work and, if it may be reported, is the part's certificate.  An odd
-     prime whose discriminant has the wrong parity for an irreducible
-     polynomial is rejected before the distinct-degree loop;
-  3. otherwise: Cantor-Zassenhaus factorization modulo a small odd prime
-     with good reduction, linear Hensel lifting to above the Mignotte
-     bound, and exhaustive subset recombination: subsets in increasing
-     size, each tested first on its constant term, lc * prod(constant
-     terms) mod p^a, which must divide that of lc * f; only a subset that
-     passes gets its product mod p^a and one exact trial division.
+  2. each squarefree part is factored: Cantor-Zassenhaus factorization
+     modulo the first odd prime with good reduction, linear Hensel lifting
+     to above the Mignotte bound, and exhaustive subset recombination:
+     subsets in increasing size, each tested first on its constant term,
+     lc * prod(constant terms) mod p^a, which must divide that of lc * f;
+     only a subset that passes gets its product mod p^a and one exact trial
+     division;
+  3. then the certificate scan `find_certificate` looks for a prime modulo
+     which a factor is irreducible.  A part proven irreducible (one modular
+     factor, or none split off by recombination) is scanned over the job's
+     primes in order and then the default small primes; one irreducible
+     modulo the working prime falls back to that prime.  A part that splits
+     is never scanned, since it splits modulo every prime not dividing its
+     leading coefficient; each factor split off is scanned over the job's
+     primes (the defaults when none are listed).  An odd prime whose
+     discriminant has the wrong parity for an irreducible polynomial is
+     rejected before the distinct-degree loop.
 The recombination is exhaustive over subsets, so the returned factors are
-irreducible by construction even when no modular certificate exists; each
-proper factor it splits off gets one scan for its own certificate, and
+irreducible by construction even when no modular certificate exists, and
 `criterion` only reads the certificates that `factor_z` records.
 Both the certificate test and the modular factorization run on one lazy
 distinct-degree loop; the squarefree test modulo a prime and the
@@ -330,32 +337,42 @@ def _gf_sub(a, b, p):
 
 
 def _gf_mul(a, b, p):
+    # plain products summed per output coefficient, reduced once at the end
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if not c:
             continue
-        for j, d in enumerate(b):
-            out[i + j] = (out[i + j] + c * d) % p
-    return _gf_trim(out)
+        for j, d in enumerate(b, i):
+            out[j] += c * d
+    return _gf_trim([c % p for c in out])
 
 
 def _gf_divmod(a, b, p):
+    """Quotient and remainder of a by b modulo p (b nonzero).
+
+    The inputs must be reduced to [0, p), and p prime or b monic.  Each
+    quotient step reduces only the coefficient it reads; the leading
+    position is skipped (it cancels), and the remainder is reduced once at
+    the end.  Python ints keep the unreduced values exact.
+    """
     if not b:
         raise ZeroDivisionError
     a = a[:]
+    n = len(b) - 1
+    low = b[:n]
     inv = pow(b[-1], p - 2, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    for i in range(len(a) - 1, len(b) - 2, -1):
-        c = a[i]
+    q = [0] * max(0, len(a) - n)
+    for i in range(len(a) - 1, n - 1, -1):
+        c = a[i] % p
         if not c:
             continue
         step = c * inv % p
-        q[i - (len(b) - 1)] = step
-        for j, d in enumerate(b):
-            a[i - (len(b) - 1) + j] = (a[i - (len(b) - 1) + j] - step * d) % p
-    return _gf_trim(q), _gf_trim(a)
+        q[i - n] = step
+        for j, d in enumerate(low, i - n):
+            a[j] -= step * d
+    return _gf_trim(q), _gf_trim([c % p for c in a[:n]])
 
 
 def _gf_rem(a, b, p):
@@ -584,18 +601,25 @@ def _symmetric(c: int, modulus: int) -> int:
 
 def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     """Irreducible factors of a primitive squarefree f (deg >= 1, lc > 0),
-    each paired with the Certificate it found for it or None."""
+    each paired with the Certificate it found for it or None.
+
+    Reducibility is decided first: f is factored modulo its good-reduction
+    prime, lifted and recombined.  Only an f proven irreducible gets the
+    certificate scan over the job's primes and then DEFAULT_CERT_PRIMES: a
+    primitive f that splits over Z splits modulo every prime not dividing its
+    leading coefficient, so that scan could never succeed on it.  An f
+    irreducible modulo the working prime falls back to that prime when the
+    scan finds none.  Each factor of an f that splits gets one scan over
+    `primes` alone.
+    """
     if f.degree == 1:
         return [(f, find_certificate(f, primes))]
-    # fast path: f irreducible modulo a small prime is irreducible over Z
-    cert = find_certificate(f, (*(primes or ()), *DEFAULT_CERT_PRIMES))
-    if cert is not None:
-        return [(f, cert)]
+    scan = (*(primes or ()), *DEFAULT_CERT_PRIMES)
     p = _good_reduction_prime(f)
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
-        return [(f, Certificate(p))]
+        return [(f, find_certificate(f, scan) or Certificate(p))]
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
 
@@ -632,7 +656,7 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
         else:
             size += 1
     if not factors:
-        return [(f, None)]  # the fast path has tested f modulo every listed prime
+        return [(f, find_certificate(f, scan))]
     factors.append(current)
     return [(q, find_certificate(q, primes)) for q in factors]
 

@@ -4,8 +4,9 @@ These run both from the per-module test files and from the acceptance
 gate, so the counts quoted there live here.  The module also holds the
 oracles that no pipeline stage uses: the identity endomorphism, the
 determinant, the word-by-word Dynkin map, the tensor pairing, theta,
-omega0, the diagonal action, cyclotomic and Swinnerton-Dyer polynomials and
-the literal verdict definition.
+omega0, the diagonal action, cyclotomic and Swinnerton-Dyer polynomials,
+the schoolbook GF(p) product and division, and the literal verdict
+definition.
 """
 from __future__ import annotations
 
@@ -253,6 +254,44 @@ def naive_charpoly(m: IntMatrix) -> IntPolynomial:
         return total
 
     return det(tuple(range(n)), tuple(range(n)))
+
+
+def schoolbook_gf_mul(a: list[int], b: list[int], m: int) -> list[int]:
+    """Product modulo m reduced after every step, as `polylab._gf_mul` was
+    before it reduced lazily (kernel oracle)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if not c:
+            continue
+        for j, d in enumerate(b):
+            out[i + j] = (out[i + j] + c * d) % m
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def schoolbook_gf_divmod(a: list[int], b: list[int], m: int):
+    """Quotient and remainder modulo m reduced after every step, as
+    `polylab._gf_divmod` was before it reduced lazily (kernel oracle)."""
+    if not b:
+        raise ZeroDivisionError
+    a = a[:]
+    inv = pow(b[-1], m - 2, m)
+    q = [0] * max(0, len(a) - len(b) + 1)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i]
+        if not c:
+            continue
+        step = c * inv % m
+        q[i - (len(b) - 1)] = step
+        for j, d in enumerate(b):
+            a[i - (len(b) - 1) + j] = (a[i - (len(b) - 1) + j] - step * d) % m
+    for out in (q, a):
+        while out and out[-1] == 0:
+            out.pop()
+    return q, a
 
 
 def cyclotomic(d: int) -> IntPolynomial:

@@ -1,6 +1,7 @@
 import json
 import random
 import shutil
+import time
 
 import pytest
 
@@ -216,6 +217,30 @@ class TestCharpolyCommand:
         path = tmp_path / "m.json"
         path.write_text(json.dumps([[1, 2], [3]]))
         assert main(["charpoly", "--matrix", str(path)]) == 2
+
+    @pytest.mark.parametrize("dim, bits, message", [
+        (120, 3, "120 rows, cap 72"),  # uncapped, charpoly took 6.3 s
+        (72, 1000, "bits, cap 64"),    # uncapped, over 290 s
+    ])
+    def test_rejects_oversized(self, tmp_path, capsys, dim, bits, message):
+        rng = random.Random(dim)
+        rows = [[str(rng.getrandbits(bits) - (1 << (bits - 1))) for _ in range(dim)]
+                for _ in range(dim)]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(rows))
+        start = time.perf_counter()
+        assert main(["charpoly", "--matrix", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        assert message in capsys.readouterr().err
+
+    def test_admits_the_cap(self, tmp_path, capsys):
+        # a bit-length cap of 64 admits entries of magnitude 2^64 - 1
+        top = str((1 << 64) - 1)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[top, "0"], ["0", "-" + top]]))
+        assert main(["charpoly", "--matrix", str(path)]) == 0
+        chi = json.loads(capsys.readouterr().out)["charpoly"]
+        assert chi == [str(-((1 << 64) - 1) ** 2), "0", "1"]
 
 
 class TestFixturesCommand:

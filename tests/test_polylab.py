@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
-                    check_factor_roundtrip, cyclotomic, naive_charpoly, swinnerton_dyer)
+                    check_factor_roundtrip, cyclotomic, naive_charpoly, schoolbook_gf_divmod,
+                    schoolbook_gf_mul, swinnerton_dyer)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix, transvection
 from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE, Certificate,
@@ -219,6 +220,56 @@ class TestFactorZ:
         assert [(q, m) for q, m in fz.factors] == [(poly(0, 1), 1), (sd8, 1)]
 
 
+class TestFactorOrder:
+    """A squarefree part is factored modulo its working prime, lifted and
+    recombined before any certificate scan; only a part proven irreducible
+    is scanned over the job's primes and the defaults."""
+
+    @pytest.mark.parametrize("primes", [None, [19, 3], [5]], ids=["none", "19-3", "5"])
+    @pytest.mark.parametrize("f", [cyclotomic(5) * cyclotomic(8), poly(-2, 0, 1) * poly(-3, 0, 1)],
+                             ids=["phi5-phi8", "(x2-2)(x2-3)"])
+    def test_reducible_part_is_never_scanned(self, monkeypatch, f, primes):
+        tested = record_tests(monkeypatch)
+        fz = factor_z(f, primes)
+        assert len(fz.factors) == 2
+        assert all(g != f for g, _ in tested)
+        # each factor gets exactly one scan, over the listed primes alone
+        during = sorted(tested, key=repr)
+        tested.clear()
+        expected = {}
+        for q, _ in fz.factors:
+            cert = find_certificate(q, primes)
+            if cert is not None:
+                expected[q] = cert.prime
+        assert fz.certificates == expected
+        assert during == sorted(tested, key=repr)
+
+    def test_irreducible_part_is_scanned_once_after_recombination(self, monkeypatch):
+        events = record_tests(monkeypatch)
+        real_lift, real_div = polylab._hensel_lift, IntPolynomial.divmod_exact
+        monkeypatch.setattr(polylab, "_hensel_lift",
+                            lambda *args: events.append("lift") or real_lift(*args))
+        monkeypatch.setattr(IntPolynomial, "divmod_exact",
+                            lambda self, d: events.append("division") or real_div(self, d))
+        sd16 = swinnerton_dyer((2, 3, 5, 7))
+        fz = factor_z(sd16)
+        assert [q for q, _ in fz.factors] == [sd16] and fz.certificates == {}
+        scan = [(sd16, r) for r in DEFAULT_CERT_PRIMES]
+        assert events[0] == "lift"
+        assert set(events[1:-len(scan)]) == {"division"}
+        assert events[-len(scan):] == scan
+
+    def test_rng_state_changes_no_factor_list(self):
+        # factoring an irreducible part before its scan draws from the rng
+        # that factor_z shares between parts; the modular factors are sorted,
+        # so the next part's factors and certificates do not depend on it
+        f = cyclotomic(5) * cyclotomic(8) * swinnerton_dyer((2, 3, 5))
+        results = {tuple(polylab._zassenhaus_squarefree(f, random.Random(seed), None))
+                   for seed in range(8)}
+        assert results == {((cyclotomic(5), Certificate(2)), (cyclotomic(8), None),
+                            (swinnerton_dyer((2, 3, 5)), None))}
+
+
 class TestHenselLift:
     # lc(g(2x) g(3x)) = 1296 is 1 modulo the working prime 7; with the factor
     # 2x - 7 of test_non_monic_recombination it is 2
@@ -249,6 +300,37 @@ class TestHenselLift:
         assert swinnerton_dyer((2,)) == poly(-2, 0, 1)
         assert swinnerton_dyer((2, 3)) == poly(1, 0, -10, 0, 1)
         assert swinnerton_dyer((2, 3, 5, 7)).degree == 16
+
+
+class TestKernel:
+    """The lazy-reduction `_gf_mul` and `_gf_divmod` against the schoolbook
+    versions in checks.py, which reduce after every product."""
+
+    @pytest.mark.parametrize("m", [2, 3, 97, 3 ** 20, 97 ** 5])
+    def test_against_schoolbook(self, m):
+        rng = random.Random(m)
+        prime = _is_prime(m)
+        # empty a, deg a < deg b, a constant b; a non-monic b needs a prime m
+        cases = [([], [1, 1]), ([1, 1], [0, 0, 0, 1]), ([1, 0, 1], [1])]
+        if prime and m > 2:
+            cases += [([1, 2, 0, 1], [1, 2]), ([1, 2, 0, 1], [2])]
+        for _ in range(300):
+            la, lb = rng.randrange(0, 14), rng.randrange(1, 9)
+            a = [rng.randrange(m) for _ in range(la)]
+            if a:
+                a[-1] = rng.randrange(1, m)
+            b = [rng.randrange(m) for _ in range(lb - 1)]
+            b.append(rng.randrange(1, m) if prime else 1)
+            cases.append((a, b))
+        for a, b in cases:
+            assert polylab._gf_mul(a, b, m) == schoolbook_gf_mul(a, b, m)
+            assert polylab._gf_mul(b, a, m) == schoolbook_gf_mul(b, a, m)
+            q, r = polylab._gf_divmod(a, b, m)
+            assert (q, r) == schoolbook_gf_divmod(a, b, m)
+            assert len(r) < len(b) and all(0 <= c < m for c in q + r)
+            back = polylab._gf_trim([(x + y) % m for x, y in itertools.zip_longest(
+                polylab._gf_mul(q, b, m), r, fillvalue=0)])
+            assert back == a
 
 
 class TestSquarefree:

@@ -76,9 +76,9 @@ def test_caps_admit_every_benchmark_job(seed):
 
 
 def test_report_digests_pinned():
-    """Every job case (fixtures, twist-ladder, odd-level) and the polynomial
-    cases up to 40 rows (all but dense/60, SD-32 included) reproduce the
-    seed-1 digests that `perfbench/run.py` checks, byte for byte."""
+    """Every job case (fixtures, twist-ladder, odd-level) and every polynomial
+    case (dense/60 and SD-32 included) reproduces the seed-1 digests that
+    `perfbench/run.py` checks, byte for byte."""
     workloads = load_bench_module("workloads")
     recorded = json.loads((PERFBENCH / "digests.json").read_text(encoding="utf-8"))
     checked = dict.fromkeys(workloads.WORKLOADS, 0)
@@ -86,15 +86,13 @@ def test_report_digests_pinned():
         for case in workloads.generate(name, workloads.DEFAULT_SEED):
             if case["kind"] == "job":
                 text = run_job(parse_job(case["input"])).to_json()
-            elif case["kind"] == "matrix" and len(case["input"]) <= 40:
+            else:
                 report = criterion(charpoly(IntMatrix.from_rows(case["input"])))
                 text = canonical_json(report.to_json_obj())
-            else:
-                continue
             digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
             assert digest == recorded[name][case["id"]], case["id"]
             checked[name] += 1
-    assert checked == {"twist-ladder": 37, "odd-level": 36, "polynomial": 76}
+    assert checked == {"twist-ladder": 37, "odd-level": 36, "polynomial": 77}
 
 
 def test_package_imports_only_stdlib():
