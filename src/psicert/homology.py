@@ -5,13 +5,16 @@ position p (0-based) corresponds to a_{p//2+1} for even p and b_{p//2+1} for
 odd p.  The algebraic intersection pairing satisfies <a_i, b_i> = +1.
 
 Matrices act on column vectors: column j of a matrix is the image of the j-th
-basis vector.  All arithmetic is over arbitrary-precision integers; the
-characteristic polynomial uses the division-free Berkowitz scheme and a
-symplectic matrix s is inverted as -J s^T J, so no rationals ever appear.
+basis vector.  All arithmetic is over arbitrary-precision integers, and a
+symplectic matrix s is inverted as -J s^T J, so no rationals ever appear.  The
+characteristic polynomial is computed modulo proven primes whose product
+exceeds twice a bound on its coefficients, so its integer coefficients are
+recovered exactly.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 from operator import mul
 
 from .errors import _same_genus
@@ -184,34 +187,111 @@ class IntMatrix:
         return IntMatrix(tuple(out))
 
 
-def char_coeffs(m: IntMatrix) -> list[int]:
-    """Coefficients of det(xI - m), ascending degree, via the Berkowitz scheme.
+# Moduli h * 2^256 + 1 (h odd, ascending) for `char_coeffs`, each proven prime
+# by a Proth witness; found on first use, never at import, and kept.
+_MODULI: list[int] = []
+_MODULUS_SHIFT = 256
+_PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-    Division-free: every intermediate is an integer.
+
+def _proth_witness(p: int) -> int | None:
+    """Some a with a^((p-1)/2) = -1 mod p, which proves the Proth number p prime
+    (Proth's theorem); None when p is composite or no small base is a witness."""
+    half = p >> 1
+    for a in _PROTH_BASES:
+        r = pow(a, half, p)
+        if r == p - 1:
+            return a
+        if r != 1:  # a prime gives +-1
+            return None
+    return None
+
+
+def _moduli_above(bound: int) -> list[int]:
+    """The shortest prefix of the moduli whose product exceeds bound."""
+    product, used = 1, 0
+    while product <= bound:
+        if used == len(_MODULI):
+            h = (_MODULI[-1] >> _MODULUS_SHIFT) + 2 if _MODULI else 1
+            while _proth_witness((h << _MODULUS_SHIFT) + 1) is None:
+                h += 2
+            _MODULI.append((h << _MODULUS_SHIFT) + 1)
+        product *= _MODULI[used]
+        used += 1
+    return _MODULI[:used]
+
+
+def _coefficient_bound(m: IntMatrix) -> int:
+    """B = prod(2 + isqrt(|row_i|^2)) >= prod(1 + |row_i|): each coefficient of
+    det(xI - m) is a signed sum of principal minors, so Hadamard's inequality
+    bounds its absolute value by B."""
+    bound = 1
+    for row in m.rows:
+        bound *= 2 + isqrt(sum(x * x for x in row))
+    return bound
+
+
+def _char_coeffs_mod(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
+    """det(xI - m) mod p for the matrix m with these rows, ascending: reduce m to
+    upper Hessenberg form by similarity, then run the Hessenberg recurrence
+    (Cohen, GTM 138, 2.2.4)."""
+    h = [[x % p for x in row] for row in rows]
+    n = len(h)
+    for j in range(n - 2):
+        k = j + 1
+        pivot = next((i for i in range(k, n) if h[i][j]), None)
+        if pivot is None:
+            continue
+        if pivot != k:  # swap rows and columns k and pivot
+            h[k], h[pivot] = h[pivot], h[k]
+            for row in h:
+                row[k], row[pivot] = row[pivot], row[k]
+        inv = pow(h[k][j], -1, p)
+        top = h[k][j:]
+        factors = [0] * (n - k - 1)
+        for i in range(k + 1, n):
+            row = h[i]
+            if row[j]:
+                u = factors[i - k - 1] = row[j] * inv % p
+                row[j:] = [(a - u * b) % p for a, b in zip(row[j:], top)]
+        if any(factors):  # column k += sum of u_i * column i, for all i at once
+            for row in h:
+                row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % p
+    # chi_{m+1} = (x - h[m][m]) chi_m - sum_i h[i][m] h[i+1][i] ... h[m][m-1] chi_i
+    chis = [[1]]
+    for m in range(n):
+        prev = chis[-1]
+        c = h[m][m]
+        acc = [0] + prev
+        acc[:-1] = [a - c * b for a, b in zip(acc, prev)]
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i] % p
+            if not t:
+                break
+            c = h[i][m] * t % p
+            if c:
+                q = chis[i]
+                acc[:len(q)] = [a - c * b for a, b in zip(acc, q)]
+        chis.append([a % p for a in acc])
+    return chis[-1]
+
+
+def char_coeffs(m: IntMatrix) -> list[int]:
+    """Coefficients of det(xI - m), ascending degree.
+
+    The polynomial is computed modulo each of the proven primes whose product M
+    exceeds 2B (B = `_coefficient_bound(m)`), joined by CRT, and read off as
+    symmetric residues modulo M, which are exact since every |coefficient| <= B.
     """
-    n = m.dimension
-    if n == 0:
-        return [1]
-    a = m.rows
-    poly = [1, -a[0][0]]  # descending coefficients for the 1x1 principal block
-    for k in range(1, n):
-        block = [r[:k] for r in a[:k]]  # the leading k x k block
-        row = a[k][:k]
-        vec = [r[k] for r in a[:k]]
-        items = [1, -a[k][k], -sum(map(mul, row, vec))]
-        for _ in range(k - 1):
-            vec = [sum(map(mul, r, vec)) for r in block]
-            items.append(-sum(map(mul, row, vec)))
-        new = [0] * (k + 2)
-        for i in range(k + 2):
-            s = 0
-            for j in range(min(i, k) + 1):
-                t = i - j
-                if t < len(items):
-                    s += poly[j] * items[t]
-            new[i] = s
-        poly = new
-    return list(reversed(poly))
+    coeffs, modulus = [0] * (m.dimension + 1), 1
+    for p in _moduli_above(2 * _coefficient_bound(m)):
+        inv = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inv % p)
+                  for c, r in zip(coeffs, _char_coeffs_mod(m.rows, p))]
+        modulus *= p
+    half = modulus >> 1
+    return [c - modulus if c > half else c for c in coeffs]
 
 
 def symplectic_form(genus: int) -> IntMatrix:

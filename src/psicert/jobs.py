@@ -119,14 +119,18 @@ MAX_PRIMES = 64
 # Each transvection class costs one rank-one update of the 2g x 2g conjugator
 # and a size check here; the benchmark and the fixtures give 2 per conjugate node.
 MAX_TRANSVECTIONS = 64
-# Berkowitz slows with the entry size of the conjugated matrix: a genus-36 twist
-# conjugated by 64 random transvections (280-bit entries) took 42 s in charpoly.
-# The benchmark's and the fixtures' conjugators have entries of at most 3 bits.
+# charpoly slows with the entry size of the conjugated matrix, which sets how many
+# primes it works modulo.  A genus-36 conjugator made of 64 random transvections
+# has 262-bit entries and the conjugate 317-bit ones; on a 2-core x86 VM,
+# charpoly took 1.1 s on one conjugated twist (of low rank) and 17 s on a dense
+# 72 x 72 matrix with 317-bit entries, as a sum of such conjugates can be.  The
+# benchmark's and the fixtures' conjugators have entries of at most 3 bits.
 MAX_CONJUGATOR_BITS = 16
-# Berkowitz is O(n^4) in the dimension of a matrix read by `parse_matrix` and
-# slows with its entry size.  On a 2-core x86 VM, charpoly took 0.96 s on a
-# 72 x 72 matrix with 3-bit entries, 2.3-3.8 s with 64-bit, 6.6 s with 128-bit
-# and over 290 s with 1000-bit entries.  The polynomial benchmark's matrices
+# charpoly costs O(n^3) per prime in the dimension of a matrix read by
+# `parse_matrix`, and needs one 256-bit prime per 256 bits of its coefficient
+# bound, about n times the entry size.  On a 2-core x86 VM it took 0.39 s on a
+# 72 x 72 matrix with 3-bit entries, 3.5-3.9 s with 64-bit, 6.2-6.7 s with
+# 128-bit and 61 s with 1000-bit entries.  The polynomial benchmark's matrices
 # reach 60 rows and 58-bit entries; a conjugator is 2g x 2g.
 MAX_MATRIX_DIMENSION = 2 * MAX_GENUS
 MAX_MATRIX_BITS = 64
@@ -497,8 +501,10 @@ def run_job(job: Job, *, want_timings: bool = False) -> CertificationReport:
         work = divided
     t3 = time.perf_counter()
     chi = charpoly(work)
+    t4 = time.perf_counter()
+    timings["charpoly_s"] = t4 - t3
     result = criterion(chi, job.primes)
-    timings["polynomial_s"] = time.perf_counter() - t3
+    timings["criterion_s"] = time.perf_counter() - t4
     timings["total_s"] = time.perf_counter() - t0
     return CertificationReport(job, depth, tau, atom_taus, psi, divided, result,
                                timings if want_timings else None)

@@ -249,7 +249,8 @@ class IntPolynomial:
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
-    """det(xI - m), monic, by the division-free scheme."""
+    """det(xI - m), monic, exactly: `homology.char_coeffs` reduces m to Hessenberg
+    form modulo proven primes and joins the residues by CRT."""
     return IntPolynomial.of_coeffs(char_coeffs(m))
 
 

@@ -5,12 +5,13 @@ gate, so the counts quoted there live here.  The module also holds the
 oracles that no pipeline stage uses: the identity endomorphism, the
 determinant, the word-by-word Dynkin map, the tensor pairing, theta,
 omega0, the diagonal action, cyclotomic and Swinnerton-Dyer polynomials,
-the schoolbook GF(p) product and division, and the literal verdict
-definition.
+the Berkowitz characteristic polynomial, the schoolbook GF(p) product and
+division, and the literal verdict definition.
 """
 from __future__ import annotations
 
 import random
+from operator import mul
 
 from psicert.contract import psi_matrix
 from psicert.homology import IntMatrix, char_coeffs
@@ -256,6 +257,35 @@ def naive_charpoly(m: IntMatrix) -> IntPolynomial:
     return det(tuple(range(n)), tuple(range(n)))
 
 
+def berkowitz_char_coeffs(m: IntMatrix) -> list[int]:
+    """Coefficients of det(xI - m), ascending, by the division-free Berkowitz
+    scheme over Z, as `homology.char_coeffs` computed them before it worked
+    modulo primes (test oracle)."""
+    n = m.dimension
+    if n == 0:
+        return [1]
+    a = m.rows
+    poly = [1, -a[0][0]]  # descending coefficients for the 1x1 principal block
+    for k in range(1, n):
+        block = [r[:k] for r in a[:k]]  # the leading k x k block
+        row = a[k][:k]
+        vec = [r[k] for r in a[:k]]
+        items = [1, -a[k][k], -sum(map(mul, row, vec))]
+        for _ in range(k - 1):
+            vec = [sum(map(mul, r, vec)) for r in block]
+            items.append(-sum(map(mul, row, vec)))
+        new = [0] * (k + 2)
+        for i in range(k + 2):
+            s = 0
+            for j in range(min(i, k) + 1):
+                t = i - j
+                if t < len(items):
+                    s += poly[j] * items[t]
+            new[i] = s
+        poly = new
+    return list(reversed(poly))
+
+
 def schoolbook_gf_mul(a: list[int], b: list[int], m: int) -> list[int]:
     """Product modulo m reduced after every step, as `polylab._gf_mul` was
     before it reduced lazily (kernel oracle)."""
@@ -306,7 +336,7 @@ def cyclotomic(d: int) -> IntPolynomial:
 
 
 def check_charpoly_oracle(cases: int = 200) -> None:
-    """Division-free characteristic polynomial equals the cofactor oracle."""
+    """The characteristic polynomial equals the cofactor oracle."""
     rng = random.Random(0x43504F4C)
     for _ in range(cases):
         n = rng.randrange(1, 6)

@@ -1,6 +1,6 @@
 """factor_z against sympy's factor_list on inputs that stress recombination,
 gcd_z and squarefree_decomposition against sympy's gcd and sqf_list, and
-the Berkowitz char_coeffs against sympy's Matrix.charpoly.
+char_coeffs (Hessenberg modulo proven primes) against sympy's Matrix.charpoly.
 
 sympy is not a dependency of psicert; without it these tests are skipped.
 Both sides write a polynomial as an integer constant (content and sign)

@@ -1,10 +1,16 @@
+import os
 import random
+import subprocess
+import sys
+from math import isqrt, prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import determinant
+from checks import berkowitz_char_coeffs, determinant
+from psicert import homology
 from psicert.errors import GenusMismatchError
 from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate,
                               intersection, sp_check, symbol_intersection, symplectic_form,
@@ -177,3 +183,90 @@ class TestCharCoeffsBasics:
         j = symplectic_form(3)
         assert determinant(j) == 1
         assert symplectic_inverse(j) == j.transpose()
+
+
+def seeded_matrix(rng, n, bits, density):
+    return IntMatrix.from_rows([[rng.randint(-(1 << bits), 1 << bits) if rng.random() < density else 0
+                                 for _ in range(n)] for _ in range(n)])
+
+
+class TestCharCoeffsAgainstBerkowitz:
+    """The Hessenberg route modulo proven primes equals the Berkowitz oracle over Z."""
+
+    @pytest.mark.parametrize("density", [0.1, 0.6, 1.0])
+    def test_seeded_densities(self, density):
+        rng = random.Random(0x48455353 + int(10 * density))
+        for _ in range(60):
+            m = seeded_matrix(rng, rng.randrange(0, 13), rng.randrange(1, 201), density)
+            assert char_coeffs(m) == berkowitz_char_coeffs(m), m.rows
+
+    def test_every_size_and_entry_size(self):
+        rng = random.Random(0x53495A45)
+        for n in range(15):
+            for bits in (1, 2, 8, 32, 64, 128, 200):
+                m = seeded_matrix(rng, n, bits, 0.7)
+                assert char_coeffs(m) == berkowitz_char_coeffs(m), m.rows
+
+    @pytest.mark.parametrize("rows", [
+        [[0, 0, 0], [0, 0, 0], [1, 0, 0]],  # pivot swap in the first column
+        [[1, 2, 3], [0, 4, 5], [0, 6, 7]],  # first column already reduced: skipped
+        [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # nilpotent
+        [[0, 0, 0, 5], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],  # swap, then a zero column
+    ])
+    def test_branches(self, rows):
+        m = IntMatrix.from_rows(rows)
+        assert char_coeffs(m) == berkowitz_char_coeffs(m)
+
+    def test_special_matrices(self):
+        for n in range(6):
+            for m in (IntMatrix.zero(n), IntMatrix.identity(n),
+                      IntMatrix.from_rows([[int(j == i + 1) for j in range(n)] for i in range(n)])):
+                assert char_coeffs(m) == berkowitz_char_coeffs(m)
+        assert char_coeffs(IntMatrix(())) == [1]
+
+    def test_entries_divisible_by_the_modulus(self):
+        """Entries that vanish modulo the first prime change the pivots, not the result."""
+        p = homology._moduli_above(2)[0]
+        rng = random.Random(0x5A45524F)
+        for _ in range(20):
+            n = rng.randrange(2, 7)
+            m = IntMatrix.from_rows([[p * rng.randrange(-2, 3) + rng.choice((0, 0, 1, -1))
+                                      for _ in range(n)] for _ in range(n)])
+            assert char_coeffs(m) == berkowitz_char_coeffs(m)
+
+    def test_at_the_job_cap(self):
+        """72 x 72 with 64-bit entries, the largest matrix `parse_matrix` admits."""
+        rng = random.Random(0x434150)
+        m = seeded_matrix(rng, 72, 63, 1.0)
+        assert char_coeffs(m) == berkowitz_char_coeffs(m)
+
+
+class TestCharCoeffsModuli:
+    def test_bound_covers_the_coefficients(self):
+        rng = random.Random(0x424F554E)
+        for _ in range(40):
+            m = seeded_matrix(rng, rng.randrange(0, 9), rng.randrange(1, 65), rng.choice((0.3, 1.0)))
+            bound = homology._coefficient_bound(m)
+            # each factor 2 + isqrt(|row|^2) is at least 1 + |row|, as |row| < isqrt(|row|^2) + 1
+            norms2 = [sum(x * x for x in row) for row in m.rows]
+            assert all((isqrt(s) + 1) ** 2 > s for s in norms2)
+            assert bound == prod(2 + isqrt(s) for s in norms2)
+            assert max(map(abs, berkowitz_char_coeffs(m))) <= bound
+            assert prod(homology._moduli_above(2 * bound)) > 2 * bound
+
+    def test_every_modulus_is_proven_prime(self):
+        homology._moduli_above(1 << 3000)
+        moduli = homology._MODULI
+        assert len(moduli) >= 12 and moduli == sorted(set(moduli))
+        for p in moduli:
+            h = p >> 256
+            assert p == (h << 256) + 1 and h % 2 == 1 and h < 1 << 256
+            # Proth's theorem: a^((p-1)/2) = -1 mod p proves p prime
+            a = homology._proth_witness(p)
+            assert a is not None and pow(a, (p - 1) // 2, p) == p - 1
+
+    def test_no_search_at_import(self):
+        code = "import psicert; from psicert import homology; print(homology._MODULI)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(Path(homology.__file__).parents[1])))
+        assert out.stdout.strip() == "[]"

@@ -396,6 +396,15 @@ class TestReportShape:
         report = run_job(parse_job(base_job()), want_timings=True)
         assert "total_s" in report.to_json_obj()["timings"]
 
+    def test_timings_split_the_polynomial_stage(self):
+        timings = run_job(parse_job(base_job()), want_timings=True).timings
+        assert set(timings) == {"tau_s", "psi_s", "charpoly_s", "criterion_s", "total_s"}
+        assert timings["charpoly_s"] + timings["criterion_s"] <= timings["total_s"]
+        homology = run_job(parse_job(base_job(pipeline="homology",
+                                              element={"atom": "sep_twist", "index": 1})),
+                           want_timings=True).timings
+        assert set(homology) == {"psi_s", "charpoly_s", "criterion_s", "total_s"}
+
     def test_tau_serialized(self):
         obj = run_job(parse_job(base_job())).to_json_obj()
         assert obj["tau"]["weight"] == 3

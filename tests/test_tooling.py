@@ -12,7 +12,8 @@ benchmark's own test suite runs here too, in a subprocess, because it calls
 psicert names (aliases, module bindings) that no other test pins.  The
 package itself imports only the standard library.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
-and shows that metric better on that workload.
+and shows that metric better on that workload.  The characteristic polynomial
+of every seed-1 polynomial case equals the Berkowitz oracle's.
 """
 import ast
 import hashlib
@@ -25,7 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from psicert.homology import IntMatrix
+from checks import berkowitz_char_coeffs
+from psicert.homology import IntMatrix, char_coeffs
 from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.polylab import charpoly, criterion
 
@@ -93,6 +95,17 @@ def test_report_digests_pinned():
             assert digest == recorded[name][case["id"]], case["id"]
             checked[name] += 1
     assert checked == {"twist-ladder": 37, "odd-level": 36, "polynomial": 77}
+
+
+def test_char_coeffs_matches_berkowitz_on_polynomial_cases():
+    """The modular Hessenberg route gives the Berkowitz coefficients on every
+    seed-1 polynomial case, dense/60 included."""
+    workloads = load_bench_module("workloads")
+    cases = workloads.generate("polynomial", workloads.DEFAULT_SEED)
+    for case in cases:
+        m = IntMatrix.from_rows(case["input"])
+        assert char_coeffs(m) == berkowitz_char_coeffs(m), case["id"]
+    assert len(cases) == 77
 
 
 def test_package_imports_only_stdlib():
