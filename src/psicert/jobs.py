@@ -361,7 +361,13 @@ def _parse_homology(node, genus: int, k: int):
 # ---------------------------------------------------------------------------
 
 def _compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
-    """f after g, refused when it could write more than MAX_WORD_LETTERS letters into an image."""
+    """f after g, refused when it could write more than MAX_WORD_LETTERS letters into an image.
+
+    Each image of f after g joins one image of f per letter of g's image and
+    cancels only at the seams: Python steps per letter of g, C copies per
+    letter of f.  The bound max|f|*max|g| is symmetric in f and g, so both
+    orders of a product admit and refuse the same documents.
+    """
     letters = max(len(w) for w in f.images) * max(len(w) for w in g.images)
     if letters > MAX_WORD_LETTERS:
         raise JobError(f"a composition could write {letters} letters, cap {MAX_WORD_LETTERS}")
@@ -369,7 +375,13 @@ def _compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
 
 
 def build_endomorphism(node) -> FreeEndomorphism:
-    """The endomorphism of a parsed pi1 element."""
+    """The endomorphism of a parsed pi1 element.
+
+    A power builds f^(i+1) as f^i after f, not f after f^i: both are the same
+    endomorphism, but this way the long images of f^i are the blocks that
+    replace the letters of f's short images, so each step costs a few dozen
+    seams rather than a Python step per letter of f^i.
+    """
     if isinstance(node, FreeEndomorphism):
         return node
     endos = [build_endomorphism(f) for f in node.factors]
@@ -378,7 +390,7 @@ def build_endomorphism(node) -> FreeEndomorphism:
         base = _compose(f, base)
     out = base
     for _ in range(node.exponent - 1):
-        out = _compose(base, out)
+        out = _compose(out, base)
     return out
 
 

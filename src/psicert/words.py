@@ -5,6 +5,16 @@ index 2j is b_j, for j = 1..g.  A letter is a pair (index, sign) with sign
 +-1.  Words are kept freely reduced at all times; every operation returns a
 new immutable value.
 
+Only raw input (`parse_word`, `reduce_word`) is reduced letter by letter.
+A product of reduced words can cancel only at the seams between them: a
+product or an image is built by appending reduced blocks to a reduced list,
+and each seam cancels the longest suffix of the list that equals the same
+suffix of the block's inverse.  That test is monotone in the suffix length,
+so a search over list slices finds it, and the slices compare in C.  Every
+letter the package builds is the one canonical tuple for its (index,
+sign), made once in `_LETTERS`, so those comparisons short-cut on identity
+and words share their letters instead of each holding copies.
+
 Text syntax: whitespace-separated tokens `a3`, `b1^-1`, with any nonzero
 integer exponent allowed after `^`.
 """
@@ -13,6 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import eq
 
 from .errors import GenusMismatchError, _same_genus
 from .homology import IntMatrix
@@ -25,14 +36,71 @@ _TOKEN = re.compile(r"([ab])([0-9]+)(?:\^(-?[0-9]+))?$")
 MAX_WORD_LETTERS = 1 << 16
 
 
+class _Letters(dict):
+    """(index, sign) -> the canonical tuple for that letter, made on first use.
+
+    A key's value never changes, so every caller may share the table.  A key
+    that is not a pair of ints (say a bool sign from a caller) is returned as
+    given and not kept, so it never becomes the canonical letter.
+    """
+
+    def __missing__(self, key):
+        if type(key[0]) is int and type(key[1]) is int:
+            self[key] = key
+        return key
+
+
+class _Inverses(dict):
+    """letter -> the canonical letter of its inverse, made on first use."""
+
+    def __missing__(self, letter):
+        inverse = self[letter] = _LETTERS[letter[0], -letter[1]]
+        return inverse
+
+
+_LETTERS = _Letters()
+_INVERSE = _Inverses()
+
+
+def _inverse_list(letters) -> list[Letter]:
+    """The letters of a word's inverse."""
+    return list(map(_INVERSE.__getitem__, reversed(letters)))
+
+
 def _reduce_letters(letters) -> tuple[Letter, ...]:
     out: list[Letter] = []
     for idx, sign in letters:
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append((idx, sign))
+            out.append(_LETTERS[idx, sign])
     return tuple(out)
+
+
+def _append_reduced(out: list, block, inverse: list) -> None:
+    """Append the reduced `block` to the reduced list `out`, cancelling at the seam.
+
+    `inverse` holds the letters of the block's inverse, so the first t letters
+    of the block cancel exactly when the last t letters of `out` equal the
+    last t of `inverse`.  That holds for every t up to the one sought, so t
+    is found by doubling and then halving a step, comparing list slices.
+    """
+    if not block:
+        return
+    if not out or out[-1] != inverse[-1]:
+        out += block
+        return
+    n, m, top = len(out), len(inverse), min(len(out), len(block))
+    t, step = 1, 1
+    while t + step <= top and out[n - t - step:n - t] == inverse[m - t - step:m - t]:
+        t += step
+        step *= 2
+    while step > 1:
+        step >>= 1
+        if t + step <= top and out[n - t - step:n - t] == inverse[m - t - step:m - t]:
+            t += step
+    del out[-t:]
+    out += block[t:]
 
 
 @dataclass(frozen=True)
@@ -45,9 +113,17 @@ class GroupWord:
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be positive")
-        n = 2 * self.genus
+        letters, n = self.letters, 2 * self.genus
+        # the checks once per distinct letter, and in C per adjacent pair;
+        # the loop below only names the first fault
+        try:
+            if all(1 <= idx <= n and sign in (1, -1) for idx, sign in set(letters)) and not any(
+                    map(eq, letters[1:], map(_INVERSE.__getitem__, letters))):
+                return
+        except (TypeError, ValueError):
+            pass
         prev = None
-        for idx, sign in self.letters:
+        for idx, sign in letters:
             if not 1 <= idx <= n:
                 raise ValueError(f"generator index {idx} out of range for genus {self.genus}")
             if sign not in (1, -1):
@@ -62,10 +138,12 @@ class GroupWord:
 
     def __mul__(self, other: "GroupWord") -> "GroupWord":
         _same_genus(self, other)
-        return GroupWord(self.genus, _reduce_letters(self.letters + other.letters))
+        out = list(self.letters)
+        _append_reduced(out, other.letters, _inverse_list(other.letters))
+        return GroupWord(self.genus, tuple(out))
 
     def inverse(self) -> "GroupWord":
-        return GroupWord(self.genus, tuple((i, -s) for i, s in reversed(self.letters)))
+        return GroupWord(self.genus, tuple(_inverse_list(self.letters)))
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -75,7 +153,7 @@ class GroupWord:
 
 
 def generator(genus: int, index: int, sign: int = 1) -> GroupWord:
-    return GroupWord(genus, ((index, sign),))
+    return GroupWord(genus, (_LETTERS[index, sign],))
 
 
 def a_gen(genus: int, j: int) -> GroupWord:
@@ -151,18 +229,23 @@ class FreeEndomorphism:
                 raise GenusMismatchError("image word has wrong genus")
 
     @cached_property
-    def _inverse_letters(self) -> tuple[tuple[Letter, ...], ...]:
-        """Letters of each image's inverse, built on first use."""
-        return tuple(tuple((i, -s) for i, s in reversed(w.letters)) for w in self.images)
+    def _blocks(self) -> dict[Letter, tuple[list[Letter], list[Letter]]]:
+        """letter -> (its image's letters, the letters of their inverse), built on first use."""
+        blocks = {}
+        for i, w in enumerate(self.images, 1):
+            image, inverse = list(w.letters), _inverse_list(w.letters)
+            blocks[_LETTERS[i, 1]] = image, inverse
+            blocks[_LETTERS[i, -1]] = inverse, image
+        return blocks
 
 
 def apply_endo(f: FreeEndomorphism, w: GroupWord) -> GroupWord:
     _same_genus(f, w)
-    images, inverses = f.images, f._inverse_letters
-    letters: list[Letter] = []
-    for idx, sign in w.letters:
-        letters += images[idx - 1].letters if sign == 1 else inverses[idx - 1]
-    return GroupWord(f.genus, _reduce_letters(letters))
+    blocks = f._blocks
+    out: list[Letter] = []
+    for letter in w.letters:
+        _append_reduced(out, *blocks[letter])
+    return GroupWord(f.genus, tuple(out))
 
 
 def compose_endos(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:

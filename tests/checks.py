@@ -3,6 +3,7 @@
 These run both from the per-module test files and from the acceptance
 gate, so the counts quoted there live here.  The module also holds the
 oracles that no pipeline stage uses: the identity endomorphism, the
+letter-by-letter image of a word and power of an endomorphism, the
 determinant, the word-by-word Dynkin map, the tensor pairing, theta,
 omega0, the diagonal action, cyclotomic and Swinnerton-Dyer polynomials,
 the Berkowitz characteristic polynomial, the schoolbook GF(p) product and
@@ -24,6 +25,21 @@ from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator
 
 def identity_endo(genus: int) -> FreeEndomorphism:
     return FreeEndomorphism(genus, tuple(generator(genus, i) for i in range(1, 2 * genus + 1)))
+
+
+def letterwise_apply_endo(f: FreeEndomorphism, w: GroupWord) -> GroupWord:
+    """f(w) by concatenating the image of every letter, or its inverse, and
+    then freely reducing the whole concatenation letter by letter."""
+    letters = []
+    for idx, sign in w.letters:
+        image = f.images[idx - 1].letters
+        letters += image if sign == 1 else [(i, -s) for i, s in reversed(image)]
+    return reduce_word(f.genus, letters)
+
+
+def letterwise_compose(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
+    """f after g, each image by `letterwise_apply_endo`."""
+    return FreeEndomorphism(f.genus, tuple(letterwise_apply_endo(f, w) for w in g.images))
 
 
 def determinant(m: IntMatrix) -> int:
@@ -48,6 +64,12 @@ def random_word(rng: random.Random, genus: int, max_len: int) -> GroupWord:
     letters = [(rng.randrange(1, 2 * genus + 1), rng.choice((1, -1)))
                for _ in range(rng.randrange(0, max_len + 1))]
     return reduce_word(genus, letters)
+
+
+def random_endo(rng: random.Random, genus: int, max_len: int) -> FreeEndomorphism:
+    """An endomorphism whose images are random reduced words, inverse letters included."""
+    return FreeEndomorphism(genus, tuple(random_word(rng, genus, max_len)
+                                         for _ in range(2 * genus)))
 
 
 def random_tensor(rng: random.Random, genus: int, degree: int, truncation: int,

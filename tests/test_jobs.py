@@ -1,13 +1,16 @@
 import random
+import re
 
 import pytest
 
+from checks import letterwise_compose
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection, transvection
 from psicert.fixtures import bundled_dir
 from psicert.jobs import canonical_json, load_job, parse_job, run_job
 from psicert.polylab import IntPolynomial
+from psicert.words import MAX_WORD_LETTERS
 
 
 def base_job(**over):
@@ -210,6 +213,21 @@ class TestValidation:
         with pytest.raises(JobError, match="letters"):
             run_job(job)
 
+    def test_power_admission_boundary(self):
+        # inner(w) with |w| = 120 has 241-letter images and its square 481-letter
+        # ones, so the third factor could write 481 * 241 letters
+        w = " ".join(["a1 b1"] * 60)
+
+        def power(exponent):
+            doc = base_job(element={"op": "power", "exponent": exponent,
+                                    "base": {"op": "inner", "word": w}})
+            return jobs.build_endomorphism(parse_job(doc).element)
+
+        assert max(len(x) for x in power(2).images) == 481
+        message = f"a composition could write {241 * 481} letters, cap {MAX_WORD_LETTERS}"
+        with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
+            power(3)
+
     def test_bad_hvector(self):
         doc = base_job(k=1, pipeline="homology", element={
             "atom": "wedge3",
@@ -288,6 +306,49 @@ class TestWorkDoneOnce:
         assert len(calls) == len(set(indices))
         # every occurrence is still listed, in order
         assert [t["index"] for t in report.atom_taus] == indices
+
+
+class TestPowerBuild:
+    """`build_endomorphism` builds f^(i+1) as f^i after f; the letter-by-letter
+    oracle builds it as f after f^i, the order the power loop used before."""
+
+    BASES = {
+        "sep_twist": (3, {"op": "sep_twist", "index": 2}),
+        "inner": (4, {"op": "inner", "word": "a1 b2^-1 a3 b4 a2^-1"}),
+        "custom-linear": (2, {"op": "custom", "images": ["a1 b1", "b1", "b1^-1 a2 b1", "b2"]}),
+        # grows geometrically, so the cap refuses it after a few steps
+        "custom-refused": (3, {"op": "custom", "images": [
+            "a1 b2^-1 a3", "b1 a2", "a2^-1 b3", "b2 a1^-1", "a3 b1^-1 b1^-1", "b3"]}),
+    }
+
+    @staticmethod
+    def old_order_power(base, exponent):
+        """base^exponent, or the refusal message of the composition cap."""
+        out = base
+        for _ in range(exponent - 1):
+            letters = max(map(len, base.images)) * max(map(len, out.images))
+            if letters > MAX_WORD_LETTERS:
+                return f"a composition could write {letters} letters, cap {MAX_WORD_LETTERS}"
+            out = letterwise_compose(base, out)
+        return out
+
+    @pytest.mark.parametrize("exponent", [1, 2, 5, 17, 40])
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_matches_old_composition_order(self, name, exponent):
+        genus, node = self.BASES[name]
+        element = parse_job(base_job(genus=genus, element={
+            "op": "power", "base": node, "exponent": exponent})).element
+        expected = self.old_order_power(element.factors[0], exponent)
+        if isinstance(expected, str):
+            with pytest.raises(JobError, match=f"^{re.escape(expected)}$"):
+                jobs.build_endomorphism(element)
+        else:
+            assert jobs.build_endomorphism(element) == expected
+
+    def test_refusal_is_reached(self):
+        element = parse_job(base_job(genus=3, element={
+            "op": "power", "base": self.BASES["custom-refused"][1], "exponent": 40})).element
+        assert isinstance(self.old_order_power(element.factors[0], 40), str)
 
 
 class TestRunJob:

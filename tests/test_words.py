@@ -1,12 +1,16 @@
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import identity_endo
+from checks import (identity_endo, letterwise_apply_endo, letterwise_compose, random_endo,
+                    random_word)
 from psicert.errors import GenusMismatchError
 from psicert.homology import HVector, IntMatrix, transvection
 from psicert.words import (FreeEndomorphism, GroupWord, a_gen, abelianize, apply_endo,
-                           b_gen, commutator, compose_endos, format_word,
+                           b_gen, commutator, compose_endos, format_word, generator,
                            inner_automorphism, parse_word, reduce_word,
                            sep_twist, sep_twist_gamma)
 
@@ -47,6 +51,80 @@ class TestReduce:
     def test_inverse_cancels(self, w):
         assert not (w * w.inverse()).letters
         assert not (w.inverse() * w).letters
+
+
+class TestGroupWordChecks:
+    @pytest.mark.parametrize("letters, message", [
+        (((1, 1), (5, 1)), "generator index 5 out of range for genus 2"),
+        (((0, 1),), "generator index 0 out of range for genus 2"),
+        (((1, 1), (2, 0)), "letter sign must be +-1, got 0"),
+        (((3, -1), (2, 1), (2, -1)), "word is not freely reduced"),
+        # the first fault in letter order is the one named
+        (((1, 1), (1, -1), (9, 1)), "word is not freely reduced"),
+        (((9, 1), (1, 1), (1, -1)), "generator index 9 out of range for genus 2"),
+        (((1, 2), (7, 1)), "letter sign must be +-1, got 2"),
+    ])
+    def test_direct_construction_names_the_fault(self, letters, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GroupWord(2, letters)
+
+    def test_reduced_words_accepted(self):
+        for letters in ((), ((4, -1),), ((1, 1), (1, 1), (2, -1), (1, -1), (4, 1))):
+            assert GroupWord(2, letters).letters == letters
+
+    def test_genus_positive(self):
+        with pytest.raises(ValueError, match="genus must be positive"):
+            GroupWord(0, ())
+
+
+class TestSeamReduction:
+    """Products and images cancel only at block seams; `tests/checks.py` holds
+    the letter-by-letter route they replaced, as the oracle."""
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_apply_endo_matches_letterwise(self, genus):
+        rng = random.Random(0x5EA3 * genus)
+        prefix = random_word(rng, genus, 10)
+        endos = [sep_twist(genus, rng.randrange(1, genus)),
+                 inner_automorphism(random_word(rng, genus, 12)),
+                 # images sharing a prefix, so x_i^-1 x_j cancels it and more
+                 FreeEndomorphism(genus, tuple(prefix * random_word(rng, genus, 3)
+                                               for _ in range(2 * genus)))]
+        endos += [random_endo(rng, genus, 8) for _ in range(6)]
+        for f in endos:
+            for _ in range(25):
+                w = random_word(rng, genus, 15)
+                assert apply_endo(f, w) == letterwise_apply_endo(f, w)
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_full_cancellation(self, genus):
+        rng = random.Random(0xC0DE + genus)
+        for _ in range(10):
+            w = random_word(rng, genus, 20)
+            f, g = inner_automorphism(w), inner_automorphism(w.inverse())
+            assert compose_endos(f, g) == identity_endo(genus)
+            assert letterwise_compose(f, g) == identity_endo(genus)
+            u = random_word(rng, genus, 20)
+            assert apply_endo(f, apply_endo(g, u)) == u
+
+    def test_package_letters_are_canonical(self):
+        x = parse_word("a1 b2^-1 a3^2", 3)
+        built = [x, x.inverse(), x * a_gen(3, 1), apply_endo(sep_twist(3, 1), x),
+                 sep_twist(3, 2).images[0], reduce_word(3, [(1, 1), (4, -1), (4, 1), (2, 1)])]
+        for w in built:
+            for letter in w.letters:
+                assert letter is generator(3, *letter).letters[0]
+
+    @pytest.mark.parametrize("genus", [2, 3, 4, 5])
+    def test_mul_matches_letterwise(self, genus):
+        rng = random.Random(0x4D55 + genus)
+        for _ in range(200):
+            u, v = random_word(rng, genus, 20), random_word(rng, genus, 20)
+            if rng.random() < 0.5:
+                # v starts with part of u's inverse, so the seam cancels deeply
+                head = u.inverse().letters[:rng.randrange(len(u) + 1)]
+                v = reduce_word(genus, head + v.letters)
+            assert u * v == reduce_word(genus, u.letters + v.letters)
 
 
 class TestCommutator:
