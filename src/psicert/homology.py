@@ -308,20 +308,10 @@ def sp_check(m: IntMatrix) -> bool:
     return m.transpose() * j * m == j
 
 
-def transvection(beta: HVector) -> IntMatrix:
-    """Matrix of c -> c + <beta, c> beta (the homology action of a twist)."""
-    n = 2 * beta.genus
-    cols = []
-    for p in range(n):
-        e = HVector.basis(beta.genus, p)
-        coeff = intersection(beta, e)
-        cols.append(tuple(e.coords[i] + coeff * beta.coords[i] for i in range(n)))
-    return IntMatrix.from_columns(cols)
-
-
 def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
-    """s * transvection(beta) as a rank-one update, with no matrix product:
-    column p of the product is s e_p + <beta, e_p> (s beta)."""
+    """s times the transvection c -> c + <beta, c> beta (the homology action of a
+    twist), as a rank-one update with no matrix product: column p of the
+    product is s e_p + <beta, e_p> (s beta)."""
     if s.dimension != 2 * beta.genus:
         raise ValueError(f"dimension {s.dimension} vs genus {beta.genus}")
     v = beta.coords

@@ -483,7 +483,7 @@ def run_tau(job: Job):
     """
     if job.pipeline == "pi1":
         return _pi1_cochain(job)
-    if isinstance(job.element, Atom) and job.element.kind != "sep_twist":
+    if isinstance(job.element, Atom):
         return None, _atom_cochain(job.element, job)
     raise JobError("tau needs a pi1 job or a homology job whose element is a single cochain atom")
 

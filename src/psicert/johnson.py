@@ -87,18 +87,17 @@ class DepthResult:
 
 
 def _expansion(f: FreeEndomorphism, i: int, truncation: int) -> TruncatedTensor:
-    """M(f(x) x^{-1}) - 1 at `truncation` for the generator x of basis index i (from 0)."""
-    e = magnus_expand(f.images[i] * generator(f.genus, i + 1, -1), truncation)
-    # an expansion's empty-word coefficient is always 1
-    return TruncatedTensor(f.genus, truncation, {w: c for w, c in e.terms.items() if w})
+    """M(f(x) x^{-1}) at `truncation` for the generator x of basis index i (from 0);
+    its empty-word coefficient is always 1."""
+    return magnus_expand(f.images[i] * generator(f.genus, i + 1, -1), truncation)
 
 
 def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
-    """Depth read off expansions whose lowest nonzero degrees are exact up to max_k + 1."""
-    degrees = [d for e in expansions if (d := e.min_degree()) is not None]
-    if not degrees:
+    """Depth read off expansions whose lowest positive degrees are exact up to max_k + 1."""
+    low = min((len(w) for e in expansions for w in e.terms if w), default=None)
+    if low is None:
         return DepthResult(max_k, exact=False)
-    return DepthResult(min(degrees) - 1, exact=True)
+    return DepthResult(low - 1, exact=True)
 
 
 def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
@@ -131,11 +130,11 @@ def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthRe
     exact.  Raises DepthError when the depth is below k.
 
     The generators are expanded in order of increasing image length, at
-    `truncation` until one expansion has a nonzero term of degree <= k+1,
-    and at k+1 after that.  The lowest nonzero degree of an expansion is
-    exact at any truncation at or above it, so the depth is unchanged; only
-    when no expansion has such a term does the depth need `truncation`,
-    and then every generator was expanded at it.
+    `truncation` until one expansion has a nonzero term of positive degree
+    <= k+1, and at k+1 after that.  The lowest positive degree of an
+    expansion is exact at any truncation at or above it, so the depth is
+    unchanged; only when no expansion has such a term does the depth need
+    `truncation`, and then every generator was expanded at it.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
@@ -143,8 +142,7 @@ def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthRe
     next_truncation = truncation
     for i in sorted(range(len(f.images)), key=lambda j: len(f.images[j].letters)):
         e = expansions[i] = _expansion(f, i, next_truncation)
-        low = e.min_degree()
-        if low is not None and low <= k + 1:
+        if any(0 < len(w) <= k + 1 for w in e.terms):
             next_truncation = k + 1
     depth = _depth(expansions, truncation - 1)
     if depth.value < k:

@@ -22,16 +22,15 @@ Factorization pipeline (all exact, no rationals):
      lc * prod(constant terms) mod p^a, which must divide that of lc * f;
      only a subset that passes gets its product mod p^a and one exact trial
      division;
-  3. then the certificate scan `find_certificate` looks for a prime modulo
-     which a factor is irreducible.  A part proven irreducible (one modular
-     factor, or none split off by recombination) is scanned over the job's
-     primes in order and then the default small primes; one irreducible
-     modulo the working prime falls back to that prime.  A part that splits
-     is never scanned, since it splits modulo every prime not dividing its
-     leading coefficient; each factor split off is scanned over the job's
-     primes (the defaults when none are listed).  An odd prime whose
-     discriminant has the wrong parity for an irreducible polynomial is
-     rejected before the distinct-degree loop.
+  3. then `find_certificate` scans each irreducible factor once for a
+     certificate, a prime modulo which it stays irreducible, under one rule:
+     the first listed prime that certifies it; when no primes are listed,
+     the first default small prime, and failing that the working prime if
+     the factor is irreducible modulo it.  A part that splits is never
+     scanned whole, since it splits modulo every prime not dividing its
+     leading coefficient.  An odd prime whose discriminant has the wrong
+     parity for an irreducible polynomial is rejected before the
+     distinct-degree loop.
 The recombination is exhaustive over subsets, so the returned factors are
 irreducible by construction even when no modular certificate exists, and
 `criterion` only reads the certificates that `factor_z` records.
@@ -227,25 +226,6 @@ class IntPolynomial:
     # ---- serialization ---------------------------------------------------
     def to_json_obj(self) -> list[str]:
         return [str(c) for c in self.coeffs]
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if not c:
-                continue
-            if i == 0:
-                term = str(abs(c))
-            else:
-                mag = "" if abs(c) == 1 else str(abs(c))
-                term = f"{mag}x" if i == 1 else f"{mag}x^{i}"
-            if not parts:
-                parts.append(("-" if c < 0 else "") + term)
-            else:
-                parts.append(("- " if c < 0 else "+ ") + term)
-        return " ".join(parts)
 
 
 def charpoly(m: IntMatrix) -> IntPolynomial:
@@ -605,22 +585,21 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     each paired with the Certificate it found for it or None.
 
     Reducibility is decided first: f is factored modulo its good-reduction
-    prime, lifted and recombined.  Only an f proven irreducible gets the
-    certificate scan over the job's primes and then DEFAULT_CERT_PRIMES: a
-    primitive f that splits over Z splits modulo every prime not dividing its
-    leading coefficient, so that scan could never succeed on it.  An f
-    irreducible modulo the working prime falls back to that prime when the
-    scan finds none.  Each factor of an f that splits gets one scan over
-    `primes` alone.
+    prime, lifted and recombined, and only then is each irreducible factor
+    scanned, once, by `find_certificate(q, primes)`: a primitive f that
+    splits over Z splits modulo every prime not dividing its leading
+    coefficient, so no scan of f itself could succeed.  When no primes are
+    listed, an f irreducible modulo the working prime falls back to that
+    prime if the default scan finds none.
     """
     if f.degree == 1:
         return [(f, find_certificate(f, primes))]
-    scan = (*(primes or ()), *DEFAULT_CERT_PRIMES)
     p = _good_reduction_prime(f)
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
-        return [(f, find_certificate(f, scan) or Certificate(p))]
+        fallback = Certificate(p) if primes is None else None
+        return [(f, find_certificate(f, primes) or fallback)]
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
 
@@ -656,8 +635,6 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
                 break
         else:
             size += 1
-    if not factors:
-        return [(f, find_certificate(f, scan))]
     factors.append(current)
     return [(q, find_certificate(q, primes)) for q in factors]
 
@@ -671,12 +648,6 @@ class Factorization:
     factors: tuple[tuple[IntPolynomial, int], ...]
     certificates: dict  # IntPolynomial -> prime
 
-    def expand(self) -> IntPolynomial:
-        out = IntPolynomial.constant(self.constant)
-        for q, m in self.factors:
-            out = out * q ** m
-        return out
-
 
 def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     """Complete irreducible factorization over Z.
@@ -684,8 +655,9 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     Factors are primitive with positive leading coefficient, sorted by
     (degree, coefficients); the integer constant carries content and sign.
     A factor's certificate is a prime, not dividing its leading coefficient,
-    modulo which it is irreducible; when `primes` are listed, only a listed
-    prime is reported.
+    modulo which it is irreducible: the first of `primes` when they are
+    listed, and otherwise the first default small prime or the working
+    prime (see `_zassenhaus_squarefree`).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
@@ -697,8 +669,7 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     for sqfree, mult in squarefree_decomposition(primitive):
         for q, cert in _zassenhaus_squarefree(sqfree, rng, primes):
             collected[q] = mult  # the squarefree parts are coprime
-            # the one rule for reporting a prime: any when none are listed
-            if cert and (primes is None or cert.prime in primes):
+            if cert:
                 certificates[q] = cert.prime
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
     return Factorization(constant, factors, certificates)

@@ -26,7 +26,6 @@ from functools import cached_property
 from operator import eq
 
 from .errors import GenusMismatchError, _same_genus
-from .homology import IntMatrix
 
 Letter = tuple[int, int]
 
@@ -286,15 +285,3 @@ def sep_twist_gamma(genus: int, index: int) -> GroupWord:
     for j in range(1, index + 1):
         gamma = gamma * commutator(a_gen(genus, j), b_gen(genus, j))
     return gamma
-
-
-def abelianize(f: FreeEndomorphism) -> IntMatrix:
-    """Induced matrix on H; column j is the exponent-sum vector of the image of generator j."""
-    n = 2 * f.genus
-    cols = []
-    for i in range(1, n + 1):
-        col = [0] * n
-        for idx, sign in f.images[i - 1].letters:
-            col[idx - 1] += sign
-        cols.append(tuple(col))
-    return IntMatrix.from_columns(cols)

@@ -183,6 +183,15 @@ class TestTau:
         obj = json.loads(capsys.readouterr().out)
         assert obj["tau"]["weight"] == 2
 
+    def test_homology_sep_twist_atom(self, tmp_path, capsys):
+        doc = {"schema": 1, "genus": 2, "k": 2, "pipeline": "homology",
+               "element": {"atom": "sep_twist", "index": 1}}
+        assert main(["tau", "--job", write_job(tmp_path, doc)]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert main(["tau", "--job", write_job(tmp_path, twist_job(), "pi1.json")]) == 0
+        assert obj["observed_depth"] is None
+        assert obj["tau"] == json.loads(capsys.readouterr().out)["tau"]
+
     def test_rejects_sums(self, tmp_path):
         doc = {
             "schema": 1, "genus": 2, "k": 2, "pipeline": "homology",

@@ -2,14 +2,15 @@ import random
 
 import pytest
 
-from checks import (check_inner_conjugation_invariance, check_pairing_positivity,
-                    diagonal_action, omega0, random_tensor, tensor_pairing, theta)
+from checks import (abelianize, check_inner_conjugation_invariance, check_pairing_positivity,
+                    diagonal_action, omega0, random_tensor, tensor_pairing, theta,
+                    transvection)
 from psicert.contract import ContractionSpec, phi_contract, psi_matrix, symbol_intersection
-from psicert.homology import HVector, IntMatrix, conjugate, transvection
+from psicert.homology import HVector, IntMatrix, conjugate
 from psicert.johnson import JohnsonCochain, bp_tau, tau_on_H
 from psicert.tensors import TruncatedTensor
-from psicert.words import (FreeEndomorphism, a_gen, abelianize, b_gen, compose_endos,
-                           parse_word, sep_twist)
+from psicert.words import (FreeEndomorphism, a_gen, b_gen, compose_endos, parse_word,
+                           sep_twist)
 
 
 def sym(genus, idx, trunc=1):

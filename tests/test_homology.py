@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import berkowitz_char_coeffs, determinant
+from checks import berkowitz_char_coeffs, determinant, transvection
 from psicert import homology
 from psicert.errors import GenusMismatchError
 from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate,
                               intersection, sp_check, symbol_intersection, symplectic_form,
-                              symplectic_inverse, transvection)
+                              symplectic_inverse)
 
 # the 10x10 symplectic conjugator used by the bundled genus-5 example
 REFERENCE_CONJUGATOR = [

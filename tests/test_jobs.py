@@ -3,10 +3,10 @@ import re
 
 import pytest
 
-from checks import letterwise_compose
+from checks import letterwise_compose, transvection
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
-from psicert.homology import HVector, IntMatrix, times_transvection, transvection
+from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
 from psicert.jobs import canonical_json, load_job, parse_job, run_job
 from psicert.polylab import IntPolynomial

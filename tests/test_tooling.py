@@ -13,7 +13,8 @@ psicert names (aliases, module bindings) that no other test pins.  The
 package itself imports only the standard library.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
-of every seed-1 polynomial case equals the Berkowitz oracle's.
+of every seed-1 polynomial case equals the Berkowitz oracle's.  The Layout
+block of README.md names exactly the modules of the package and of `scripts/`.
 """
 import ast
 import hashlib
@@ -133,3 +134,19 @@ def test_bench_record_backs_its_claim(path):
     rows = [row for key, row in record["summary"].items() if key.split("/")[0] == workload]
     assert rows
     assert all(row[metric]["parent_over_change"] > 1 for row in rows)
+
+
+def test_readme_layout_names_every_module():
+    """A module added, moved or deleted without its README line fails here."""
+    block = (ROOT / "README.md").read_text(encoding="utf-8").split("## Layout", 1)[1]
+    named, directory = set(), ""
+    for line in block.split("```")[1].splitlines():
+        entry = line.split()[0] if line.strip() else ""
+        if not line.startswith(" "):
+            directory = entry
+        elif entry.endswith(".py"):
+            named.add(directory + entry)
+    actual = {path.relative_to(ROOT).as_posix()
+              for folder in (PACKAGE, ROOT / "scripts") for path in folder.glob("*.py")}
+    assert len(named) >= 10
+    assert sorted(named) == sorted(actual)

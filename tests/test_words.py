@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import (identity_endo, letterwise_apply_endo, letterwise_compose, random_endo,
-                    random_word)
+from checks import (abelianize, identity_endo, letterwise_apply_endo, letterwise_compose,
+                    random_endo, random_word, transvection)
 from psicert.errors import GenusMismatchError
-from psicert.homology import HVector, IntMatrix, transvection
-from psicert.words import (FreeEndomorphism, GroupWord, a_gen, abelianize, apply_endo,
-                           b_gen, commutator, compose_endos, format_word, generator,
+from psicert.homology import HVector, IntMatrix
+from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator, compose_endos, format_word, generator,
                            inner_automorphism, parse_word, reduce_word,
                            sep_twist, sep_twist_gamma)
 
