@@ -6,10 +6,9 @@ invariant matrix:
 * ``pi1``: the element is an expression tree of free-group endomorphisms
   (built-in separating twists, inner automorphisms, user-supplied custom
   endomorphisms, compositions, positive powers).  The pipeline reads the
-  filtration depth and the level-k cochain off one Magnus expansion per
-  generator, and contracts the cochain.  Taken in order of increasing
-  image length, the generators are expanded at the job truncation until
-  one expansion has a nonzero term of degree <= k+1, and at k+1 after it.
+  level-k cochain off one Magnus expansion per generator at degree k+1,
+  which also gives the filtration depth unless the cochain vanishes; only
+  then is the depth read at the job truncation.  It contracts the cochain.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
@@ -58,8 +57,12 @@ def _integer(value, what: str) -> int:
 
 
 def _entry(value) -> int:
-    """A matrix or vector entry: a JSON integer or a decimal string."""
-    return int(value) if isinstance(value, str) else _integer(value, "entry")
+    """A matrix or vector entry: a JSON integer, or an optional - and ASCII digits."""
+    if not isinstance(value, str):
+        return _integer(value, "entry")
+    if value.isascii() and value.removeprefix("-").isdecimal():
+        return int(value)
+    raise ValueError(f"{value!r} is not a decimal string")
 
 
 def parse_matrix(obj, *, what: str = "matrix") -> IntMatrix:
@@ -108,9 +111,9 @@ def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
 # an image, this cap on power exponents keeps the pi1 build finite; both admit
 # the largest benchmark case (exponent 80, 17 x 1289 letters) about threefold.
 MAX_EXPONENT = 256
-# Expansion cost grows steeply with the truncation (one genus-2 twist on a
-# 2-core x86 VM: 0.24 s at 20, 0.7 s at 24, 11 s and 263 MiB at 40); these
-# caps admit the largest benchmark genus (12) and truncation (8) threefold.
+# Only an element whose level-k cochain vanishes is expanded at the truncation:
+# a genus-2 twist at truncation 24 took 0.39 s at k=1, 0.001 s at k=2 (2-core
+# x86 VM).  The caps admit the benchmark's genus 12 and truncation 8 threefold.
 MAX_GENUS = 36
 MAX_TRUNCATION = 24
 # Each listed prime costs a Miller-Rabin test here and a scan in `factor_z`;
@@ -176,7 +179,9 @@ class Job:
     name: str | None = None
     divide_by: int = 1
     primes: tuple[int, ...] | None = None
-    truncation: int | None = None  # parse_job sets k+2, or 2k+2 at odd k, when absent
+    # how far observed_depth is read when the level-k cochain vanishes;
+    # parse_job sets k+2, or 2k+2 at odd k, when absent
+    truncation: int | None = None
     contraction: ContractionSpec | None = None
 
 
@@ -225,6 +230,8 @@ def parse_job(obj: dict) -> Job:
     contraction = options.get("contraction_spec")
     if contraction is not None:
         contraction = _contraction_spec(contraction)
+    if not isinstance(obj.get("name", ""), str):
+        raise JobError(f"name must be a string, got {type(obj['name']).__name__}")
     tree = _parse_pi1(element, genus) if pipeline == "pi1" else _parse_homology(element, genus, k)
     return Job(genus, k, pipeline, tree, obj.get("name"), divide_by, primes, truncation,
                contraction)

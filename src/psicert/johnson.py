@@ -124,27 +124,18 @@ def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
 
 
 def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
-    """filtration_depth(f, truncation - 1) and tau_on_H(f, k), from one expansion per generator.
+    """filtration_depth(f, truncation - 1) and tau_on_H(f, k); DepthError if the depth is below k.
 
-    Needs truncation >= k + 1, where the degree-(k+1) parts are already
-    exact.  Raises DepthError when the depth is below k.
-
-    The generators are expanded in order of increasing image length, at
-    `truncation` until one expansion has a nonzero term of positive degree
-    <= k+1, and at k+1 after that.  The lowest positive degree of an
-    expansion is exact at any truncation at or above it, so the depth is
-    unchanged; only when no expansion has such a term does the depth need
-    `truncation`, and then every generator was expanded at it.
+    Each generator is expanded once at k+1 <= truncation, where the cochain
+    is exact and a nonzero term fixes the depth; only when every expansion
+    vanishes through k+1 is the depth read again at the truncation.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
-    expansions = [None] * len(f.images)
-    next_truncation = truncation
-    for i in sorted(range(len(f.images)), key=lambda j: len(f.images[j].letters)):
-        e = expansions[i] = _expansion(f, i, next_truncation)
-        if any(0 < len(w) <= k + 1 for w in e.terms):
-            next_truncation = k + 1
-    depth = _depth(expansions, truncation - 1)
+    expansions = [_expansion(f, i, k + 1) for i in range(len(f.images))]
+    depth = _depth(expansions, k)
+    if not depth.exact and truncation > k + 1:
+        depth = filtration_depth(f, truncation - 1)
     if depth.value < k:
         raise DepthError(
             f"element has filtration depth {depth} < k = {k}; the level-{k} "

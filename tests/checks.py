@@ -98,6 +98,16 @@ def random_word(rng: random.Random, genus: int, max_len: int) -> GroupWord:
     return reduce_word(genus, letters)
 
 
+def exact_length_word(rng: random.Random, genus: int, length: int) -> GroupWord:
+    """A freely reduced word of exactly `length` random letters."""
+    letters = []
+    while len(letters) < length:
+        x = (rng.randrange(1, 2 * genus + 1), rng.choice((1, -1)))
+        if not letters or letters[-1] != (x[0], -x[1]):
+            letters.append(x)
+    return reduce_word(genus, letters)
+
+
 def random_endo(rng: random.Random, genus: int, max_len: int) -> FreeEndomorphism:
     """An endomorphism whose images are random reduced words, inverse letters included."""
     return FreeEndomorphism(genus, tuple(random_word(rng, genus, max_len)

@@ -5,9 +5,12 @@ import time
 
 import pytest
 
+from checks import exact_length_word
+from psicert import johnson
 from psicert.cli import main
 from psicert.fixtures import bundled_dir, verify_fixtures
 from psicert.errors import FixtureError
+from psicert.words import format_word
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -63,6 +66,24 @@ class TestCertify:
         job = write_job(tmp_path, doc)
         assert main(["certify", "--job", job]) == 3
 
+    def test_hostile_depth_document_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a long inner factor at truncation 8: expanding it there ran for minutes
+        real = johnson.magnus_expand
+
+        def guarded(w, t):
+            assert t <= 3, f"magnus_expand called at truncation {t}"
+            return real(w, t)
+
+        monkeypatch.setattr(johnson, "magnus_expand", guarded)
+        w = format_word(exact_length_word(random.Random(1), 3, 60))
+        job = write_job(tmp_path, {
+            "schema": 1, "name": "hostile", "genus": 3, "k": 2, "pipeline": "pi1",
+            "element": {"op": "compose", "factors": [
+                {"op": "sep_twist", "index": 1}, {"op": "inner", "word": w}]},
+            "options": {"truncation": 8}})
+        assert main(["certify", "--job", job]) == 3
+        assert "depth 1 < k = 2" in capsys.readouterr().err
+
     def test_timings_flag(self, tmp_path, capsys):
         job = write_job(tmp_path, twist_job())
         assert main(["certify", "--job", job, "--timings"]) == 0
@@ -98,6 +119,10 @@ def hostile_documents() -> dict[str, str]:
         "sign-bool": dict(twist, pipeline="homology", element={"sum": [
             {"sign": True, "term": {"atom": "sep_twist", "index": 1}}]}),
         "genus-float": dict(twist, genus=2.5),
+        "name-number": dict(twist, name=7),
+        "entry-underscore": dict(twist, pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "transvections": [["1_0", "0", "0", "0"]]}),
         "contraction-pairs-string": dict(twist, options={"contraction_spec": {
             "pairs": "12", "output": 3}}),
         "contraction-slot-float": dict(twist, options={"contraction_spec": {

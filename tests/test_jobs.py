@@ -8,7 +8,8 @@ from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
-from psicert.jobs import canonical_json, load_job, parse_job, run_job
+from psicert.jobs import (canonical_json, load_job, parse_hvector, parse_job, parse_matrix,
+                          run_job)
 from psicert.polylab import IntPolynomial
 from psicert.words import MAX_WORD_LETTERS
 
@@ -236,6 +237,21 @@ class TestValidation:
         with pytest.raises(JobError):
             parse_job(doc)
 
+    @pytest.mark.parametrize("entry", ["1_0", " -1", "1 ", "\u0661", "+1", "-", "", "--1", "0x1"])
+    def test_entries_are_ascii_decimal(self, entry):
+        with pytest.raises(JobError, match=f"^wedge vector: {re.escape(repr(entry))} is not"):
+            parse_hvector([entry, "0", "0", "0"], 2, what="wedge vector")
+        with pytest.raises(JobError, match="^conjugator matrix entries must be"):
+            parse_matrix([[entry, "0"], ["0", "1"]], what="conjugator matrix")
+
+    def test_decimal_entries_accepted(self):
+        assert parse_hvector(["-12", "0", "007", 4], 2).coords == (-12, 0, 7, 4)
+
+    @pytest.mark.parametrize("name", [None, 7, ["t"], {"n": "t"}, True])
+    def test_name_must_be_a_string(self, name):
+        with pytest.raises(JobError, match="^name must be a string"):
+            parse_job(base_job(name=name))
+
 
 class TestTransvectionUpdate:
     """`parse_job` multiplies the conjugator by each transvection class as a
@@ -286,15 +302,19 @@ class TestWorkDoneOnce:
         run_job(parse_job(doc))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("k", [1, 2])
-    def test_one_expansion_per_generator(self, monkeypatch, k):
+    @pytest.mark.parametrize("k, truncations", [
+        pytest.param(2, [3] * 6, id="2"),
+        # the level-1 cochain of a product of twists vanishes, so the depth is
+        # read again at the default truncation 2k+2
+        pytest.param(1, [2] * 6 + [4] * 6, id="1")])
+    def test_one_expansion_per_generator(self, monkeypatch, k, truncations):
         calls = []
         real = johnson.magnus_expand
-        monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(w) or real(w, t))
+        monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(t) or real(w, t))
         doc = base_job(genus=3, k=k, element={"op": "compose", "factors": [
             {"op": "sep_twist", "index": 1}, {"op": "sep_twist", "index": 2}]})
         run_job(parse_job(doc))
-        assert 0 < len(calls) <= 6
+        assert calls == truncations
 
     @pytest.mark.parametrize("name, indices", [
         ("genus5-positive", [1, 2, 3, 1, 2]), ("genus2-negative", [1, 1])])

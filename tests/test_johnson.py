@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from checks import (check_derivation_leibniz, check_tau_additivity, check_tau_images_are_lie,
-                    identity_endo, random_tensor)
+                    exact_length_word, identity_endo, random_tensor)
 from psicert import johnson
 from psicert.errors import DepthError, TruncationError
 from psicert.homology import HVector
@@ -11,9 +13,9 @@ from psicert.jobs import parse_job, run_job
 from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
                              derivation_apply, filtration_depth, tau_on_H, tau_squared)
 from psicert.tensors import TruncatedTensor, graded_part, lie_bracket, magnus_expand
-from psicert.words import (FreeEndomorphism, a_gen, apply_endo, b_gen, commutator,
+from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
                            compose_endos, generator, inner_automorphism,
-                           parse_word, sep_twist, sep_twist_gamma)
+                           parse_word, reduce_word, sep_twist, sep_twist_gamma)
 
 
 def sep_twist_inverse(genus, index):
@@ -143,25 +145,53 @@ def oracle_elements():
     yield "inner", inner_automorphism(a_gen(2, 1))
 
 
-class TestLazyExpansion:
-    """depth_and_tau expands most generators only to degree k+1; the depth,
-    the cochain and the DepthError must be those of the full expansions."""
+ORACLE_PAIRS = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 8)]
 
-    @pytest.mark.parametrize("k,truncation", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 8)])
+
+def assert_matches_full_expansions(f, k, truncation):
+    full = full_expansions(f, truncation)
+    depth = _depth(full, truncation - 1)
+    if depth.value < k:
+        with pytest.raises(DepthError) as lazy_error:
+            depth_and_tau(f, k, truncation)
+        assert str(lazy_error.value) == (
+            f"element has filtration depth {depth} < k = {k}; the level-{k} "
+            "invariant is undefined")
+        return
+    lazy_depth, cochain = depth_and_tau(f, k, truncation)
+    assert lazy_depth == depth
+    assert cochain.images == tuple(graded_part(e, k + 1) for e in full)
+
+
+def commutator_products(genus):
+    """Products of up to two commutators [u, v] and [[u, v], w] of one-letter words."""
+    letter = st.builds(lambda i, s: reduce_word(genus, [(i, s)]),
+                       st.integers(1, 2 * genus), st.sampled_from((1, -1)))
+    simple = st.builds(commutator, letter, letter)
+    nested = st.builds(commutator, simple, letter)
+    return st.lists(st.one_of(simple, nested), max_size=2).map(
+        lambda cs: reduce_word(genus, [x for c in cs for x in c.letters]))
+
+
+class TestLazyExpansion:
+    """depth_and_tau expands every generator at k+1, and again at the
+    truncation only when all of them vanish through k+1; the depth, the
+    cochain and the DepthError must be those of the full expansions."""
+
+    @pytest.mark.parametrize("k,truncation", ORACLE_PAIRS)
     @pytest.mark.parametrize("f", [pytest.param(f, id=name) for name, f in oracle_elements()])
     def test_matches_full_expansions(self, f, k, truncation):
-        full = full_expansions(f, truncation)
-        depth = _depth(full, truncation - 1)
-        if depth.value < k:
-            with pytest.raises(DepthError) as lazy_error:
-                depth_and_tau(f, k, truncation)
-            assert str(lazy_error.value) == (
-                f"element has filtration depth {depth} < k = {k}; the level-{k} "
-                "invariant is undefined")
-            return
-        lazy_depth, cochain = depth_and_tau(f, k, truncation)
-        assert lazy_depth == depth
-        assert cochain.images == tuple(graded_part(e, k + 1) for e in full)
+        assert_matches_full_expansions(f, k, truncation)
+
+    @given(st.lists(commutator_products(2), min_size=4, max_size=4))
+    @example([GroupWord.identity(2)] * 4)
+    @settings(max_examples=60, deadline=None)
+    def test_custom_endomorphisms_match_full_expansions(self, tails):
+        # x_i -> x_i c_i, c_i a product of commutators; all c_i empty makes the
+        # cochain vanish at every level, and depth_and_tau read the depth again
+        f = FreeEndomorphism(2, tuple(generator(2, i + 1) * c for i, c in enumerate(tails)))
+        for k, truncation in ORACLE_PAIRS:
+            assert_matches_full_expansions(f, k, truncation)
 
     def test_cases_cover_each_branch(self):
         # zero cochain at k=1, and DepthError at k=2 and at k=3
@@ -172,24 +202,31 @@ class TestLazyExpansion:
         with pytest.raises(DepthError, match="depth 2 < k = 3"):
             depth_and_tau(sep_twist(3, 1), 3, 8)
 
-    def test_truncation_drops_after_first_low_part(self, monkeypatch):
+    def test_expands_at_k_plus_one_only(self, monkeypatch):
         genus, k, truncation = 4, 2, 4
-        f = sep_twist(genus, 2)
         calls = []
         real = johnson.magnus_expand
         monkeypatch.setattr(johnson, "magnus_expand",
-                            lambda w, t: calls.append((w, t)) or real(w, t))
+                            lambda w, t: calls.append(t) or real(w, t))
         run_job(parse_job({"schema": 1, "name": "lazy", "genus": genus, "k": k,
                            "pipeline": "pi1", "element": {"op": "sep_twist", "index": 2},
                            "options": {"truncation": truncation}}))
-        order = sorted(range(2 * genus), key=lambda i: len(f.images[i].letters))
-        assert [w for w, _ in calls] == [f.images[i] * generator(genus, i + 1, -1) for i in order]
-        lows = [e.min_degree() for e in (real(w, t) - TruncatedTensor.unit(genus, t)
-                                         for w, t in calls)]
-        first = next(n for n, d in enumerate(lows) if d is not None and d <= k + 1)
-        assert 0 < first < len(calls) - 1
-        assert [t for _, t in calls[:first + 1]] == [truncation] * (first + 1)
-        assert [t for _, t in calls[first + 1:]] == [k + 1] * (len(calls) - first - 1)
+        assert calls == [k + 1] * (2 * genus)
+
+    def test_hostile_document_never_expands_past_k_plus_one(self, monkeypatch):
+        # a long inner factor: expanding its images at truncation 8 ran for minutes
+        genus, k, truncation = 3, 2, 8
+        real = johnson.magnus_expand
+
+        def guarded(w, t):
+            assert t <= k + 1, f"magnus_expand called at truncation {t}"
+            return real(w, t)
+
+        monkeypatch.setattr(johnson, "magnus_expand", guarded)
+        f = compose_endos(sep_twist(genus, 1),
+                          inner_automorphism(exact_length_word(random.Random(1), genus, 60)))
+        with pytest.raises(DepthError, match="depth 1 < k = 2"):
+            depth_and_tau(f, k, truncation)
 
 
 class TestDerivation:

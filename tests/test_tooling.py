@@ -13,7 +13,9 @@ psicert names (aliases, module bindings) that no other test pins.  The
 package itself imports only the standard library.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
-of every seed-1 polynomial case equals the Berkowitz oracle's.  The Layout
+of every seed-1 polynomial case equals the Berkowitz oracle's.  Every seed-1
+pi1 job has depth exactly k and expands its generators at k+1 only, so a
+change that makes the benchmark pay for the job truncation fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
 """
 import ast
@@ -29,7 +31,9 @@ import pytest
 
 from checks import berkowitz_char_coeffs
 from psicert.homology import IntMatrix, char_coeffs
+from psicert import johnson
 from psicert.jobs import canonical_json, parse_job, run_job
+from psicert.johnson import DepthResult
 from psicert.polylab import charpoly, criterion
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -96,6 +100,27 @@ def test_report_digests_pinned():
             assert digest == recorded[name][case["id"]], case["id"]
             checked[name] += 1
     assert checked == {"twist-ladder": 37, "odd-level": 36, "polynomial": 77}
+
+
+@pytest.mark.parametrize("workload", ["twist-ladder", "odd-level"])
+def test_pi1_jobs_expand_at_k_plus_one_only(workload, monkeypatch):
+    """Every seed-1 pi1 job has depth exactly k, so it never pays for its
+    truncation: each generator is expanded once, at k+1."""
+    workloads = load_bench_module("workloads")
+    real = johnson.magnus_expand
+    calls = []
+    monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(t) or real(w, t))
+    checked = 0
+    for case in workloads.generate(workload, workloads.DEFAULT_SEED):
+        if case["kind"] != "job" or case["input"]["pipeline"] != "pi1":
+            continue
+        calls.clear()
+        job = parse_job(case["input"])
+        report = run_job(job)
+        assert report.observed_depth == DepthResult(job.k, exact=True), case["id"]
+        assert calls == [job.k + 1] * (2 * job.genus), case["id"]
+        checked += 1
+    assert checked == {"twist-ladder": 28, "odd-level": 4}[workload]
 
 
 def test_char_coeffs_matches_berkowitz_on_polynomial_cases():
