@@ -6,16 +6,22 @@ stores a sparse map from basis words to nonzero integers together with an
 explicit truncation degree; products silently discard degrees beyond the
 truncation, and mixing two truncations takes the minimum.  Asking for a
 graded part beyond the truncation is an error, never a silent zero.
+Construction validates the terms with C-speed scans (a stored zero, the
+longest word, the smallest and largest symbol) and walks the terms one by
+one only to name the first fault.
 
 The Magnus expansion sends a generator x to 1 + X and its inverse to the
 truncated geometric series 1 - X + X^2 - ...; for a word in the m-th lower
 central subgroup the expansion minus 1 starts in degree m, and that leading
 part is the word's class in the degree-m layer of the free Lie algebra,
 embedded in the tensor algebra by iterated brackets [x, y] = xy - yx.
-Membership of a homogeneous tensor in that embedded layer is certified by
+Membership of a homogeneous tensor t in that embedded layer is certified by
 the Dynkin map, D(x) = x and D(u s) = [D(u), s] for a word u and a letter s,
-which multiplies a degree-m Lie element by m.  Term dicts are built by
-`_sum_terms`, which drops the cancelled words once, at the end.
+which multiplies a degree-m Lie element by m.  `dynkin_is_lie` adds D(t)
+into the residual -m*t, one last-letter group at a time (depth first), and
+tests that nothing is left; it builds no tensor for D(t).  Term dicts of the
+algebra are built by `_sum_terms`, which drops the cancelled words once, at
+the end.
 """
 from __future__ import annotations
 
@@ -41,14 +47,17 @@ class TruncatedTensor:
             raise ValueError("genus must be positive")
         if self.truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        n = 2 * self.genus
-        for word, coeff in self.terms.items():
-            if coeff == 0:
-                raise ValueError("stored zero coefficient")
-            if len(word) > self.truncation:
-                raise ValueError("stored word beyond truncation")
-            if any(not 1 <= s <= n for s in word):
-                raise ValueError("symbol index out of range")
+        terms, n = self.terms, 2 * self.genus
+        symbols = set().union(*terms)
+        if (0 in terms.values() or max(map(len, terms), default=0) > self.truncation
+                or symbols and (min(symbols) < 1 or max(symbols) > n)):
+            for word, coeff in terms.items():  # name the first fault, in term order
+                if coeff == 0:
+                    raise ValueError("stored zero coefficient")
+                if len(word) > self.truncation:
+                    raise ValueError("stored word beyond truncation")
+                if any(not 1 <= s <= n for s in word):
+                    raise ValueError("symbol index out of range")
 
     # ---- constructors -------------------------------------------------
     @staticmethod
@@ -91,14 +100,14 @@ class TruncatedTensor:
 
     # ---- grading -------------------------------------------------------
     def max_degree(self) -> int:
-        return max((len(w) for w in self.terms), default=0)
+        return max(map(len, self.terms), default=0)
 
     def min_degree(self) -> int | None:
         """Lowest degree with a nonzero term, None for the zero tensor."""
-        return min((len(w) for w in self.terms), default=None)
+        return min(map(len, self.terms), default=None)
 
     def is_homogeneous(self, degree: int) -> bool:
-        return all(len(w) == degree for w in self.terms)
+        return set(map(len, self.terms)) <= {degree}
 
     def with_truncation(self, truncation: int) -> "TruncatedTensor":
         """Same element viewed at a higher truncation (raising only)."""
@@ -178,42 +187,43 @@ def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:
     return TruncatedTensor(w.genus, truncation, acc)
 
 
-def _dynkin_pairs(terms: dict[BasisWord, int]):
-    # letters map to themselves; the words u s ending in s give [D(sum of u), s]
-    prefixes: dict[int, dict[BasisWord, int]] = {}
-    for word, c in terms.items():
-        if len(word) == 1:
-            yield word, c
-        else:
-            prefixes.setdefault(word[-1], {})[word[:-1]] = c
-    for s, u in prefixes.items():
-        for w, c in _sum_terms(_dynkin_pairs(u)).items():
-            yield w + (s,), c
-            yield (s,) + w, -c
+def _add_dynkin(out: dict[BasisWord, int], terms: dict[BasisWord, int]) -> dict[BasisWord, int]:
+    """Add D of `terms`, nonempty and homogeneous of degree >= 2, into `out`.
 
-
-def dynkin_image(t: TruncatedTensor) -> TruncatedTensor:
-    """The Dynkin map, linear with D(x) = x on letters and D(u s) = [D(u), s].
-
-    Words of degree >= 2 are grouped by their last letter s, and D of each
-    group's sum of prefixes is computed once, recursively, then bracketed
-    with s: no word is expanded into its own 2^(m-1) terms.
+    The words are grouped by their last letter s; D of each group's sum of
+    prefixes is computed, recursively, before the next group's and then
+    bracketed with s, so no word is expanded into its own 2^(m-1) terms.
+    The returned dict may hold zeros.
     """
-    if () in t.terms:
-        raise ValueError("Dynkin map is undefined in degree 0")
-    return TruncatedTensor(t.genus, t.truncation, _sum_terms(_dynkin_pairs(t.terms)))
+    groups: dict[int, dict[BasisWord, int]] = {}
+    for word, c in terms.items():
+        groups.setdefault(word[-1], {})[word[:-1]] = c
+    for s, prefixes in groups.items():
+        # letters map to themselves
+        inner = prefixes if len(next(iter(prefixes))) == 1 else _add_dynkin({}, prefixes)
+        for w, c in inner.items():
+            if c:
+                ws, sw = w + (s,), (s,) + w
+                out[ws] = out.get(ws, 0) + c
+                out[sw] = out.get(sw, 0) - c
+    return out
 
 
 def dynkin_is_lie(t: TruncatedTensor) -> bool:
-    """True iff a homogeneous degree-m tensor satisfies dynkin(t) = m*t.
+    """True iff a homogeneous degree-m tensor satisfies D(t) = m*t.
 
     This certifies membership in the embedded degree-m layer of the free
     Lie algebra (valid over the rationals, hence for exact integer input).
-    Zero tensors pass; non-homogeneous input is an error.
+    D(t) is added, one last-letter group at a time, into the residual
+    -m*t, which must vanish; no tensor is built for D(t).  Zero tensors
+    pass and so does every tensor of degree 1; non-homogeneous input and
+    degree 0 are errors.
     """
     if t.is_zero():
         return True
     m = t.max_degree()
     if m < 1 or not t.is_homogeneous(m):
         raise ValueError("input must be homogeneous of degree >= 1")
-    return dynkin_image(t).terms == {w: m * c for w, c in t.terms.items()}
+    if m == 1:
+        return True
+    return not any(_add_dynkin({w: -m * c for w, c in t.terms.items()}, t.terms).values())

@@ -195,7 +195,7 @@ def omega0(genus: int) -> TruncatedTensor:
 
 def left_normed_dynkin(t: TruncatedTensor) -> TruncatedTensor:
     """The Dynkin map one word at a time: x1 x2 ... xm -> [[...[x1, x2], ...], xm],
-    expanded into its 2^(m-1) signed words (reference for `dynkin_image`)."""
+    expanded into its 2^(m-1) signed words (oracle for `dynkin_is_lie`)."""
     out: dict[tuple[int, ...], int] = {}
     for word, coeff in t.terms.items():
         if not word:
@@ -210,6 +210,20 @@ def left_normed_dynkin(t: TruncatedTensor) -> TruncatedTensor:
         for w, c in acc.items():
             out[w] = out.get(w, 0) + c
     return TruncatedTensor(t.genus, t.truncation, {w: c for w, c in out.items() if c})
+
+
+def tensor_fault(genus: int, truncation: int, terms: dict) -> str | None:
+    """The first fault of a term dict in term order, as `TruncatedTensor` names
+    it, or None: the term-by-term validation loop (oracle for the scans)."""
+    n = 2 * genus
+    for word, coeff in terms.items():
+        if coeff == 0:
+            return "stored zero coefficient"
+        if len(word) > truncation:
+            return "stored word beyond truncation"
+        if any(not 1 <= s <= n for s in word):
+            return "symbol index out of range"
+    return None
 
 
 def theta(t: TruncatedTensor) -> TruncatedTensor:

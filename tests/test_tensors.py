@@ -1,18 +1,75 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import check_magnus_multiplicativity, left_normed_dynkin, random_tensor, random_word
+from checks import (check_magnus_multiplicativity, left_normed_dynkin, random_tensor, random_word,
+                    tensor_fault)
 from psicert.errors import GenusMismatchError, TruncationError
-from psicert.tensors import (TruncatedTensor, dynkin_image, dynkin_is_lie, graded_part,
+from psicert.tensors import (TruncatedTensor, dynkin_is_lie, graded_part,
                              lie_bracket, magnus_expand, tensor_mul)
 from psicert.words import a_gen, b_gen, commutator
 
 
 def sym(genus, idx, trunc):
     return TruncatedTensor.symbol(genus, idx, trunc)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("truncation, terms, message", [
+        (2, {(1, 2): 0}, "stored zero coefficient"),
+        (2, {(1, 1, 1): 1}, "stored word beyond truncation"),
+        (2, {(0, 1): 1}, "symbol index out of range"),
+        (2, {(1, 5): 1}, "symbol index out of range"),
+        (2, {(-1,): 1}, "symbol index out of range"),
+        # the first fault in term order is the one named, and within a term
+        # the zero, then the length, then the symbols
+        (2, {(1,): 1, (5,): 0, (1, 1, 1): 1}, "stored zero coefficient"),
+        (2, {(1, 1, 1): 1, (1,): 0}, "stored word beyond truncation"),
+        (2, {(0,): 1, (1, 1, 1): 0}, "symbol index out of range"),
+        (1, {(5, 5): 2, (0,): 0}, "stored word beyond truncation"),
+        (0, {(): 1, (1,): 1}, "stored word beyond truncation"),
+        (0, {}, None),
+        (0, {(): -1}, None),
+        (3, {(): 2, (4,): -3, (1, 4, 1): 1}, None),
+    ])
+    def test_construction_names_the_fault(self, truncation, terms, message):
+        assert tensor_fault(2, truncation, terms) == message
+        if message is None:
+            assert TruncatedTensor(2, truncation, terms).terms == terms
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TruncatedTensor(2, truncation, terms)
+
+    def test_genus_and_truncation(self):
+        with pytest.raises(ValueError, match="^genus must be positive$"):
+            TruncatedTensor(0, 1, {(1,): 0})
+        with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
+            TruncatedTensor(1, -1, {(1,): 0})
+
+    def test_seeded_faults_match_term_loop(self):
+        # valid words with zeros, long words and bad symbols mixed in at random
+        rng = random.Random(0x56414C49)
+        faulty = 0
+        for _ in range(400):
+            genus, truncation = rng.randrange(1, 4), rng.randrange(0, 4)
+            terms = {}
+            for _ in range(rng.randrange(0, 6)):
+                length = rng.randrange(0, truncation + 1 + (rng.random() < 0.2))
+                low, high = 1 - (rng.random() < 0.1), 2 * genus + (rng.random() < 0.1)
+                word = tuple(rng.choice((low, high, rng.randrange(1, 2 * genus + 1)))
+                             for _ in range(length))
+                terms[word] = 0 if rng.random() < 0.1 else rng.choice((-2, -1, 1, 3))
+            message = tensor_fault(genus, truncation, terms)
+            if message is None:
+                assert TruncatedTensor(genus, truncation, terms).terms == terms
+            else:
+                faulty += 1
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    TruncatedTensor(genus, truncation, terms)
+        assert 100 < faulty < 300
 
 
 class TestAdd:
@@ -127,7 +184,7 @@ class TestDynkin:
     def test_bracket_is_lie(self):
         t = lie_bracket(sym(1, 1, 2), sym(1, 2, 2))
         assert dynkin_is_lie(t)
-        assert dynkin_image(t) == t.scale(2)
+        assert left_normed_dynkin(t) == t.scale(2)
 
     def test_square_word_is_not(self):
         assert not dynkin_is_lie(TruncatedTensor(1, 2, {(1, 1): 1}))
@@ -146,19 +203,40 @@ class TestDynkin:
         assert dynkin_is_lie(TruncatedTensor.zero(1, 3))
 
     def test_empty_word_rejected(self):
-        with pytest.raises(ValueError):
-            dynkin_image(TruncatedTensor(1, 2, {(): 1, (1, 2): 1}))
+        for terms in ({(): 1, (1, 2): 1}, {(): 3}):
+            with pytest.raises(ValueError):
+                dynkin_is_lie(TruncatedTensor(1, 2, terms))
 
     def test_matches_left_normed_expansion(self):
-        # random sums of words of one degree and of mixed degrees; genus 1 repeats letters
+        # D(t) = m*t by the word-at-a-time oracle, on brackets, brackets plus
+        # one word, sums of brackets and random sums; genus 1 repeats letters
         rng = random.Random(0x44594E4B)
-        for genus in (1, 2, 3):
-            for degree in range(1, 7):
-                for _ in range(6):
-                    t = random_tensor(rng, genus, degree, 6, terms=5)
-                    mixed = t + random_tensor(rng, genus, rng.randrange(1, 7), 6, terms=3)
-                    for x in (t, mixed):
-                        assert dynkin_image(x) == left_normed_dynkin(x)
+        for genus in range(1, 6):
+            for degree in range(1, 8):
+                for _ in range(4):
+                    bracket = random_bracket(rng, genus, degree)[1]
+                    word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(degree))
+                    plus = bracket + TruncatedTensor(genus, degree, {word: 1})
+                    lie_sum = bracket.scale(rng.randrange(-3, 4)) + random_bracket(rng, genus, degree)[1]
+                    words = random_tensor(rng, genus, degree, degree, terms=5)
+                    for t in (bracket, plus, lie_sum, words):
+                        assert dynkin_is_lie(t) == (left_normed_dynkin(t) == t.scale(degree))
+                    mixed = words + random_tensor(rng, genus, rng.randrange(degree + 1), degree, terms=3)
+                    if mixed.min_degree() != mixed.max_degree():
+                        with pytest.raises(ValueError):
+                            dynkin_is_lie(mixed)
+
+    def test_builds_no_tensor(self, monkeypatch):
+        # D(t) goes into a residual dict, never into a validated tensor
+        rng = random.Random(0x52455349)
+        inputs = [random_bracket(rng, 3, 6)[1] for _ in range(5)]
+        inputs += [t + TruncatedTensor(3, 6, {(1, 2, 3, 4, 5, 6): 1}) for t in inputs]
+        built = []
+        real = TruncatedTensor.__post_init__
+        monkeypatch.setattr(TruncatedTensor, "__post_init__", lambda t: built.append(t) or real(t))
+        verdicts = [dynkin_is_lie(t) for t in inputs]
+        assert verdicts == [True] * 5 + [False] * 5
+        assert built == []
 
     def test_accepts_brackets_rejects_perturbation(self):
         # a single word of degree >= 2 has coefficient sum 1, a Lie element 0,
