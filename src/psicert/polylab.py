@@ -7,8 +7,9 @@ tuple).  Modulo m (a prime, or a prime power in Hensel lifting and
 recombination), every product and remainder goes through the `_gf_*`
 kernel on trimmed ascending lists of ints in [0, m).  The kernel reduces
 lazily: a product sums the plain products and reduces once per output
-coefficient, and a division reduces only the coefficient each quotient step
-reads, then the remainder once.
+coefficient, and a division (by a divisor whose leading coefficient is a
+unit) reduces only the coefficient each quotient step reads, then the
+remainder once.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
@@ -16,10 +17,14 @@ Factorization pipeline (all exact, no rationals):
      coefficient is squarefree over Z and is kept whole; otherwise Yun's
      algorithm splits it;
   2. each squarefree part is factored: Cantor-Zassenhaus factorization
-     modulo the first odd prime with good reduction, linear Hensel lifting
-     to above the Mignotte bound, and exhaustive subset recombination:
-     subsets in increasing size, each tested first on its constant term,
-     lc * prod(constant terms) mod p^a, which must divide that of lc * f;
+     modulo the first odd prime with good reduction, quadratic multifactor
+     Hensel lifting along a balanced factor tree to above the Mignotte
+     bound, and exhaustive subset recombination: subsets in increasing
+     size, walked depth first so that each one's constant term,
+     lc * prod(constant terms) mod p^a, costs one multiply of a shared
+     prefix product, and tested on it first (it must divide that of
+     lc * f); at the middle size only the subsets holding the first factor
+     are walked, since a subset and its complement give the same split;
      only a subset that passes gets its product mod p^a and one exact trial
      division;
   3. then `find_certificate` scans each irreducible factor once for a
@@ -330,30 +335,32 @@ def _gf_mul(a, b, p):
     return _gf_trim([c % p for c in out])
 
 
-def _gf_divmod(a, b, p):
-    """Quotient and remainder of a by b modulo p (b nonzero).
+def _gf_divmod(a, b, m):
+    """Quotient and remainder of a by b modulo m (b nonzero, its leading
+    coefficient a unit modulo m).
 
-    The inputs must be reduced to [0, p), and p prime or b monic.  Each
-    quotient step reduces only the coefficient it reads; the leading
-    position is skipped (it cancels), and the remainder is reduced once at
-    the end.  Python ints keep the unreduced values exact.
+    The inputs must be reduced to [0, m).  Each quotient step reduces only
+    the coefficient it reads; the leading position is skipped (it cancels),
+    and the remainder is reduced once at the end.  Python ints keep the
+    unreduced values exact.
     """
     if not b:
         raise ZeroDivisionError
     a = a[:]
     n = len(b) - 1
     low = b[:n]
-    inv = pow(b[-1], p - 2, p)
+    inv = None if b[-1] == 1 else pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - n)
     for i in range(len(a) - 1, n - 1, -1):
-        c = a[i] % p
-        if not c:
+        step = a[i] % m
+        if not step:
             continue
-        step = c * inv % p
+        if inv is not None:
+            step = step * inv % m
         q[i - n] = step
         for j, d in enumerate(low, i - n):
             a[j] -= step * d
-    return _gf_trim(q), _gf_trim([c % p for c in a[:n]])
+    return _gf_trim(q), _gf_trim([c % m for c in a[:n]])
 
 
 def _gf_rem(a, b, p):
@@ -531,32 +538,75 @@ def _mignotte_exponent(f: IntPolynomial, p: int) -> int:
 
 
 def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: int):
-    """Lift f = lc * prod(factors) from mod p to mod p^exponent (linear lifting).
+    """Lift f = lc * prod(factors) from mod p to mod p^exponent.
 
-    `factors` are monic and pairwise coprime mod p; returns monic lifts
-    mod p^exponent with f = lc * prod(lifts) mod p^exponent.
+    `factors` are monic and pairwise coprime mod p, and exponent >= 1;
+    returns their monic lifts mod p^exponent, in the same order, with
+    f = lc * prod(lifts) mod p^exponent, and the modulus.  Such lifts are
+    unique.
+
+    Quadratic multifactor lifting (von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, ch. 15): `_factor_tree` splits the factors into
+    halves, recursively, and `_hensel_step` lifts the monic F = f / lc down
+    the tree along the exponents 1 -> ... -> ceil(a/2) -> a, so each step at
+    most doubles the exponent and the last lands on a.
     """
-    lc = f.leading
-    # CRT basis: sigma_i = (f / g_i)^-1 mod g_i, for f mod p = lc * prod(g_j)
-    fbar = _gf_from_int_poly(f, p)
-    sigmas = [_gf_inverse_mod(_gf_divmod(fbar, g, p)[0], g, p) for g in factors]
-    lifted = [g[:] for g in factors]
-    modulus = p
-    for _ in range(exponent - 1):
-        # error E = f - lc * prod(lifted) reduced mod p * modulus: a multiple of modulus
-        next_modulus = modulus * p
-        prod = [lc % next_modulus]
-        for g in lifted:
-            prod = _gf_mul(prod, g, next_modulus)
-        err = _gf_sub(_gf_from_int_poly(f, next_modulus), prod, next_modulus)
-        assert all(c % modulus == 0 for c in err), "lift invariant broken"
-        ebar = [c // modulus for c in err]
-        # delta_i = E / modulus * sigma_i mod g_i has degree < deg g_i
-        for g, sigma, orig in zip(lifted, sigmas, factors):
-            for i, c in enumerate(_gf_rem(_gf_mul(ebar, sigma, p), orig, p)):
-                g[i] += modulus * c
-        modulus = next_modulus
-    return lifted, modulus
+    exponents = [exponent]
+    while exponents[-1] > 1:
+        exponents.append((exponents[-1] + 1) // 2)
+    exponents.reverse()
+    modulus = p ** exponent
+    inverse = pow(f.leading, -1, modulus)
+    monic = [c * inverse % modulus for c in f.coeffs]
+    leaves = [[g[:]] for g in factors]
+    tree = _factor_tree(leaves, p)
+    for low, high in zip(exponents, exponents[1:]):
+        new = p ** high
+        _hensel_step(tree, [c % new for c in monic], p ** low, new, high == exponent)
+    return [leaf[0] for leaf in leaves], modulus
+
+
+def _factor_tree(nodes, p):
+    """The tree over the leaves [g] in `nodes`: an inner node is
+    [product, left, right, s], with s * L = 1 mod (R, p) for the products L
+    and R of its two halves.  The left half is the longest run of leaves of
+    at most half the degree."""
+    if len(nodes) == 1:
+        return nodes[0]
+    degrees = list(itertools.accumulate(len(node[0]) - 1 for node in nodes))
+    half = min(max(1, sum(2 * d <= degrees[-1] for d in degrees)), len(nodes) - 1)
+    left, right = _factor_tree(nodes[:half], p), _factor_tree(nodes[half:], p)
+    return [_gf_mul(left[0], right[0], p), left, right, _gf_inverse_mod(left[0], right[0], p)]
+
+
+def _hensel_step(node, target, m, new, last):
+    """Set the node to the monic `target` mod `new` and lift its halves L and
+    R from mod m to a factorization of it (m | new | m^2); lift the node's
+    inverse s of L mod R too unless this is the `last` step.
+
+    With e = (target - L * R) / m, R moves by m * (s * e rem R) and L becomes
+    target / R; s moves by -m * (s * u rem R), with u = (s * L - 1) / m
+    taken mod R (Newton iteration for the inverse).  Each correction is
+    computed mod new / m.
+    """
+    node[0] = target
+    if len(node) == 1:
+        return
+    _, left, right, s = node
+    low, high = left[0], right[0]
+    d = new // m
+    err = _gf_sub(target, _gf_mul(low, high, new), new)
+    assert all(c % m == 0 for c in err), "lift invariant broken"
+    s_d = _gf_trim([c % d for c in s])
+    r = _gf_rem(_gf_mul(s_d, [c // m for c in err], d), [c % d for c in high], d)
+    high = [c + m * x for c, x in itertools.zip_longest(high, r, fillvalue=0)]
+    low = _gf_divmod(target, high, new)[0]
+    if not last:
+        u = _gf_sub(_gf_rem(_gf_mul(s, low, new), high, new), [1], new)
+        r = _gf_rem(_gf_mul(s_d, [c // m for c in u], d), [c % d for c in high], d)
+        node[3] = _gf_sub(s, [m * c for c in r], new)
+    _hensel_step(left, low, m, new, last)
+    _hensel_step(right, high, m, new, last)
 
 
 def _gf_inverse_mod(a, mod, p):
@@ -602,10 +652,20 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
         return [(f, find_certificate(f, primes) or fallback)]
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
+    return [(q, find_certificate(q, primes)) for q in _recombine(f, lifted, modulus)]
 
-    # Subsets in increasing size: a candidate lc * prod(subset) mod p^a is a
-    # true factor (times a divisor of lc) exactly when it divides lc * current,
-    # and every smaller subset has been rejected by then, so it is irreducible.
+
+def _recombine(f: IntPolynomial, lifted: list[list[int]], modulus: int) -> list[IntPolynomial]:
+    """Irreducible factors of a primitive squarefree f (lc > 0) from the monic
+    lifts of its modular factors mod `modulus`, which is above twice the
+    Mignotte bound times lc(f).
+
+    Subsets in increasing size: a candidate lc * prod(subset) mod p^a is a
+    true factor (times a divisor of lc) exactly when it divides lc * current,
+    and every smaller subset has been rejected by then, so it is irreducible.
+    A subset and its complement give the same split, so at the middle size
+    only the subsets holding the first remaining factor are tried.
+    """
     factors = []
     remaining = list(range(len(lifted)))
     current = f
@@ -613,16 +673,10 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     while 2 * size <= len(remaining):
         lc = current.leading
         target = current.scale(lc)
-        t0 = target.coeffs[0]
-        for combo in itertools.combinations(remaining, size):
-            # a factor's constant term divides the target's; the candidate's is
-            # lc * prod(constant terms) mod p^a, so test it before the product
-            g0 = lc
-            for i in combo:
-                g0 = g0 * lifted[i][0] % modulus
-            g0 = _symmetric(g0, modulus)
-            if (t0 % g0) if g0 else t0:
-                continue
+        constants = [lifted[i][0] for i in remaining]
+        for combo in _constant_term_passes(constants, size, lc, target.coeffs[0], modulus,
+                                           2 * size == len(remaining)):
+            combo = [remaining[i] for i in combo]
             product = [1]
             for i in combo:
                 product = _gf_mul(product, lifted[i], modulus)
@@ -636,7 +690,42 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
         else:
             size += 1
     factors.append(current)
-    return [(q, find_certificate(q, primes)) for q in factors]
+    return factors
+
+
+def _constant_term_passes(constants, size, lc, t0, modulus, first):
+    """The `size`-subsets of positions in `constants`, in
+    `itertools.combinations` order (with `first`, only those holding position
+    0), whose candidate passes the constant-term test.
+
+    A factor's constant term divides the target's, t0; the candidate's is the
+    symmetric residue of lc * prod(constant terms) mod p^a.  The walk keeps
+    the products of the first size - 1 positions' constants as prefixes, so
+    each subset costs one multiply.
+    """
+    n = len(constants)
+    idx = list(range(size - 1))
+    prefix = [lc % modulus]
+    for k in idx:
+        prefix.append(prefix[-1] * constants[k] % modulus)
+    while True:
+        base = prefix[-1]
+        for j in range(idx[-1] + 1 if idx else 0, 1 if first and not idx else n):
+            g0 = base * constants[j] % modulus
+            if 2 * g0 > modulus:
+                g0 -= modulus
+            if not ((t0 % g0) if g0 else t0):
+                yield idx + [j]
+        # next prefix in lexicographic order; position i runs up to n - size + i
+        i = size - 2
+        while i >= 0 and idx[i] == n - size + i:
+            i -= 1
+        if i < 0 or (first and i == 0):
+            return
+        idx[i:] = range(idx[i] + 1, idx[i] + size - i)
+        del prefix[i + 1:]
+        for k in idx[i:]:
+            prefix.append(prefix[-1] * constants[k] % modulus)
 
 
 @dataclass(frozen=True)

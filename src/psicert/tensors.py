@@ -152,8 +152,12 @@ def tensor_mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
 
 
 def lie_bracket(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
-    """[s, t] = s t - t s in the tensor algebra."""
-    return tensor_mul(s, t) - tensor_mul(t, s)
+    """[s, t] = s t - t s in the tensor algebra, truncated at min(truncations)."""
+    _same_genus(s, t)
+    d = min(s.truncation, t.truncation)
+    return TruncatedTensor(s.genus, d, _sum_terms(
+        pair for w1, c1 in s.terms.items() for w2, c2 in t.terms.items()
+        if len(w1) + len(w2) <= d for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))))
 
 
 def graded_part(t: TruncatedTensor, degree: int) -> TruncatedTensor:

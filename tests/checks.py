@@ -9,7 +9,7 @@ for `homology.times_transvection`), the determinant, the word-by-word
 Dynkin map, the tensor pairing, theta, omega0, the diagonal action,
 cyclotomic and Swinnerton-Dyer polynomials, the product of a factorization,
 the Berkowitz characteristic polynomial, the schoolbook GF(p) product and
-division, and the literal verdict definition.
+division, linear Hensel lifting, and the literal verdict definition.
 """
 from __future__ import annotations
 
@@ -19,7 +19,9 @@ from operator import mul
 from psicert.contract import psi_matrix
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import derivation_apply, tau_on_H
-from psicert.polylab import Factorization, IntPolynomial, charpoly, even_degree_split, factor_z
+from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
+                             _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, charpoly,
+                             even_degree_split, factor_z)
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, magnus_expand, tensor_mul
 from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
                            inner_automorphism, reduce_word, sep_twist)
@@ -386,7 +388,7 @@ def schoolbook_gf_divmod(a: list[int], b: list[int], m: int):
     if not b:
         raise ZeroDivisionError
     a = a[:]
-    inv = pow(b[-1], m - 2, m)
+    inv = pow(b[-1], -1, m)
     q = [0] * max(0, len(a) - len(b) + 1)
     for i in range(len(a) - 1, len(b) - 2, -1):
         c = a[i]
@@ -515,3 +517,31 @@ def check_inner_conjugation_invariance(cases: int = 20) -> None:
         lhs = psi_matrix(tau_on_H(conj, 2), 2)
         rhs = psi_matrix(tau_on_H(f, 2), 2)
         assert lhs == rhs
+
+
+def linear_hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: int):
+    """Lift f = lc * prod(factors) from mod p to mod p^exponent one power of p
+    at a time, as `polylab._hensel_lift` did before it lifted quadratically
+    (lifting oracle): each step recomputes lc * prod(lifted) mod p^(i+1) and
+    corrects every factor by its CRT share of the error."""
+    lc = f.leading
+    # CRT basis: sigma_i = (f / g_i)^-1 mod g_i, for f mod p = lc * prod(g_j)
+    fbar = _gf_from_int_poly(f, p)
+    sigmas = [_gf_inverse_mod(_gf_divmod(fbar, g, p)[0], g, p) for g in factors]
+    lifted = [g[:] for g in factors]
+    modulus = p
+    for _ in range(exponent - 1):
+        # error E = f - lc * prod(lifted) reduced mod p * modulus: a multiple of modulus
+        next_modulus = modulus * p
+        prod = [lc % next_modulus]
+        for g in lifted:
+            prod = _gf_mul(prod, g, next_modulus)
+        err = _gf_sub(_gf_from_int_poly(f, next_modulus), prod, next_modulus)
+        assert all(c % modulus == 0 for c in err), "lift invariant broken"
+        ebar = [c // modulus for c in err]
+        # delta_i = E / modulus * sigma_i mod g_i has degree < deg g_i
+        for g, sigma, orig in zip(lifted, sigmas, factors):
+            for i, c in enumerate(_gf_rem(_gf_mul(ebar, sigma, p), orig, p)):
+                g[i] += modulus * c
+        modulus = next_modulus
+    return lifted, modulus

@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 import sys
 
 import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
-                    check_factor_roundtrip, cyclotomic, expand_factorization, naive_charpoly,
-                    schoolbook_gf_divmod, schoolbook_gf_mul, swinnerton_dyer, transvection)
+                    check_factor_roundtrip, cyclotomic, expand_factorization,
+                    linear_hensel_lift, naive_charpoly, schoolbook_gf_divmod, schoolbook_gf_mul,
+                    swinnerton_dyer, transvection)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix
 from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE, Certificate,
@@ -188,7 +190,7 @@ class TestFactorZ:
         # a candidate's constant term is lc * prod(constant terms) mod p^a, so
         # only the candidates that reach a division get a product mod p^a: one
         # per factor of the subset, not one per subset (512 for SD-16)
-        recombination = polylab._zassenhaus_squarefree.__code__
+        recombination = polylab._recombine.__code__
         products, divisions = [], []
         real_mul, real_div = polylab._gf_mul, IntPolynomial.divmod_exact
 
@@ -301,6 +303,90 @@ class TestHenselLift:
         assert swinnerton_dyer((2, 3)) == poly(1, 0, -10, 0, 1)
         assert swinnerton_dyer((2, 3, 5, 7)).degree == 16
 
+    @pytest.mark.parametrize("monic", [True, False], ids=["monic", "non-monic"])
+    def test_matches_linear_lifting(self, monic):
+        # seeded f = lc * prod(g_i) + p * h with r pairwise coprime monic g_i mod p
+        # (r = 2 is one tree node), lifted to exponents from 1 to 120
+        rng = random.Random(0x4C494654 + monic)
+        primes = [p for p in range(3, 98) if _is_prime(p)]
+        checked = 0
+        for p in primes:
+            for r in (2, rng.randrange(3, 7)):
+                factors, product = [], [1]
+                while len(factors) < r:
+                    g = [rng.randrange(p) for _ in range(rng.randrange(1, 5))] + [1]
+                    if len(polylab._gf_gcd(g, product, p)) == 1:
+                        factors.append(g)
+                        product = polylab._gf_mul(product, g, p)
+                lc = 1
+                while not monic and lc % p in (0, 1):
+                    lc = rng.choice([-1, 1]) * rng.randrange(2, 200)
+                f = IntPolynomial.of_coeffs(
+                    [lc * c + p * rng.randrange(-99, 100) for c in product[:-1]] + [lc])
+                exponents = [1, 2, 3, 5, rng.randrange(6, 121), 120] if r == 2 else [
+                    rng.randrange(1, 121)]
+                for a in exponents:
+                    lifted = polylab._hensel_lift(f, p, factors, a)
+                    assert lifted == linear_hensel_lift(f, p, factors, a), (p, r, a)
+                    checked += 1
+        assert checked == 7 * len(primes)
+
+    def test_one_lift_equals_the_monic_reduction(self):
+        # a single factor lifts to f / lc mod p^a
+        f = poly(3, 1, 4, 1, 5)
+        assert polylab._hensel_lift(f, 7, [polylab._gf_monic([3, 1, 4, 1, 5], 7)], 9) == (
+            [[c * pow(5, -1, 7 ** 9) % 7 ** 9 for c in f.coeffs]], 7 ** 9)
+
+
+class TestRecombination:
+    """The depth-first subset walk and the middle-size rule of `_recombine`."""
+
+    def test_walk_matches_combinations(self):
+        # the walk yields what filtering itertools.combinations yields, in order;
+        # t0 = 0 and zero constants exercise both branches of the test
+        rng = random.Random(0x57414C4B)
+        for _ in range(60):
+            n = rng.randrange(1, 9)
+            modulus = rng.choice([97, 3 ** 5, 7 ** 3])
+            constants = [rng.choice([0, rng.randrange(modulus)]) for _ in range(n)]
+            lc, t0 = rng.randrange(1, 40), rng.choice([0, 720720, -360360, 97])
+
+            def passes(combo):
+                g0 = lc
+                for i in combo:
+                    g0 = g0 * constants[i] % modulus
+                g0 = polylab._symmetric(g0, modulus)
+                return not ((t0 % g0) if g0 else t0)
+
+            for size in range(1, n + 1):
+                for first in (False, True):
+                    expected = [list(c) for c in itertools.combinations(range(n), size)
+                                if (not first or c[0] == 0) and passes(c)]
+                    assert list(polylab._constant_term_passes(
+                        constants, size, lc, t0, modulus, first)) == expected
+
+    @pytest.mark.parametrize("g, h, k", [
+        (poly(9, 0, -14, 0, 1), poly(1, 0, -10, 0, 1), 2),
+        (poly(36, 0, -32, 0, 1), poly(16, 0, -36, 0, 1), 4),
+    ], ids=["(sqrt2+sqrt5)(sqrt2+sqrt3) mod 7", "(sqrt5+sqrt11)(sqrt7+sqrt11) mod 19"])
+    def test_true_factor_found_at_the_middle_size(self, monkeypatch, g, h, k):
+        # g and h are irreducible and each splits into k modular factors, so
+        # the split is a subset of k of the 2k factors: the middle size, where
+        # only the subsets holding the first factor are walked
+        walks = []
+        real = polylab._constant_term_passes
+
+        def walk(constants, size, lc, t0, modulus, first):
+            walks.append((size, first, list(real(constants, size, lc, t0, modulus, first))))
+            return iter(walks[-1][2])
+
+        monkeypatch.setattr(polylab, "_constant_term_passes", walk)
+        fz = factor_z(g * h)
+        assert [q for q, _ in fz.factors] == sorted([g, h], key=lambda q: q.coeffs)
+        assert [(size, first) for size, first, _ in walks] == (
+            [(s, False) for s in range(1, k)] + [(k, True)])
+        assert all(combo[0] == 0 for combo in walks[-1][2])
+
 
 class TestKernel:
     """The lazy-reduction `_gf_mul` and `_gf_divmod` against the schoolbook
@@ -309,10 +395,10 @@ class TestKernel:
     @pytest.mark.parametrize("m", [2, 3, 97, 3 ** 20, 97 ** 5])
     def test_against_schoolbook(self, m):
         rng = random.Random(m)
-        prime = _is_prime(m)
-        # empty a, deg a < deg b, a constant b; a non-monic b needs a prime m
+        # empty a, deg a < deg b, a constant b; b's leading coefficient is a
+        # unit mod m (2 is one mod odd m), monic or not
         cases = [([], [1, 1]), ([1, 1], [0, 0, 0, 1]), ([1, 0, 1], [1])]
-        if prime and m > 2:
+        if m > 2:
             cases += [([1, 2, 0, 1], [1, 2]), ([1, 2, 0, 1], [2])]
         for _ in range(300):
             la, lb = rng.randrange(0, 14), rng.randrange(1, 9)
@@ -320,7 +406,10 @@ class TestKernel:
             if a:
                 a[-1] = rng.randrange(1, m)
             b = [rng.randrange(m) for _ in range(lb - 1)]
-            b.append(rng.randrange(1, m) if prime else 1)
+            lead = rng.randrange(1, m)
+            while math.gcd(lead, m) != 1:
+                lead = rng.randrange(1, m)
+            b.append(rng.choice([1, lead]))
             cases.append((a, b))
         for a, b in cases:
             assert polylab._gf_mul(a, b, m) == schoolbook_gf_mul(a, b, m)

@@ -13,7 +13,8 @@ psicert names (aliases, module bindings) that no other test pins.  The
 package itself imports only the standard library.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
-of every seed-1 polynomial case equals the Berkowitz oracle's.  Every seed-1
+of every seed-1 polynomial case equals the Berkowitz oracle's, and each of its
+Hensel lifts equals the linear lifting oracle's.  Every seed-1
 pi1 job has depth exactly k and expands its generators at k+1 only, so a
 change that makes the benchmark pay for the job truncation fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
@@ -29,9 +30,9 @@ from pathlib import Path
 
 import pytest
 
-from checks import berkowitz_char_coeffs
+from checks import berkowitz_char_coeffs, linear_hensel_lift
 from psicert.homology import IntMatrix, char_coeffs
-from psicert import johnson
+from psicert import johnson, polylab
 from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.johnson import DepthResult
 from psicert.polylab import charpoly, criterion
@@ -132,6 +133,25 @@ def test_char_coeffs_matches_berkowitz_on_polynomial_cases():
         m = IntMatrix.from_rows(case["input"])
         assert char_coeffs(m) == berkowitz_char_coeffs(m), case["id"]
     assert len(cases) == 77
+
+
+def test_quadratic_lift_matches_linear_on_polynomial_cases(monkeypatch):
+    """Every Hensel lift of a seed-1 polynomial pass (71, dense/60's to 5^111
+    among them) equals the linear lifting oracle's."""
+    workloads = load_bench_module("workloads")
+    real = polylab._hensel_lift
+    lifts = []
+
+    def lift(f, p, factors, exponent):
+        out = real(f, p, factors, exponent)
+        lifts.append((out, linear_hensel_lift(f, p, factors, exponent)))
+        return out
+
+    monkeypatch.setattr(polylab, "_hensel_lift", lift)
+    for case in workloads.generate("polynomial", workloads.DEFAULT_SEED):
+        criterion(charpoly(IntMatrix.from_rows(case["input"])))
+    assert len(lifts) == 71
+    assert all(quadratic == linear for quadratic, linear in lifts)
 
 
 def test_package_imports_only_stdlib():
