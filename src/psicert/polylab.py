@@ -4,12 +4,21 @@ and the factor-structure certification criterion.
 Representation: over Z, `IntPolynomial`, an ascending coefficient tuple
 with a nonzero leading coefficient (the zero polynomial is the empty
 tuple).  Modulo m (a prime, or a prime power in Hensel lifting and
-recombination), every product and remainder goes through the `_gf_*`
-kernel on trimmed ascending lists of ints in [0, m).  The kernel reduces
-lazily: a product sums the plain products and reduces once per output
-coefficient, and a division (by a divisor whose leading coefficient is a
-unit) reduces only the coefficient each quotient step reads, then the
-remainder once.
+recombination), products and remainders go through the `_gf_*` kernel on
+trimmed ascending lists of ints in [0, m).  The kernel reduces lazily: a
+product sums the plain products and reduces once per output coefficient,
+and a division (by a divisor whose leading coefficient is a unit) reduces
+only the coefficient each quotient step reads, then the remainder once.
+The powers modulo one fixed monic f of degree n that the distinct-degree
+and Cantor-Zassenhaus loops take, x^p and h^((p^d-1)/2), run on packed
+ints instead (`_gf_pow_mod`): a polynomial is one int with a slot of 64-bit
+words per coefficient, wide enough for n^2(p-1)^3 (Kronecker substitution),
+so a square is one big-int product in C; its remainder is Barrett's, from
+x^(2n-2) div f, the reversed inverse of rev(f) mod x^(n-1), computed by
+Newton iteration (von zur Gathen and Gerhard, *Modern Computer Algebra*,
+sections 8.4 and 9.1).  That inverse is set up once per modulus: once for
+f and again after each product the distinct-degree loop divides out, and
+once per call of the equal-degree split.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
@@ -17,9 +26,10 @@ Factorization pipeline (all exact, no rationals):
      coefficient is squarefree over Z and is kept whole; otherwise Yun's
      algorithm splits it;
   2. each squarefree part is factored: Cantor-Zassenhaus factorization
-     modulo the first odd prime with good reduction, quadratic multifactor
-     Hensel lifting along a balanced factor tree to above the Mignotte
-     bound, and exhaustive subset recombination: subsets in increasing
+     modulo the first odd prime with good reduction (for a part kept
+     whole, the one step 1 found), quadratic multifactor Hensel lifting
+     along a balanced factor tree to above the Mignotte bound, and
+     exhaustive subset recombination: subsets in increasing
      size, walked depth first so that each one's constant term,
      lc * prod(constant terms) mod p^a, costs one multiply of a shared
      prefix product, and tested on it first (it must divide that of
@@ -53,6 +63,8 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -62,6 +74,9 @@ CERTIFIED = "CERTIFIED_PSEUDO_ANOSOV"
 INCONCLUSIVE = "INCONCLUSIVE"
 
 CERTIFICATE_METHOD = "distinct-degree-gcd"
+
+# array("Q") holds words in native order; packed ints are read little-endian
+_BIG_ENDIAN = sys.byteorder == "big"
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -282,9 +297,16 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    work = p.primitive_part()
-    if _good_reduction_prime(work, 13):
-        return [(work, 1)]
+    return [(q, m) for q, m, _ in _squarefree_parts(p.primitive_part())]
+
+
+def _squarefree_parts(work: IntPolynomial) -> list[tuple[IntPolynomial, int, int | None]]:
+    """`squarefree_decomposition` of the primitive `work` as (factor,
+    multiplicity, prime) triples: the prime is the good-reduction prime that
+    kept `work` whole, and None for a part that Yun's algorithm split off."""
+    prime = _good_reduction_prime(work, 13)
+    if prime:
+        return [(work, 1, prime)]
     g = gcd_z(work, work.derivative())
     c = work.divmod_exact(g)[0]
     d = work.derivative().divmod_exact(g)[0] - c.derivative()
@@ -294,7 +316,7 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]
         c = c.divmod_exact(p_i)[0]
         d = d.divmod_exact(p_i)[0] - c.derivative()
         if p_i.degree > 0:
-            out.append((p_i, i))
+            out.append((p_i, i, None))
         i += 1
     return out
 
@@ -380,15 +402,95 @@ def _gf_gcd(a, b, p):
     return _gf_monic(a, p)
 
 
-def _gf_pow_mod(base, e, mod, p):
-    result = [1]
-    base = _gf_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _gf_rem(_gf_mul(result, base, p), mod, p)
-        base = _gf_rem(_gf_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
+def _gf_pack(a, words):
+    """One int holding the coefficients of a, each in [0, 2^64), in slots of
+    `words` 64-bit words, lowest degree in the lowest slot."""
+    slots = array("Q", a)
+    if words > 1:
+        wide = array("Q", bytes(8 * words * len(a)))
+        wide[::words] = slots
+        slots = wide
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
+def _gf_unpack(x, count, words):
+    """The first `count` slot values of a packed x (every slot nonnegative)."""
+    data = (x & ((1 << 64 * words * count) - 1)).to_bytes(8 * words * count, "little")
+    if words > 1:
+        size = 8 * words
+        return [int.from_bytes(data[i:i + size], "little") for i in range(0, len(data), size)]
+    slots = array("Q", data)
+    if _BIG_ENDIAN:
+        slots.byteswap()
+    return slots.tolist()
+
+
+class _Barrett:
+    """What `_gf_pow_mod` reduces by, set up once per modulus: the monic f of
+    degree n >= 1 over GF(p), its low part f - x^n, and x^(2n-2) div f, the
+    reversal of rev(f)^-1 mod x^(n-1), reached by the Newton iteration
+    g <- g (2 - rev(f) g) at doubling precision (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, section 9.1); all three packed.
+
+    A slot is `words` 64-bit words, sized from n^2(p-1)^3: a product of two
+    reduced polynomials has coefficients at most n(p-1)^2, and its top n-1
+    coefficients times the inverse at most n(n-1)(p-1)^3.  `offset` holds in
+    each of n slots a multiple of p no smaller than the (n-1)(p-1)^2 that a
+    quotient times f's low part reaches, so the remainder's slots stay
+    nonnegative and at most (2n-1)(p-1)^2 + p - 1, inside the bound for n >= 2.
+    """
+
+    __slots__ = ("f", "p", "n", "words", "inverse", "low", "offset")
+
+    def __init__(self, f, p):
+        n = len(f) - 1
+        self.f, self.p, self.n = f, p, n
+        self.words = words = max(1, -(-(n * n * (p - 1) ** 3).bit_length() // 64))
+        rev, g, k = _gf_pack(f[::-1], words), [1], 1
+        while k < n - 1:
+            k = min(2 * k, n - 1)
+            packed = _gf_pack(g, words)
+            t = [c % p for c in _gf_unpack(rev * packed, k, words)]
+            t[0] = (t[0] - 2) % p
+            g = [-c % p for c in _gf_unpack(packed * _gf_pack(t, words), k, words)]
+        self.inverse = _gf_pack(g[::-1], words) if n > 1 else 0
+        self.low = _gf_pack(f[:n], words)
+        slot = -(-(n - 1) * (p - 1) ** 2 // p) * p
+        self.offset = int.from_bytes(slot.to_bytes(8 * words, "little") * n, "little")
+
+
+def _gf_pow_mod(base, e, modulus: _Barrett):
+    """base^e mod f over GF(p) for the f and p of `modulus` (base reduced
+    mod p, of any degree), by left-to-right square and multiply on packed ints.
+
+    Each square or product is one big-int product (Kronecker substitution,
+    von zur Gathen and Gerhard, section 8.4), and its remainder two more
+    (Barrett): the top n-1 coefficients times the inverse give the quotient
+    q, and the low n minus q times f's low part the remainder.
+    """
+    if e == 0:
+        return [1]
+    f, p, n, words = modulus.f, modulus.p, modulus.n, modulus.words
+    inverse, low, offset = modulus.inverse, modulus.low, modulus.offset
+    width = 64 * words
+    cut, shift, mask = n * width, (n - 2) * width, (1 << n * width) - 1
+
+    def reduce(c):
+        high = c >> cut
+        if high:
+            q = [v % p for v in _gf_unpack((high * inverse) >> shift, n - 1, words)]
+            c = (c & mask) + offset - ((_gf_pack(q, words) * low) & mask)
+        return _gf_pack([v % p for v in _gf_unpack(c, n, words)], words)
+
+    packed = _gf_pack(_gf_rem(base, f, p) if len(base) > n else base, words)
+    result = packed
+    for bit in bin(e)[3:]:
+        result = reduce(result * result)
+        if bit == "1":
+            result = reduce(result * packed)
+    return _gf_trim(_gf_unpack(result, n, words))
 
 
 def _gf_derivative(a, p):
@@ -471,31 +573,38 @@ def _distinct_degree(fbar, p):
 
     For squarefree fbar the products multiply back to fbar.  For any fbar the
     first d yielded is the smallest degree of an irreducible factor, so it
-    equals deg fbar exactly when fbar is irreducible.
+    equals deg fbar exactly when fbar is irreducible.  The powers x^(p^d)
+    reduce by one `_Barrett` set-up for fbar, and one more for each quotient
+    left by a divided product that the loop goes on with.
     """
     x = [0, 1]
     power = x
     f = fbar
+    modulus = None
     d = 0
     while len(f) > 1:
         d += 1
         if 2 * d > len(f) - 1:
             yield f, len(f) - 1
             return
-        power = _gf_pow_mod(power, p, f, p)
+        if modulus is None:
+            modulus = _Barrett(f, p)
+        power = _gf_pow_mod(power, p, modulus)
         g = _gf_gcd(_gf_sub(power, x, p), f, p)
         if len(g) > 1:
             yield g, d
             f = _gf_divmod(f, g, p)[0]
-            power = _gf_rem(power, f, p)
+            modulus = None
 
 
 def _equal_degree(fbar, d, p, rng):
-    """Cantor-Zassenhaus split of a monic squarefree product of degree-d irreducibles (p odd)."""
+    """Cantor-Zassenhaus split of a monic squarefree product of degree-d
+    irreducibles (p odd); each call that splits sets up `_Barrett` once."""
     n = len(fbar) - 1
     if n == d:
         return [fbar]
     exponent = (p ** d - 1) // 2
+    modulus = _Barrett(fbar, p)
     while True:
         h = [rng.randrange(p) for _ in range(n)]
         h = _gf_trim(h)
@@ -505,7 +614,7 @@ def _equal_degree(fbar, d, p, rng):
         if len(g) - 1 >= 1:
             split = g
         else:
-            t = _gf_sub(_gf_pow_mod(h, exponent, fbar, p), [1], p)
+            t = _gf_sub(_gf_pow_mod(h, exponent, modulus), [1], p)
             split = _gf_gcd(t, fbar, p)
         if 1 <= len(split) - 1 < n:
             rest = _gf_divmod(fbar, split, p)[0]
@@ -630,7 +739,7 @@ def _symmetric(c: int, modulus: int) -> int:
     return c
 
 
-def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
+def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes, p: int | None = None):
     """Irreducible factors of a primitive squarefree f (deg >= 1, lc > 0),
     each paired with the Certificate it found for it or None.
 
@@ -640,11 +749,13 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes):
     splits over Z splits modulo every prime not dividing its leading
     coefficient, so no scan of f itself could succeed.  When no primes are
     listed, an f irreducible modulo the working prime falls back to that
-    prime if the default scan finds none.
+    prime if the default scan finds none.  The working prime is `p` when the
+    caller already found it, and otherwise the first odd prime with good
+    reduction.
     """
     if f.degree == 1:
         return [(f, find_certificate(f, primes))]
-    p = _good_reduction_prime(f)
+    p = p or _good_reduction_prime(f)
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
@@ -755,8 +866,8 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     rng = random.Random(repr(p.coeffs))
     collected: dict[IntPolynomial, int] = {}
     certificates: dict[IntPolynomial, int] = {}
-    for sqfree, mult in squarefree_decomposition(primitive):
-        for q, cert in _zassenhaus_squarefree(sqfree, rng, primes):
+    for sqfree, mult, prime in _squarefree_parts(primitive):
+        for q, cert in _zassenhaus_squarefree(sqfree, rng, primes, prime):
             collected[q] = mult  # the squarefree parts are coprime
             if cert:
                 certificates[q] = cert.prime

@@ -8,8 +8,9 @@ abelianization of an endomorphism, the transvection matrix (the reference
 for `homology.times_transvection`), the determinant, the word-by-word
 Dynkin map, the tensor pairing, theta, omega0, the diagonal action,
 cyclotomic and Swinnerton-Dyer polynomials, the product of a factorization,
-the Berkowitz characteristic polynomial, the schoolbook GF(p) product and
-division, linear Hensel lifting, and the literal verdict definition.
+the Berkowitz characteristic polynomial, the schoolbook GF(p) product,
+division and powers modulo a polynomial with the distinct-degree loop on
+them, linear Hensel lifting, and the literal verdict definition.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from psicert.contract import psi_matrix
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
-                             _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, charpoly,
+                             _gf_gcd, _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, charpoly,
                              even_degree_split, factor_z)
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, magnus_expand, tensor_mul
 from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
@@ -402,6 +403,38 @@ def schoolbook_gf_divmod(a: list[int], b: list[int], m: int):
         while out and out[-1] == 0:
             out.pop()
     return q, a
+
+
+def schoolbook_gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    """base^e mod the monic `mod` over GF(p) by right-to-left square and
+    multiply on the list kernel, as `polylab._gf_pow_mod` was before it ran on
+    packed ints (oracle)."""
+    result = [1]
+    base = _gf_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = _gf_rem(_gf_mul(result, base, p), mod, p)
+        base = _gf_rem(_gf_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def schoolbook_distinct_degree(fbar: list[int], p: int) -> list[tuple[list[int], int]]:
+    """Every (product, degree) pair that `polylab._distinct_degree` yields for
+    the monic fbar, from the same loop on `schoolbook_gf_pow_mod` (oracle)."""
+    x, out = [0, 1], []
+    power, f, d = x, fbar, 0
+    while len(f) > 1:
+        d += 1
+        if 2 * d > len(f) - 1:
+            return out + [(f, len(f) - 1)]
+        power = schoolbook_gf_pow_mod(power, p, f, p)
+        g = _gf_gcd(_gf_sub(power, x, p), f, p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _gf_divmod(f, g, p)[0]
+            power = _gf_rem(power, f, p)
+    return out
 
 
 def cyclotomic(d: int) -> IntPolynomial:

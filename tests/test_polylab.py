@@ -8,9 +8,10 @@ import pytest
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, expand_factorization,
                     linear_hensel_lift, naive_charpoly, schoolbook_gf_divmod, schoolbook_gf_mul,
-                    swinnerton_dyer, transvection)
+                    schoolbook_gf_pow_mod, swinnerton_dyer, transvection)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix
+from psicert.jobs import MAX_MATRIX_DIMENSION
 from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE, Certificate,
                              IntPolynomial, _is_prime, charpoly, criterion, factor_z,
                              find_certificate, irreducible_mod_p, squarefree_decomposition)
@@ -422,6 +423,92 @@ class TestKernel:
             assert back == a
 
 
+LARGEST_PRIME_BELOW_2_64 = (1 << 64) - 59
+
+
+class TestPackedPowers:
+    """`_gf_pow_mod` on packed ints against the schoolbook square and multiply
+    in checks.py, and one `_Barrett` set-up per modulus."""
+
+    @pytest.mark.parametrize("p", [2, 3, 97, (1 << 31) - 1, (1 << 61) - 1,
+                                   LARGEST_PRIME_BELOW_2_64])
+    def test_against_schoolbook(self, p):
+        rng = random.Random(p)
+        top = MAX_MATRIX_DIMENSION
+        # every degree at p = 2 and 3; 12 of them, the ends included, above
+        degrees = (range(1, top + 1) if p < 97
+                   else [1, 2, *sorted(rng.sample(range(3, top), 9)), top])
+        for n in degrees:
+            f = [rng.randrange(p) for _ in range(n)] + [1]
+            modulus = polylab._Barrett(f, p)
+            # a reduced base, one of degree up to 2n + 2, and the empty one
+            bases = [polylab._gf_trim([rng.randrange(p) for _ in range(length)])
+                     for length in (n, rng.randrange(n + 1, 2 * n + 4))] + [[]]
+            d = rng.randrange(1, 4)
+            exponents = [0, 1, p, (p ** d - 1) // 2]
+            for i, base in enumerate(bases):
+                e = exponents[(n + i) % 4]
+                assert polylab._gf_pow_mod(base, e, modulus) == \
+                    schoolbook_gf_pow_mod(base, e, f, p), (n, base, e)
+
+    @pytest.mark.parametrize("p", [2, 97, LARGEST_PRIME_BELOW_2_64])
+    def test_largest_slot_values(self, p):
+        # every coefficient p - 1 fills the slots to the sizing bound
+        n = MAX_MATRIX_DIMENSION
+        f = [p - 1] * n + [1]
+        modulus = polylab._Barrett(f, p)
+        assert modulus.words == -(-(n * n * (p - 1) ** 3).bit_length() // 64)
+        for e in (2, 3, p):
+            assert polylab._gf_pow_mod([p - 1] * n, e, modulus) == \
+                schoolbook_gf_pow_mod([p - 1] * n, e, f, p)
+
+    def test_largest_prime_below_2_64(self):
+        assert _is_prime(LARGEST_PRIME_BELOW_2_64)
+        assert not any(_is_prime(q) for q in range(LARGEST_PRIME_BELOW_2_64 + 1, 1 << 64))
+
+    @staticmethod
+    def record_setups(monkeypatch) -> tuple[list, list]:
+        """Every `_Barrett` set-up, and the modulus of every power, in order."""
+        built, used = [], []
+        real_barrett, real_pow = polylab._Barrett, polylab._gf_pow_mod
+        monkeypatch.setattr(polylab, "_Barrett",
+                            lambda f, p: built.append(real_barrett(f, p)) or built[-1])
+        monkeypatch.setattr(polylab, "_gf_pow_mod",
+                            lambda base, e, modulus: used.append(modulus) or
+                            real_pow(base, e, modulus))
+        return built, used
+
+    def test_distinct_degree_sets_up_once_per_modulus(self, monkeypatch):
+        # 11 is a primitive root mod 59, so the cyclotomic polynomial
+        # phi_59 (degree 58) stays irreducible modulo 11
+        p = 11
+        phi = polylab._gf_from_int_poly(cyclotomic(59), p)
+        fbar = polylab._gf_mul(polylab._gf_from_int_poly(poly(-1, 1) * poly(-2, 1), p), phi, p)
+        assert len(fbar) - 1 == 60
+        built, used = self.record_setups(monkeypatch)
+        pairs = list(polylab._distinct_degree(fbar, p))
+        assert pairs == [(polylab._gf_from_int_poly(poly(2, -3, 1), p), 1), (phi, 58)]
+        # one set-up for f and one for the quotient left by the divided product
+        assert [modulus.f for modulus in built] == [fbar, phi]
+        assert used == [built[0]] + [built[1]] * 28
+
+    def test_equal_degree_sets_up_once_per_call(self, monkeypatch):
+        p = 11
+        calls = []
+        real = polylab._equal_degree
+        monkeypatch.setattr(polylab, "_equal_degree", lambda f, d, q, rng: calls.append(
+            (f, d)) or real(f, d, q, rng))
+        built, used = self.record_setups(monkeypatch)
+        # x^11 - x: every residue mod 11 is a root
+        roots = polylab._equal_degree([0, p - 1] + [0] * 9 + [1], 1, p, random.Random(1))
+        assert sorted(roots) == sorted([-a % p, 1] for a in range(p))
+        # 11 roots take 10 splitting calls; the 11 calls on one root build none
+        splitting = [f for f, d in calls if len(f) - 1 > d]
+        assert len(splitting) == p - 1
+        assert [modulus.f for modulus in built] == splitting
+        assert all(any(modulus is m for m in built) for modulus in used)
+
+
 class TestSquarefree:
     def test_multiplicities(self):
         p = poly(-1, 1) ** 2 * poly(2, 1)
@@ -466,6 +553,24 @@ class TestSquarefree:
             assert squarefree_decomposition(f) == [(f, 1)]
             assert squarefree_decomposition(f.scale(-6)) == [(f, 1)]
         assert calls == []
+
+    def test_good_reduction_prime_found_once_per_part(self, monkeypatch):
+        calls = []
+        real = polylab._good_reduction_prime
+        monkeypatch.setattr(polylab, "_good_reduction_prime",
+                            lambda f, bound=None: calls.append((f, bound)) or real(f, bound))
+        # kept whole: the prime that proved it squarefree is the working prime
+        sd16 = swinnerton_dyer((2, 3, 5, 7))
+        factor_z(sd16)
+        assert calls == [(sd16, 13)]
+        # split by Yun: each part of degree 2 or more scans for its own prime
+        calls.clear()
+        f = poly(0, -30030, 1)
+        g = poly(-2, 0, 1) ** 2 * poly(-3, 0, 1)
+        factor_z(f)
+        factor_z(g)
+        assert calls == [(f, 13), (f, None), (g, 13),
+                         (poly(-3, 0, 1), None), (poly(-2, 0, 1), None)]
 
     def test_no_good_small_prime_falls_through_to_yun(self, monkeypatch):
         # 30030 = 2 * 3 * 5 * 7 * 11 * 13: modulo each prime the fast path

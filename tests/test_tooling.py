@@ -30,12 +30,12 @@ from pathlib import Path
 
 import pytest
 
-from checks import berkowitz_char_coeffs, linear_hensel_lift
+from checks import berkowitz_char_coeffs, linear_hensel_lift, schoolbook_distinct_degree
 from psicert.homology import IntMatrix, char_coeffs
 from psicert import johnson, polylab
 from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.johnson import DepthResult
-from psicert.polylab import charpoly, criterion
+from psicert.polylab import charpoly, criterion, squarefree_decomposition
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -152,6 +152,21 @@ def test_quadratic_lift_matches_linear_on_polynomial_cases(monkeypatch):
         criterion(charpoly(IntMatrix.from_rows(case["input"])))
     assert len(lifts) == 71
     assert all(quadratic == linear for quadratic, linear in lifts)
+
+
+def test_packed_distinct_degree_matches_schoolbook_on_polynomial_cases():
+    """Modulo every default prime, each squarefree part of a seed-1
+    polynomial case (dense/60 among them) gets the same (product, degree)
+    pairs from the packed distinct-degree loop as from the schoolbook one."""
+    workloads = load_bench_module("workloads")
+    parts = {q for case in workloads.generate("polynomial", workloads.DEFAULT_SEED)
+             for q, _ in squarefree_decomposition(charpoly(IntMatrix.from_rows(case["input"])))}
+    assert max(q.degree for q in parts) == 60 and all(q.is_monic() for q in parts)
+    for q in parts:
+        for p in polylab.DEFAULT_CERT_PRIMES:
+            fbar = polylab._gf_from_int_poly(q, p)
+            assert list(polylab._distinct_degree(fbar, p)) == \
+                schoolbook_distinct_degree(fbar, p), (q.coeffs, p)
 
 
 def test_package_imports_only_stdlib():
