@@ -187,8 +187,13 @@ class IntMatrix:
         return IntMatrix(tuple(out))
 
 
-# Moduli h * 2^256 + 1 (h odd, ascending) for `char_coeffs`, each proven prime
-# by a Proth witness; found on first use, never at import, and kept.
+# Proth primes h * 2^k + 1 for `char_coeffs`, one below each multiple of 30
+# bits (a CPython digit) up to 240, each proven prime by a Proth witness in the
+# tests.  A bound below the last of them gets the single smallest one above it.
+_SMALL_MODULI = tuple((h << k) + 1 for h, k in (
+    (7, 26), (5, 55), (5, 85), (15, 112), (43, 144), (27, 175), (9, 206), (83, 233)))
+# Larger bounds get moduli h * 2^256 + 1 (h odd, ascending), joined by CRT,
+# also proven prime; found on first use, never at import, and kept.
 _MODULI: list[int] = []
 _MODULUS_SHIFT = 256
 _PROTH_BASES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -208,7 +213,12 @@ def _proth_witness(p: int) -> int | None:
 
 
 def _moduli_above(bound: int) -> list[int]:
-    """The shortest prefix of the moduli whose product exceeds bound."""
+    """The smallest table prime above bound, alone; for a bound beyond the
+    table, the shortest prefix of the h * 2^256 + 1 moduli whose product
+    exceeds it."""
+    for p in _SMALL_MODULI:
+        if p > bound:
+            return [p]
     product, used = 1, 0
     while product <= bound:
         if used == len(_MODULI):
@@ -234,29 +244,38 @@ def _coefficient_bound(m: IntMatrix) -> int:
 def _char_coeffs_mod(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
     """det(xI - m) mod p for the matrix m with these rows, ascending: reduce m to
     upper Hessenberg form by similarity, then run the Hessenberg recurrence
-    (Cohen, GTM 138, 2.2.4)."""
+    (Cohen, GTM 138, 2.2.4).
+
+    The rows below the pivot are updated without reduction.  A step reduces only
+    what it reads: the pivot column, which the pivot search and the multipliers
+    test, and the pivot row, once.  The column update and the recurrence reduce
+    what they keep, and Python ints keep the unreduced entries exact.  The
+    entries left below the subdiagonal are never read.
+    """
     h = [[x % p for x in row] for row in rows]
     n = len(h)
     for j in range(n - 2):
         k = j + 1
-        pivot = next((i for i in range(k, n) if h[i][j]), None)
+        column = [row[j] % p for row in h[k:]]
+        pivot = next((i for i, x in enumerate(column, k) if x), None)
         if pivot is None:
             continue
         if pivot != k:  # swap rows and columns k and pivot
             h[k], h[pivot] = h[pivot], h[k]
+            column[0], column[pivot - k] = column[pivot - k], column[0]
             for row in h:
                 row[k], row[pivot] = row[pivot], row[k]
-        inv = pow(h[k][j], -1, p)
-        top = h[k][j:]
-        factors = [0] * (n - k - 1)
-        for i in range(k + 1, n):
-            row = h[i]
-            if row[j]:
-                u = factors[i - k - 1] = row[j] * inv % p
-                row[j:] = [(a - u * b) % p for a, b in zip(row[j:], top)]
-        if any(factors):  # column k += sum of u_i * column i, for all i at once
-            for row in h:
-                row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % p
+        below = column[1:]
+        if not any(below):
+            continue
+        inv = pow(column[0], -1, p)
+        top = h[k][k:] = [x % p for x in h[k][k:]]
+        factors = [c * inv % p for c in below]
+        for row, u in zip(h[k + 1:], factors):
+            if u:
+                row[k:] = [a - u * b for a, b in zip(row[k:], top)]
+        for row in h:  # column k += sum of u_i * column i, for all i at once
+            row[k] = (row[k] + sum(map(mul, factors, row[k + 1:]))) % p
     # chi_{m+1} = (x - h[m][m]) chi_m - sum_i h[i][m] h[i+1][i] ... h[m][m-1] chi_i
     chis = [[1]]
     for m in range(n):
@@ -280,9 +299,10 @@ def _char_coeffs_mod(rows: tuple[tuple[int, ...], ...], p: int) -> list[int]:
 def char_coeffs(m: IntMatrix) -> list[int]:
     """Coefficients of det(xI - m), ascending degree.
 
-    The polynomial is computed modulo each of the proven primes whose product M
-    exceeds 2B (B = `_coefficient_bound(m)`), joined by CRT, and read off as
-    symmetric residues modulo M, which are exact since every |coefficient| <= B.
+    The polynomial is computed modulo proven primes whose product M exceeds 2B
+    (B = `_coefficient_bound(m)`) and read off as symmetric residues modulo M,
+    which are exact since every |coefficient| <= B.  Up to 240 bits that is one
+    table prime, sized to the bound; above, h * 2^256 + 1 primes joined by CRT.
     """
     coeffs, modulus = [0] * (m.dimension + 1), 1
     for p in _moduli_above(2 * _coefficient_bound(m)):

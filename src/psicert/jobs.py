@@ -130,8 +130,9 @@ MAX_TRANSVECTIONS = 64
 # benchmark's and the fixtures' conjugators have entries of at most 3 bits.
 MAX_CONJUGATOR_BITS = 16
 # charpoly costs O(n^3) per prime in the dimension of a matrix read by
-# `parse_matrix`, and needs one 256-bit prime per 256 bits of its coefficient
-# bound, about n times the entry size.  On a 2-core x86 VM it took 0.39 s on a
+# `parse_matrix`, and works modulo one prime sized to its coefficient bound
+# (about n times the entry size) up to 240 bits, and above that one 256-bit
+# prime per 256 bits of the bound.  On a 2-core x86 VM it took 0.39 s on a
 # 72 x 72 matrix with 3-bit entries, 3.5-3.9 s with 64-bit, 6.2-6.7 s with
 # 128-bit and 61 s with 1000-bit entries.  The polynomial benchmark's matrices
 # reach 60 rows and 58-bit entries; a conjugator is 2g x 2g.

@@ -14,11 +14,12 @@ and Cantor-Zassenhaus loops take, x^p and h^((p^d-1)/2), run on packed
 ints instead (`_gf_pow_mod`): a polynomial is one int with a slot of 64-bit
 words per coefficient, wide enough for n^2(p-1)^3 (Kronecker substitution),
 so a square is one big-int product in C; its remainder is Barrett's, from
-x^(2n-2) div f, the reversed inverse of rev(f) mod x^(n-1), computed by
-Newton iteration (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-sections 8.4 and 9.1).  That inverse is set up once per modulus: once for
-f and again after each product the distinct-degree loop divides out, and
-once per call of the equal-degree split.
+x^(2n-2) div f, the reversed inverse of rev(f) mod x^(n-1) (von zur Gathen
+and Gerhard, *Modern Computer Algebra*, sections 8.4 and 9.1), taken by the
+same schoolbook division `_gf_divmod` as every other remainder.  That
+quotient is set up once per modulus: once for f and again after each
+product the distinct-degree loop divides out, and once per call of the
+equal-degree split.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
@@ -84,12 +85,15 @@ _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def _is_prime(n: int) -> bool:
     """Miller-Rabin with the prime bases 2..37: exact for every n < 2^64
-    (indeed below 3.3e24), a strong probable-prime test above."""
+    (indeed below 3.3e24), a strong probable-prime test above.  Below 41^2
+    trial division by the bases decides alone."""
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite with no prime factor up to 37 is at least 41^2
+        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -429,10 +433,9 @@ def _gf_unpack(x, count, words):
 
 class _Barrett:
     """What `_gf_pow_mod` reduces by, set up once per modulus: the monic f of
-    degree n >= 1 over GF(p), its low part f - x^n, and x^(2n-2) div f, the
-    reversal of rev(f)^-1 mod x^(n-1), reached by the Newton iteration
-    g <- g (2 - rev(f) g) at doubling precision (von zur Gathen and Gerhard,
-    *Modern Computer Algebra*, section 9.1); all three packed.
+    degree n >= 1 over GF(p), its low part f - x^n, and x^(2n-2) div f (the
+    reversal of rev(f)^-1 mod x^(n-1), von zur Gathen and Gerhard, *Modern
+    Computer Algebra*, section 9.1), taken by `_gf_divmod`; all three packed.
 
     A slot is `words` 64-bit words, sized from n^2(p-1)^3: a product of two
     reduced polynomials has coefficients at most n(p-1)^2, and its top n-1
@@ -448,14 +451,7 @@ class _Barrett:
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
         self.words = words = max(1, -(-(n * n * (p - 1) ** 3).bit_length() // 64))
-        rev, g, k = _gf_pack(f[::-1], words), [1], 1
-        while k < n - 1:
-            k = min(2 * k, n - 1)
-            packed = _gf_pack(g, words)
-            t = [c % p for c in _gf_unpack(rev * packed, k, words)]
-            t[0] = (t[0] - 2) % p
-            g = [-c % p for c in _gf_unpack(packed * _gf_pack(t, words), k, words)]
-        self.inverse = _gf_pack(g[::-1], words) if n > 1 else 0
+        self.inverse = _gf_pack(_gf_divmod([0] * (2 * n - 2) + [1], f, p)[0], words)
         self.low = _gf_pack(f[:n], words)
         slot = -(-(n - 1) * (p - 1) ** 2 // p) * p
         self.offset = int.from_bytes(slot.to_bytes(8 * words, "little") * n, "little")

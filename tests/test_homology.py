@@ -212,6 +212,10 @@ class TestCharCoeffsAgainstBerkowitz:
         [[1, 2, 3], [0, 4, 5], [0, 6, 7]],  # first column already reduced: skipped
         [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]],  # nilpotent
         [[0, 0, 0, 5], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0]],  # swap, then a zero column
+        # the first step leaves 1 - (p-1)^2, a nonzero multiple of p, in row 3 of
+        # column 2; the second has nothing to eliminate, and the third must pivot
+        # on row 4
+        [[0, 0, 0, 0, 0], [1, 0, -1, 0, 0], [0, 1, 0, 0, 0], [-1, 0, 1, 0, 0], [0, 0, 1, 0, 0]],
     ])
     def test_branches(self, rows):
         m = IntMatrix.from_rows(rows)
@@ -225,14 +229,17 @@ class TestCharCoeffsAgainstBerkowitz:
         assert char_coeffs(IntMatrix(())) == [1]
 
     def test_entries_divisible_by_the_modulus(self):
-        """Entries that vanish modulo the first prime change the pivots, not the result."""
-        p = homology._moduli_above(2)[0]
+        """Entries that vanish modulo the working prime change the pivots, not
+        the result: at each table prime, and at the first of the CRT moduli."""
         rng = random.Random(0x5A45524F)
-        for _ in range(20):
-            n = rng.randrange(2, 7)
-            m = IntMatrix.from_rows([[p * rng.randrange(-2, 3) + rng.choice((0, 0, 1, -1))
-                                      for _ in range(n)] for _ in range(n)])
-            assert char_coeffs(m) == berkowitz_char_coeffs(m)
+        for p in (*homology._SMALL_MODULI, homology._moduli_above(1 << 256)[0]):
+            for _ in range(20):
+                n = rng.randrange(2, 7)
+                m = IntMatrix.from_rows([[p * rng.randrange(-2, 3) + rng.choice((0, 0, 1, -1))
+                                          for _ in range(n)] for _ in range(n)])
+                expected = berkowitz_char_coeffs(m)
+                assert homology._char_coeffs_mod(m.rows, p) == [c % p for c in expected], (p, m.rows)
+                assert char_coeffs(m) == expected
 
     def test_at_the_job_cap(self):
         """72 x 72 with 64-bit entries, the largest matrix `parse_matrix` admits."""
@@ -242,28 +249,66 @@ class TestCharCoeffsAgainstBerkowitz:
 
 
 class TestCharCoeffsModuli:
-    def test_bound_covers_the_coefficients(self):
+    def test_bound_covers_the_coefficients(self, monkeypatch):
+        """Every coefficient lies in [-B, B], and `char_coeffs` works modulo the
+        moduli above 2B, so the symmetric residues are exact."""
+        used = []
+        real = homology._char_coeffs_mod
+        monkeypatch.setattr(homology, "_char_coeffs_mod",
+                            lambda rows, p: used.append(p) or real(rows, p))
         rng = random.Random(0x424F554E)
-        for _ in range(40):
-            m = seeded_matrix(rng, rng.randrange(0, 9), rng.randrange(1, 65), rng.choice((0.3, 1.0)))
+        # [[c]] has B = 2 + |c| and the coefficient -c: at |c| = p - 3 only a
+        # modulus above p reads it right
+        near = [IntMatrix.from_rows([[c]]) for p in homology._SMALL_MODULI for c in (p - 3, 3 - p)]
+        for m in near + [seeded_matrix(rng, rng.randrange(0, 9), rng.randrange(1, 65),
+                                       rng.choice((0.3, 1.0))) for _ in range(40)]:
             bound = homology._coefficient_bound(m)
             # each factor 2 + isqrt(|row|^2) is at least 1 + |row|, as |row| < isqrt(|row|^2) + 1
             norms2 = [sum(x * x for x in row) for row in m.rows]
             assert all((isqrt(s) + 1) ** 2 > s for s in norms2)
             assert bound == prod(2 + isqrt(s) for s in norms2)
-            assert max(map(abs, berkowitz_char_coeffs(m))) <= bound
-            assert prod(homology._moduli_above(2 * bound)) > 2 * bound
+            expected = berkowitz_char_coeffs(m)
+            assert max(map(abs, expected)) <= bound
+            used.clear()
+            assert char_coeffs(m) == expected
+            assert used == homology._moduli_above(2 * bound) and prod(used) > 2 * bound, m.rows
 
     def test_every_modulus_is_proven_prime(self):
+        table = homology._SMALL_MODULI
+        assert len(table) == 8 and list(table) == sorted(set(table))
+        for digits, p in enumerate(table, 1):
+            # one below each multiple of 30 bits (a CPython digit)
+            assert 30 * (digits - 1) < p.bit_length() <= 30 * digits
         homology._moduli_above(1 << 3000)
         moduli = homology._MODULI
         assert len(moduli) >= 12 and moduli == sorted(set(moduli))
         for p in moduli:
             h = p >> 256
             assert p == (h << 256) + 1 and h % 2 == 1 and h < 1 << 256
-            # Proth's theorem: a^((p-1)/2) = -1 mod p proves p prime
+        for p in (*table, *moduli):
+            # Proth's theorem: a^((p-1)/2) = -1 mod p proves p = h * 2^k + 1 prime (h < 2^k)
+            k = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = h * 2^k, h odd
+            assert (p - 1) >> k < 1 << k
             a = homology._proth_witness(p)
             assert a is not None and pow(a, (p - 1) // 2, p) == p - 1
+
+    def test_one_table_prime_below_the_largest(self):
+        """A bound below the last table prime gets the single smallest table
+        prime above it; a larger one the shortest prefix of the CRT moduli."""
+        table = homology._SMALL_MODULI
+        rng = random.Random(0x4D4F44)
+        bounds = [0, 1, 2, *(p + d for p in table for d in (-1, 0, 1)),
+                  *(rng.getrandbits(rng.randrange(1, 241)) for _ in range(200)),
+                  1 << 240, 1 << 246, 1 << 709, 1 << 2000]
+        for bound in bounds:
+            moduli = homology._moduli_above(bound)
+            if bound < table[-1]:
+                assert moduli == [min(p for p in table if p > bound)], bound
+            else:
+                assert moduli == homology._MODULI[:len(moduli)], bound
+                assert prod(moduli[:-1]) <= bound < prod(moduli)
+        assert len(homology._moduli_above(1 << 246)) == 1
+        assert len(homology._moduli_above(1 << 709)) == 3
 
     def test_no_search_at_import(self):
         code = "import psicert; from psicert import homology; print(homology._MODULI)"
