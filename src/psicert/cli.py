@@ -46,11 +46,22 @@ def _write_output(text: str, out_path: str | None):
         raise
 
 
+def _parse_primes(text: str) -> list[int]:
+    """The comma-separated integers of `--primes`; empty entries are skipped."""
+    primes = []
+    for entry in filter(str.strip, text.split(",")):
+        try:
+            primes.append(int(entry))
+        except ValueError:
+            raise JobError(f"--primes: {entry.strip()!r} is not an integer") from None
+    return primes
+
+
 def _load_job(args) -> Job:
     """The job file named on the command line, with its option overrides."""
     options = {}
     if getattr(args, "primes", None) is not None:
-        options["primes"] = [int(p) for p in args.primes.split(",") if p.strip()]
+        options["primes"] = _parse_primes(args.primes)
     if args.truncation is not None:
         options["truncation"] = args.truncation
     if getattr(args, "contraction_spec", None):

@@ -30,14 +30,16 @@ Factorization pipeline (all exact, no rationals):
      modulo the first odd prime with good reduction (for a part kept
      whole, the one step 1 found), quadratic multifactor Hensel lifting
      along a balanced factor tree to above the Mignotte bound, and
-     exhaustive subset recombination: subsets in increasing
-     size, walked depth first so that each one's constant term,
-     lc * prod(constant terms) mod p^a, costs one multiply of a shared
-     prefix product, and tested on it first (it must divide that of
-     lc * f); at the middle size only the subsets holding the first factor
-     are walked, since a subset and its complement give the same split;
-     only a subset that passes gets its product mod p^a and one exact trial
-     division;
+     exhaustive subset recombination: subsets in increasing size, filtered
+     first by the trace test (the x^(d-1) coefficient of a candidate,
+     lc * sum(subleading coefficients) mod p^a, lies within deg f * |f|_2 of
+     0 for a true factor), found by a meet-in-the-middle search over the
+     sorted subset sums of two halves of the factors, and then by the
+     constant-term test (lc * prod(constant terms) mod p^a must divide the
+     constant term of lc * f); at the middle size only the subsets holding
+     the first factor are tried, since a subset and its complement give the
+     same split; only a subset that passes both gets its product mod p^a and
+     one exact trial division;
   3. then `find_certificate` scans each irreducible factor once for a
      certificate, a prime modulo which it stays irreducible, under one rule:
      the first listed prime that certifies it; when no primes are listed,
@@ -52,7 +54,8 @@ irreducible by construction even when no modular certificate exists, and
 `criterion` only reads the certificates that `factor_z` records.
 Both the certificate test and the modular factorization run on one lazy
 distinct-degree loop; the squarefree test modulo a prime and the
-discriminant each take one resultant Euclid, `_gf_resultant`.
+discriminant each take one resultant Euclid, `_gf_resultant`, whose normal
+steps (the degree drops by one) `_gf_rem` takes in one pass.
 
 The verdict reads only the multiset of factor degrees, through the one
 predicate `even_degree_split`.  Verdicts are only ever
@@ -61,6 +64,7 @@ sufficient, never necessary.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -389,8 +393,21 @@ def _gf_divmod(a, b, m):
     return _gf_trim(q), _gf_trim([c % m for c in a[:n]])
 
 
-def _gf_rem(a, b, p):
-    return _gf_divmod(a, b, p)[1]
+def _gf_rem(a, b, m):
+    """a mod b modulo m, on the inputs of `_gf_divmod`.
+
+    Euclid's normal step, deg a = deg b + 1 with deg b >= 1, takes one pass:
+    the quotient q1 x + q0 comes from the top two coefficients, and the
+    remainder a - (q1 x + q0) b from one comprehension, reduced once.  Every
+    other shape goes through `_gf_divmod`.
+    """
+    n = len(b) - 1
+    if n < 1 or len(a) != n + 2:
+        return _gf_divmod(a, b, m)[1]
+    inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
+    q1 = a[-1] * inv % m
+    q0 = (a[-2] - q1 * b[-2]) * inv % m
+    return _gf_trim([(x - q1 * y - q0 * z) % m for x, y, z in zip(a, [0] + b, b[:n])])
 
 
 def _gf_monic(a, p):
@@ -771,8 +788,18 @@ def _recombine(f: IntPolynomial, lifted: list[list[int]], modulus: int) -> list[
     true factor (times a divisor of lc) exactly when it divides lc * current,
     and every smaller subset has been rejected by then, so it is irreducible.
     A subset and its complement give the same split, so at the middle size
-    only the subsets holding the first remaining factor are tried.
+    only the subsets holding the first remaining factor are tried.  Only the
+    subsets that `_trace_passes` lets through, by the trace and constant-term
+    tests, get their product mod p^a and one exact trial division.
+
+    The trace bound: a true factor G of current, with current = G * H, makes
+    the candidate lc(H) * G, whose x^(d-1) coefficient is at most
+    d * |lc(H)| * M(G) <= deg f * M(f) <= deg f * |f|_2 in absolute value
+    (Mignotte, through the Mahler measure M), so below `bound`;
+    `_mignotte_exponent` puts p^a above twice it.
     """
+    bound = f.degree * (math.isqrt(sum(c * c for c in f.coeffs)) + 1)
+    assert modulus > 2 * bound, "p^a must exceed twice the trace bound"
     factors = []
     remaining = list(range(len(lifted)))
     current = f
@@ -780,9 +807,10 @@ def _recombine(f: IntPolynomial, lifted: list[list[int]], modulus: int) -> list[
     while 2 * size <= len(remaining):
         lc = current.leading
         target = current.scale(lc)
+        traces = [lifted[i][-2] for i in remaining]
         constants = [lifted[i][0] for i in remaining]
-        for combo in _constant_term_passes(constants, size, lc, target.coeffs[0], modulus,
-                                           2 * size == len(remaining)):
+        for combo in _trace_passes(traces, constants, size, lc, target.coeffs[0], modulus,
+                                   bound, 2 * size == len(remaining)):
             combo = [remaining[i] for i in combo]
             product = [1]
             for i in combo:
@@ -800,39 +828,56 @@ def _recombine(f: IntPolynomial, lifted: list[list[int]], modulus: int) -> list[
     return factors
 
 
-def _constant_term_passes(constants, size, lc, t0, modulus, first):
-    """The `size`-subsets of positions in `constants`, in
-    `itertools.combinations` order (with `first`, only those holding position
-    0), whose candidate passes the constant-term test.
+def _trace_passes(traces, constants, size, lc, t0, modulus, bound, first):
+    """The `size`-subsets of positions, in `itertools.combinations` order
+    (with `first`, only those holding position 0), whose candidate passes the
+    trace test and then the constant-term test.
 
-    A factor's constant term divides the target's, t0; the candidate's is the
-    symmetric residue of lc * prod(constant terms) mod p^a.  The walk keeps
-    the products of the first size - 1 positions' constants as prefixes, so
-    each subset costs one multiply.
+    The candidate lc * prod(g_i) mod p^a of monic g_i has the x^(d-1)
+    coefficient lc * sum(t_i), for the subleading coefficients t_i in
+    `traces`; the trace test asks that it lie in [-bound, bound] mod p^a
+    (Abbott, Shoup and Zimmermann, ISSAC 2000).  The sum is additive, so the
+    search meets in the middle: a subset is a part of the left half of the
+    positions and a part of the right half, and for each left part of sum v
+    the right parts whose sums lie in the cyclic window [-bound - v,
+    bound - v] mod p^a are found by bisection among the sorted sums of the
+    right parts of the remaining size.  A left part's hits are contiguous in
+    combinations order, and the left parts come in that order too.  The
+    constant-term test then asks that the symmetric residue of
+    lc * prod(constant terms) mod p^a divide the target's, t0.
     """
-    n = len(constants)
-    idx = list(range(size - 1))
-    prefix = [lc % modulus]
-    for k in idx:
-        prefix.append(prefix[-1] * constants[k] % modulus)
-    while True:
-        base = prefix[-1]
-        for j in range(idx[-1] + 1 if idx else 0, 1 if first and not idx else n):
-            g0 = base * constants[j] % modulus
+    n = len(traces)
+    half = (n + 1) // 2
+    values = [lc * t % modulus for t in traces]
+    left_sizes = range(max(0, size - (n - half)), min(size, half) + 1)
+    right = {}
+    for k in left_sizes:
+        parts = sorted((sum(values[i] for i in part) % modulus, part)
+                       for part in itertools.combinations(range(half, n), size - k))
+        right[size - k] = ([v for v, _ in parts], [part for _, part in parts])
+    # a left part followed by any right part sorts as the left part with
+    # `half`, above every left position, appended
+    lefts = sorted((part for k in left_sizes for part in itertools.combinations(range(half), k)
+                    if not first or (part and part[0] == 0)), key=lambda part: part + (half,))
+    for left in lefts:
+        sums, parts = right[size - len(left)]
+        v = sum(values[i] for i in left)
+        lo, hi = (-bound - v) % modulus, (bound - v) % modulus
+        start, stop = bisect.bisect_left(sums, lo), bisect.bisect_right(sums, hi)
+        hits = parts[start:stop] if lo <= hi else parts[start:] + parts[:stop]
+        if not hits:
+            continue
+        base = lc
+        for i in left:
+            base = base * constants[i] % modulus
+        for part in sorted(hits):
+            g0 = base
+            for i in part:
+                g0 = g0 * constants[i] % modulus
             if 2 * g0 > modulus:
                 g0 -= modulus
             if not ((t0 % g0) if g0 else t0):
-                yield idx + [j]
-        # next prefix in lexicographic order; position i runs up to n - size + i
-        i = size - 2
-        while i >= 0 and idx[i] == n - size + i:
-            i -= 1
-        if i < 0 or (first and i == 0):
-            return
-        idx[i:] = range(idx[i] + 1, idx[i] + size - i)
-        del prefix[i + 1:]
-        for k in idx[i:]:
-            prefix.append(prefix[-1] * constants[k] % modulus)
+                yield list(left + part)
 
 
 @dataclass(frozen=True)

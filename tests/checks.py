@@ -10,7 +10,8 @@ Dynkin map, the tensor pairing, theta, omega0, the diagonal action,
 cyclotomic and Swinnerton-Dyer polynomials, the product of a factorization,
 the Berkowitz characteristic polynomial, the schoolbook GF(p) product,
 division and powers modulo a polynomial with the distinct-degree loop on
-them, linear Hensel lifting, and the literal verdict definition.
+them, linear Hensel lifting, recombination by the constant-term test alone,
+and the literal verdict definition.
 """
 from __future__ import annotations
 
@@ -21,8 +22,8 @@ from psicert.contract import psi_matrix
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
-                             _gf_gcd, _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, charpoly,
-                             even_degree_split, factor_z)
+                             _gf_gcd, _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, _symmetric,
+                             charpoly, even_degree_split, factor_z)
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, magnus_expand, tensor_mul
 from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
                            inner_automorphism, reduce_word, sep_twist)
@@ -435,6 +436,70 @@ def schoolbook_distinct_degree(fbar: list[int], p: int) -> list[tuple[list[int],
             f = _gf_divmod(f, g, p)[0]
             power = _gf_rem(power, f, p)
     return out
+
+
+def constant_term_walk(constants, size, lc, t0, modulus, first):
+    """The `size`-subsets of positions in `constants`, in
+    `itertools.combinations` order (with `first`, only those holding position
+    0), whose candidate passes the constant-term test alone: the symmetric
+    residue of lc * prod(constant terms) mod p^a divides t0.  This is the
+    prefix walk that `polylab._recombine` ran before the trace test (oracle):
+    the products of the first size - 1 positions' constants are kept as
+    prefixes, so each subset costs one multiply."""
+    n = len(constants)
+    idx = list(range(size - 1))
+    prefix = [lc % modulus]
+    for k in idx:
+        prefix.append(prefix[-1] * constants[k] % modulus)
+    while True:
+        base = prefix[-1]
+        for j in range(idx[-1] + 1 if idx else 0, 1 if first and not idx else n):
+            g0 = base * constants[j] % modulus
+            if 2 * g0 > modulus:
+                g0 -= modulus
+            if not ((t0 % g0) if g0 else t0):
+                yield idx + [j]
+        # next prefix in lexicographic order; position i runs up to n - size + i
+        i = size - 2
+        while i >= 0 and idx[i] == n - size + i:
+            i -= 1
+        if i < 0 or (first and i == 0):
+            return
+        idx[i:] = range(idx[i] + 1, idx[i] + size - i)
+        del prefix[i + 1:]
+        for k in idx[i:]:
+            prefix.append(prefix[-1] * constants[k] % modulus)
+
+
+def walk_recombine(f: IntPolynomial, lifted: list[list[int]], modulus: int) -> list[IntPolynomial]:
+    """`polylab._recombine` as it was before the trace test (oracle): every
+    subset in increasing size that `constant_term_walk` lets through gets its
+    product mod p^a and one exact trial division."""
+    factors = []
+    remaining = list(range(len(lifted)))
+    current = f
+    size = 1
+    while 2 * size <= len(remaining):
+        lc = current.leading
+        target = current.scale(lc)
+        constants = [lifted[i][0] for i in remaining]
+        for combo in constant_term_walk(constants, size, lc, target.coeffs[0], modulus,
+                                        2 * size == len(remaining)):
+            combo = [remaining[i] for i in combo]
+            product = [1]
+            for i in combo:
+                product = _gf_mul(product, lifted[i], modulus)
+            g = IntPolynomial.of_coeffs([_symmetric(lc * c, modulus) for c in product])
+            division = target.divmod_exact(g)
+            if division is not None and division[1].is_zero():
+                factors.append(g.primitive_part())
+                current = division[0].primitive_part()
+                remaining = [i for i in remaining if i not in combo]
+                break
+        else:
+            size += 1
+    factors.append(current)
+    return factors
 
 
 def cyclotomic(d: int) -> IntPolynomial:

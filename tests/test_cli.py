@@ -104,6 +104,14 @@ class TestCertify:
             cert = factor["certificate"]
             assert cert is None or cert["prime"] == 19
 
+    @pytest.mark.parametrize("primes, entry", [("abc", "'abc'"), ("19, 2x3", "'2x3'")])
+    def test_bad_primes_entry_named(self, tmp_path, capsys, primes, entry):
+        job = write_job(tmp_path, twist_job())
+        assert main(["certify", "--job", job, "--primes", primes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --primes: {entry} is not an integer\n"
+
 
 def hostile_documents() -> dict[str, str]:
     twist = twist_job()

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from psicert import polylab
 from psicert.homology import IntMatrix, char_coeffs
 from psicert.polylab import IntPolynomial, factor_z, gcd_z, squarefree_decomposition
 
@@ -47,6 +48,38 @@ def test_swinnerton_dyer(n):
     assert_same_factorization(sd * from_sympy(sympy.swinnerton_dyer_poly(n - 1, X)))
 
 
+@pytest.mark.parametrize("m", [None, 3], ids=["SD-32", "SD-32*SD-8"])
+def test_swinnerton_dyer_trace_search(m):
+    # 16 quadratic modular factors for SD-32, and 20 with SD-8: the trace
+    # test's meet-in-the-middle search must find no split of SD-32, and must
+    # find SD-8 among the subsets of size 4 (test_swinnerton_dyer[4] has
+    # SD-16*SD-8)
+    p = from_sympy(sympy.swinnerton_dyer_poly(5, X))
+    if m is not None:
+        p = p * from_sympy(sympy.swinnerton_dyer_poly(m, X))
+    assert_same_factorization(p)
+
+
+def test_non_monic_leading_changes(monkeypatch):
+    # the linear factor 2x + 1 is found first, which divides lc(current) from
+    # 2 * 3 * 2 = 12 to 6 for the search that follows; 2x^4 + 4x^3 - 2x^2 -
+    # 4x - 1 is the primitive part of SD-4 at 2x + 1, irreducible, and splits
+    # modulo every prime
+    sd4 = from_sympy(sympy.swinnerton_dyer_poly(2, X).subs(X, 2 * X + 1)).primitive_part()
+    assert sd4.coeffs == (-1, -4, -2, 4, 2)
+    p = IntPolynomial.of_coeffs([1, 2]) * IntPolynomial.of_coeffs([7, 1, 3]) * sd4
+    seen = []
+    real = polylab._trace_passes
+
+    def search(traces, constants, size, lc, *rest):
+        seen.append(lc)
+        return real(traces, constants, size, lc, *rest)
+
+    monkeypatch.setattr(polylab, "_trace_passes", search)
+    assert_same_factorization(p)
+    assert seen[:2] == [12, 6]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_zero_constant_term(n):
     # x joins the modular factors of SD-8 or SD-16 in recombination; the
@@ -65,13 +98,25 @@ def test_cyclotomic_products(orders):
     assert_same_factorization(p)
 
 
+def even(q: IntPolynomial) -> IntPolynomial:
+    return IntPolynomial.of_coeffs([a for c in q.coeffs for a in (c, 0)][:-1])  # q(x^2)
+
+
 def test_even_polynomials():
+    # a subset of modular factors closed under x -> -x has trace 0, so every
+    # such subset of an even polynomial passes the trace test and only the
+    # later tests reject it
     rng = random.Random(0x45564E)
     for _ in range(12):
         q = random_poly(rng, rng.randrange(2, 7), 6)
-        even = IntPolynomial.of_coeffs([a for c in q.coeffs for a in (c, 0)][:-1])  # q(x^2)
-        assert_same_factorization(even)
-        assert_same_factorization(even * q)
+        assert_same_factorization(even(q))
+        assert_same_factorization(even(q) * q)
+    rng = random.Random(0x45564E32)
+    for _ in range(6):
+        q, r = random_poly(rng, rng.randrange(2, 5), 9), random_poly(rng, rng.randrange(2, 5), 9)
+        assert_same_factorization(even(q) * even(r))
+    sd8 = from_sympy(sympy.swinnerton_dyer_poly(3, X))
+    assert_same_factorization(sd8 * from_sympy(sympy.cyclotomic_poly(16, X)))
 
 
 def test_non_monic_large_coefficients():

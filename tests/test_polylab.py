@@ -177,8 +177,9 @@ class TestFactorZ:
 
     def test_constant_term_skips_divisions(self, monkeypatch):
         # SD-16 splits into 8 quadratics modulo its working prime, so proving
-        # it irreducible tries all 8 + 28 + 56 + 70 = 162 subsets of at most 4;
-        # only candidates whose constant term divides 46225 reach a division
+        # it irreducible rules out all 8 + 28 + 56 + 70 = 162 subsets of at most
+        # 4; only candidates that pass the trace test and whose constant term
+        # divides 46225 reach a division
         calls = []
         real = IntPolynomial.divmod_exact
         monkeypatch.setattr(IntPolynomial, "divmod_exact",
@@ -340,31 +341,45 @@ class TestHenselLift:
 
 
 class TestRecombination:
-    """The depth-first subset walk and the middle-size rule of `_recombine`."""
+    """The meet-in-the-middle trace search and the middle-size rule of
+    `_recombine`."""
 
     def test_walk_matches_combinations(self):
-        # the walk yields what filtering itertools.combinations yields, in order;
-        # t0 = 0 and zero constants exercise both branches of the test
+        # the search yields what filtering itertools.combinations by both tests
+        # yields, in order; small moduli and bounds up to (p^a - 1) / 2 make
+        # windows that wrap past 0 and p^a, and t0 = 0, zero constants and
+        # zero traces exercise both branches of the constant-term test
         rng = random.Random(0x57414C4B)
-        for _ in range(60):
-            n = rng.randrange(1, 9)
-            modulus = rng.choice([97, 3 ** 5, 7 ** 3])
+        seen = set()
+        for _ in range(80):
+            n = rng.randrange(1, 10)
+            modulus = rng.choice([97, 3 ** 5, 7 ** 3, 2 ** 61 - 1])
+            bound = rng.choice([0, 1, rng.randrange(modulus // 8), modulus // 4,
+                                (modulus - 1) // 2])
+            traces = [rng.choice([0, rng.randrange(modulus)]) for _ in range(n)]
             constants = [rng.choice([0, rng.randrange(modulus)]) for _ in range(n)]
             lc, t0 = rng.randrange(1, 40), rng.choice([0, 720720, -360360, 97])
+
+            def trace(combo):
+                return polylab._symmetric(lc * sum(traces[i] for i in combo), modulus)
 
             def passes(combo):
                 g0 = lc
                 for i in combo:
                     g0 = g0 * constants[i] % modulus
                 g0 = polylab._symmetric(g0, modulus)
-                return not ((t0 % g0) if g0 else t0)
+                return abs(trace(combo)) <= bound and not ((t0 % g0) if g0 else t0)
 
             for size in range(1, n + 1):
                 for first in (False, True):
-                    expected = [list(c) for c in itertools.combinations(range(n), size)
-                                if (not first or c[0] == 0) and passes(c)]
-                    assert list(polylab._constant_term_passes(
-                        constants, size, lc, t0, modulus, first)) == expected
+                    combos = [c for c in itertools.combinations(range(n), size)
+                              if not first or c[0] == 0]
+                    expected = [list(c) for c in combos if passes(c)]
+                    assert list(polylab._trace_passes(traces, constants, size, lc, t0, modulus,
+                                                      bound, first)) == expected
+                    seen.update((trace(c) > 0) - (trace(c) < 0) for c in map(tuple, expected))
+                    seen.update("rejected" for c in combos if abs(trace(c)) > bound)
+        assert seen == {-1, 0, 1, "rejected"}
 
     @pytest.mark.parametrize("g, h, k", [
         (poly(9, 0, -14, 0, 1), poly(1, 0, -10, 0, 1), 2),
@@ -373,15 +388,16 @@ class TestRecombination:
     def test_true_factor_found_at_the_middle_size(self, monkeypatch, g, h, k):
         # g and h are irreducible and each splits into k modular factors, so
         # the split is a subset of k of the 2k factors: the middle size, where
-        # only the subsets holding the first factor are walked
+        # only the subsets holding the first factor are tried
         walks = []
-        real = polylab._constant_term_passes
+        real = polylab._trace_passes
 
-        def walk(constants, size, lc, t0, modulus, first):
-            walks.append((size, first, list(real(constants, size, lc, t0, modulus, first))))
+        def walk(traces, constants, size, lc, t0, modulus, bound, first):
+            walks.append((size, first, list(real(traces, constants, size, lc, t0, modulus,
+                                                 bound, first))))
             return iter(walks[-1][2])
 
-        monkeypatch.setattr(polylab, "_constant_term_passes", walk)
+        monkeypatch.setattr(polylab, "_trace_passes", walk)
         fz = factor_z(g * h)
         assert [q for q, _ in fz.factors] == sorted([g, h], key=lambda q: q.coeffs)
         assert [(size, first) for size, first, _ in walks] == (
@@ -421,6 +437,32 @@ class TestKernel:
             back = polylab._gf_trim([(x + y) % m for x, y in itertools.zip_longest(
                 polylab._gf_mul(q, b, m), r, fillvalue=0)])
             assert back == a
+
+    @pytest.mark.parametrize("m", [2, 3, 97, 3 ** 20, 97 ** 5])
+    def test_normal_step_against_schoolbook(self, m):
+        # deg a = deg b + 1 takes the one-pass remainder; b monic or with a unit
+        # leading coefficient, and a = (q1 x + q0) b + r with r of full length,
+        # shorter (it trims) or zero
+        rng = random.Random(m + 1)
+
+        def unit():
+            lead = rng.randrange(1, m)
+            while math.gcd(lead, m) != 1:
+                lead = rng.randrange(1, m)
+            return lead
+
+        kinds = set()
+        for _ in range(300):
+            n = rng.randrange(1, 9)
+            b = [rng.randrange(m) for _ in range(n)] + [rng.choice([1, unit()])]
+            r = [rng.randrange(m) for _ in range(rng.choice([0, rng.randrange(n + 1)]))]
+            a = polylab._gf_trim([(x + y) % m for x, y in itertools.zip_longest(
+                schoolbook_gf_mul([rng.randrange(m), unit()], b, m), r, fillvalue=0)])
+            assert len(a) == len(b) + 1
+            rem = polylab._gf_rem(a, b, m)
+            assert rem == schoolbook_gf_divmod(a, b, m)[1] == polylab._gf_trim(r)
+            kinds.add("full" if len(rem) == n else "short" if rem else "empty")
+        assert kinds == {"full", "short", "empty"}
 
 
 LARGEST_PRIME_BELOW_2_64 = (1 << 64) - 59

@@ -14,7 +14,8 @@ package itself imports only the standard library.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
 of every seed-1 polynomial case equals the Berkowitz oracle's, and each of its
-Hensel lifts equals the linear lifting oracle's.  Every seed-1
+Hensel lifts equals the linear lifting oracle's, and each recombination gives
+the factors of the constant-term walk.  Every seed-1
 pi1 job has depth exactly k and expands its generators at k+1 only, so a
 change that makes the benchmark pay for the job truncation fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
@@ -30,7 +31,8 @@ from pathlib import Path
 
 import pytest
 
-from checks import berkowitz_char_coeffs, linear_hensel_lift, schoolbook_distinct_degree
+from checks import (berkowitz_char_coeffs, linear_hensel_lift, schoolbook_distinct_degree,
+                    walk_recombine)
 from psicert.homology import IntMatrix, char_coeffs
 from psicert import johnson, polylab
 from psicert.jobs import canonical_json, parse_job, run_job
@@ -152,6 +154,26 @@ def test_quadratic_lift_matches_linear_on_polynomial_cases(monkeypatch):
         criterion(charpoly(IntMatrix.from_rows(case["input"])))
     assert len(lifts) == 71
     assert all(quadratic == linear for quadratic, linear in lifts)
+
+
+def test_trace_recombination_matches_the_walk_on_polynomial_cases(monkeypatch):
+    """On the lifted factors of every seed-1 polynomial case, the trace test's
+    meet-in-the-middle search recombines to the same factors, in the same
+    order, as the prefix walk by the constant-term test alone."""
+    workloads = load_bench_module("workloads")
+    real = polylab._recombine
+    calls = []
+
+    def recombine(f, lifted, modulus):
+        out = real(f, lifted, modulus)
+        calls.append((out, walk_recombine(f, lifted, modulus), len(lifted)))
+        return out
+
+    monkeypatch.setattr(polylab, "_recombine", recombine)
+    for case in workloads.generate("polynomial", workloads.DEFAULT_SEED):
+        criterion(charpoly(IntMatrix.from_rows(case["input"])))
+    assert len(calls) == 71 and max(r for _, _, r in calls) == 16
+    assert all(trace == walk for trace, walk, _ in calls)
 
 
 def test_packed_distinct_degree_matches_schoolbook_on_polynomial_cases():
