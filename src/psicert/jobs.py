@@ -5,10 +5,17 @@ invariant matrix:
 
 * ``pi1``: the element is an expression tree of free-group endomorphisms
   (built-in separating twists, inner automorphisms, user-supplied custom
-  endomorphisms, compositions, positive powers).  The pipeline reads the
-  level-k cochain off one Magnus expansion per generator at degree k+1,
-  which also gives the filtration depth unless the cochain vanishes; only
-  then is the depth read at the job truncation.  It contracts the cochain.
+  endomorphisms, compositions, positive powers).  On J(k), the
+  endomorphisms of depth at least k, the level-k cochain is additive:
+  tau(f g) = tau(f) + tau(g) and tau(f^e) = e tau(f) (Johnson 1980; Morita
+  1993).  So when every leaf of the tree has depth at least k, and the
+  tree counts at most MAX_EXPONENT leaves, the cochain is the
+  multiplicity-weighted sum of the leaves' cochains, each read off one
+  Magnus expansion per generator at degree k+1, and no composed word is
+  written.  Otherwise the word route builds the element and reads its
+  cochain the same way.  A nonzero cochain fixes the depth at k; only a
+  vanishing one has the depth read at the job truncation.  The cochain is
+  then contracted.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
@@ -31,9 +38,10 @@ from typing import NamedTuple
 from .contract import ContractionSpec, psi_matrix
 from .errors import JobError
 from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
-from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, bp_tau, cochain_from_wedge3,
-                      depth_and_tau, tau_on_H)
+from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, _expansion, bp_tau,
+                      cochain_from_wedge3, depth_and_tau, filtration_depth, tau_on_H)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
+from .tensors import TruncatedTensor, _sum_terms
 from .words import (MAX_WORD_LETTERS, FreeEndomorphism, compose_endos, inner_automorphism,
                     parse_word, sep_twist)
 
@@ -107,9 +115,13 @@ def parse_hvector(obj, genus: int, *, what: str = "vector") -> HVector:
 # job parsing
 # ---------------------------------------------------------------------------
 
-# With MAX_WORD_LETTERS, the cap on the letters one composition may write into
-# an image, this cap on power exponents keeps the pi1 build finite; both admit
-# the largest benchmark case (exponent 80, 17 x 1289 letters) about threefold.
+# This cap on power exponents also caps the leaves a pi1 tree may count (each
+# power multiplies its base's count) for its cochain to be summed from the
+# leaves', so it bounds the sum's coefficients at 256 times a leaf's.  A tree
+# that counts more, or has a leaf of depth below k, takes the word route, where
+# MAX_WORD_LETTERS, the cap on the letters one composition may write into an
+# image, keeps the build finite; both caps admit the largest benchmark case
+# (exponent 80, 17 x 1289 letters on the word route) about threefold.
 MAX_EXPONENT = 256
 # Only an element whose level-k cochain vanishes is expanded at the truncation:
 # a genus-2 twist at truncation 24 took 0.39 s at k=1, 0.001 s at k=2 (2-core
@@ -478,9 +490,70 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+def _leaf_counts(node, times: int, counts: dict) -> None:
+    """Add `times` times the multiplicity of each leaf of `node` to `counts`, in tree order."""
+    if isinstance(node, FreeEndomorphism):
+        counts[node] = counts.get(node, 0) + times
+        return
+    for f in node.factors:
+        _leaf_counts(f, times * node.exponent, counts)
+
+
+def _leaf_tau(f: FreeEndomorphism, k: int) -> list[dict] | None:
+    """The term dicts of f's level-k cochain, or None when f has depth below k.
+
+    The generators are expanded at k+1 shortest image first, so a leaf of low
+    depth is usually declined after one short expansion.  Each dict keeps the
+    empty word's coefficient 1 next to the degree-(k+1) terms.
+    """
+    images = [None] * len(f.images)
+    for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])):
+        terms = _expansion(f, i, k + 1).terms
+        if any(0 < len(w) <= k for w in terms):
+            return None
+        images[i] = terms
+    return images
+
+
+def _additive_tau(job: Job) -> JohnsonCochain | None:
+    """The level-k cochain of a pi1 element summed over the leaves of its tree, or None.
+
+    On J(k) the cochain is a homomorphism, so each leaf contributes its own
+    cochain times the number of times the tree composes it.  None when the
+    tree counts more than MAX_EXPONENT leaves, or at the first leaf, in tree
+    order, whose depth is below k.
+    """
+    counts: dict = {}
+    _leaf_counts(job.element, 1, counts)
+    if sum(counts.values()) > MAX_EXPONENT:
+        return None
+    taus = []
+    for leaf, times in counts.items():
+        images = _leaf_tau(leaf, job.k)
+        if images is None:
+            return None
+        taus.append((times, images))
+    weight = job.k + 1
+    return JohnsonCochain(job.genus, weight, tuple(
+        TruncatedTensor(job.genus, weight, _sum_terms(
+            (w, times * c) for times, images in taus for w, c in images[i].items() if w))
+        for i in range(2 * job.genus)))
+
+
 def _pi1_cochain(job: Job) -> tuple[DepthResult, JohnsonCochain]:
-    """Build the pi1 element, verify its depth, and extract the level-k cochain."""
-    return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
+    """The depth and the level-k cochain of the pi1 element, additively when it can be.
+
+    When the additive route declines, the element is built and expanded as a
+    whole.  A nonzero sum fixes the depth at k.  A vanishing one leaves the
+    depth to be read on the built element at the truncation, as the word
+    route would read it after its own expansion at k+1.
+    """
+    tau = _additive_tau(job)
+    if tau is None:
+        return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
+    if tau.is_zero():
+        return filtration_depth(build_endomorphism(job.element), job.truncation - 1), tau
+    return DepthResult(job.k, exact=True), tau
 
 
 def run_tau(job: Job):

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import shutil
@@ -146,6 +147,11 @@ def hostile_documents() -> dict[str, str]:
             "op": "power", "base": twist["element"], "exponent": 10**12}),
         "power-nested": dict(twist, element={"op": "power", "exponent": 40, "base": {
             "op": "power", "base": twist["element"], "exponent": 40}}),
+        # 5^4 = 625 leaves, over the 256 that are summed, so the word route
+        # builds it, and its letter cap stops the build of T^125 from T^25
+        "power-nested-4-deep": dict(twist, element=functools.reduce(
+            lambda base, _: {"op": "power", "base": base, "exponent": 5}, range(4),
+            twist["element"])),
         "word-exponent-huge": dict(twist, element={"op": "inner", "word": "a1^1000000000000"}),
         # refused by the length cap; without it, parse_job multiplied out one
         # matrix per class (1000 random classes at genus 12: 5.2 s, 2-core x86 VM)

@@ -11,7 +11,7 @@ from psicert.fixtures import bundled_dir
 from psicert.jobs import (canonical_json, load_job, parse_hvector, parse_job, parse_matrix,
                           run_job)
 from psicert.polylab import IntPolynomial
-from psicert.words import MAX_WORD_LETTERS
+from psicert.words import MAX_WORD_LETTERS, sep_twist
 
 
 def base_job(**over):
@@ -208,11 +208,29 @@ class TestValidation:
                 parse_job(base_job(k=k))
 
     def test_image_letters_capped(self):
-        # t^40 has 321-letter images, so t^40 after t^40 could write 321^2 letters
-        t40 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 40}
-        job = parse_job(base_job(element={"op": "compose", "factors": [t40, t40]}))
-        with pytest.raises(JobError, match="letters"):
+        # inner(w) has depth 1 < k = 2, so the tree takes the word route; with
+        # |w| = 4, w^40 x w^-40 has 321 letters, so i^40 after i^40 could write
+        # 321^2 letters
+        i40 = {"op": "power", "base": {"op": "inner", "word": "a1 b1 a2 b2"}, "exponent": 40}
+        job = parse_job(base_job(element={"op": "compose", "factors": [i40, i40]}))
+        message = f"a composition could write {321 * 321} letters, cap {MAX_WORD_LETTERS}"
+        with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
             run_job(job)
+
+    def test_twist_powers_sum_past_the_letter_cap(self):
+        # t^40 after t^40 could write 321^2 letters, but it counts 80 leaves of
+        # depth k, so its cochain is 80 tau(t) and no composed word is written
+        t40 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 40}
+        report = run_job(parse_job(base_job(element={"op": "compose", "factors": [t40, t40]})))
+        assert report.tau == johnson.tau_on_H(sep_twist(2, 1), 2).scale(80)
+        assert report.observed_depth == johnson.DepthResult(2, exact=True)
+
+    def test_twist_powers_same_report_on_both_routes(self, monkeypatch):
+        t20 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 20}
+        job = parse_job(base_job(element={"op": "compose", "factors": [t20, t20]}))
+        additive = run_job(job).to_json()
+        monkeypatch.setattr(jobs, "_additive_tau", lambda job: None)
+        assert run_job(job).to_json() == additive
 
     def test_power_admission_boundary(self):
         # inner(w) with |w| = 120 has 241-letter images and its square 481-letter
@@ -302,19 +320,27 @@ class TestWorkDoneOnce:
         run_job(parse_job(doc))
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("k, truncations", [
-        pytest.param(2, [3] * 6, id="2"),
-        # the level-1 cochain of a product of twists vanishes, so the depth is
-        # read again at the default truncation 2k+2
-        pytest.param(1, [2] * 6 + [4] * 6, id="1")])
-    def test_one_expansion_per_generator(self, monkeypatch, k, truncations):
-        calls = []
+    @pytest.mark.parametrize("k, calls", [
+        # each twist is a leaf of depth 2, expanded at k+1 shortest image first
+        # (as (truncation, letters of f(x) x^-1)): the generators each twist
+        # fixes, then the ones it conjugates, T_1's b1 image before its a1 image
+        pytest.param(2, [(3, 0)] * 4 + [(3, 8), (3, 10)] + [(3, 0)] * 2
+                     + [(3, 16), (3, 18), (3, 18), (3, 18)], id="2"),
+        # the level-1 cochains of the twists vanish, so the depth is read at
+        # the default truncation 2k+2 on the composite (T_1 after T_2), which
+        # is not expanded again at k+1
+        pytest.param(1, [(2, 0)] * 4 + [(2, 8), (2, 10)] + [(2, 0)] * 2
+                     + [(2, 16), (2, 18), (2, 18), (2, 18)]
+                     + [(4, 26), (4, 24), (4, 18), (4, 16), (4, 0), (4, 0)], id="1")])
+    def test_one_expansion_per_generator(self, monkeypatch, k, calls):
+        made = []
         real = johnson.magnus_expand
-        monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(t) or real(w, t))
+        monkeypatch.setattr(johnson, "magnus_expand",
+                            lambda w, t: made.append((t, len(w))) or real(w, t))
         doc = base_job(genus=3, k=k, element={"op": "compose", "factors": [
             {"op": "sep_twist", "index": 1}, {"op": "sep_twist", "index": 2}]})
         run_job(parse_job(doc))
-        assert calls == truncations
+        assert made == calls
 
     @pytest.mark.parametrize("name, indices", [
         ("genus5-positive", [1, 2, 3, 1, 2]), ("genus2-negative", [1, 1])])

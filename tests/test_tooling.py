@@ -16,8 +16,9 @@ and shows that metric better on that workload.  The characteristic polynomial
 of every seed-1 polynomial case equals the Berkowitz oracle's, and each of its
 Hensel lifts equals the linear lifting oracle's, and each recombination gives
 the factors of the constant-term walk.  Every seed-1
-pi1 job has depth exactly k and expands its generators at k+1 only, so a
-change that makes the benchmark pay for the job truncation fails here.  The Layout
+pi1 job has depth exactly k and makes a pinned number of expansions, all at
+k+1, so a change that makes the benchmark pay for the job truncation, or
+leaves the additive route on a family that takes it, fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
 """
 import ast
@@ -108,8 +109,14 @@ def test_report_digests_pinned():
 @pytest.mark.parametrize("workload", ["twist-ladder", "odd-level"])
 def test_pi1_jobs_expand_at_k_plus_one_only(workload, monkeypatch):
     """Every seed-1 pi1 job has depth exactly k, so it never pays for its
-    truncation: each generator is expanded once, at k+1."""
+    truncation: every expansion is at k+1.  The additive route expands each
+    generator of each distinct leaf once: a single twist or custom
+    endomorphism, or T_2 and T_1 for a power of T_2 after T_1.  A conjugated
+    case expands its T_1 leaf, declines at the first generator of its inner
+    factor (depth 1 < k), and then expands the composite on the word route."""
     workloads = load_bench_module("workloads")
+    # passes over the 2g generators: one per summed leaf, or T_1 and the composite
+    passes = {"genus": 1, "fixture": 1, "custom-k3": 1, "power": 2, "conjugated": 2}
     real = johnson.magnus_expand
     calls = []
     monkeypatch.setattr(johnson, "magnus_expand", lambda w, t: calls.append(t) or real(w, t))
@@ -121,7 +128,9 @@ def test_pi1_jobs_expand_at_k_plus_one_only(workload, monkeypatch):
         job = parse_job(case["input"])
         report = run_job(job)
         assert report.observed_depth == DepthResult(job.k, exact=True), case["id"]
-        assert calls == [job.k + 1] * (2 * job.genus), case["id"]
+        family = case["id"].split("/")[0]
+        expected = 2 * job.genus * passes[family] + (family == "conjugated")
+        assert calls == [job.k + 1] * expected, case["id"]
         checked += 1
     assert checked == {"twist-ladder": 28, "odd-level": 4}[workload]
 
