@@ -19,7 +19,8 @@ import tempfile
 
 from .errors import DepthError, FixtureError, JobError
 from .fixtures import verify_fixtures
-from .jobs import Job, SCHEMA_VERSION, canonical_json, load_job, parse_matrix, run_job, run_tau
+from .jobs import (Job, SCHEMA_VERSION, canonical_json, load_job, parse_matrix, read_json,
+                   run_job, run_tau)
 from .polylab import charpoly
 
 EXIT_OK = 0
@@ -65,8 +66,7 @@ def _load_job(args) -> Job:
     if args.truncation is not None:
         options["truncation"] = args.truncation
     if getattr(args, "contraction_spec", None):
-        with open(args.contraction_spec, "r", encoding="utf-8") as fh:
-            options["contraction_spec"] = json.load(fh)
+        options["contraction_spec"] = read_json(args.contraction_spec)
     return load_job(args.job, options)
 
 
@@ -88,12 +88,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_charpoly(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise JobError(f"invalid JSON in {args.matrix}: {exc}") from None
-    m = parse_matrix(doc)
+    m = parse_matrix(read_json(args.matrix))
     chi = charpoly(m)
     obj = {"schema": SCHEMA_VERSION, "charpoly": chi.to_json_obj()}
     _write_output(canonical_json(obj), args.out)

@@ -5,17 +5,11 @@ invariant matrix:
 
 * ``pi1``: the element is an expression tree of free-group endomorphisms
   (built-in separating twists, inner automorphisms, user-supplied custom
-  endomorphisms, compositions, positive powers).  On J(k), the
-  endomorphisms of depth at least k, the level-k cochain is additive:
-  tau(f g) = tau(f) + tau(g) and tau(f^e) = e tau(f) (Johnson 1980; Morita
-  1993).  So when every leaf of the tree has depth at least k, and the
-  tree counts at most MAX_EXPONENT leaves, the cochain is the
-  multiplicity-weighted sum of the leaves' cochains, each read off one
-  Magnus expansion per generator at degree k+1, and no composed word is
-  written.  Otherwise the word route builds the element and reads its
-  cochain the same way.  A nonzero cochain fixes the depth at k; only a
-  vanishing one has the depth read at the job truncation.  The cochain is
-  then contracted.
+  endomorphisms, compositions, positive powers).  Its depth and level-k
+  cochain come from `johnson.additive_tau` over the leaves, each counted
+  as often as the tree composes it.  When the tree counts more than
+  MAX_EXPONENT leaves, or a leaf has depth below k, the element is built
+  and counted as one leaf.  The cochain is then contracted.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
@@ -38,10 +32,9 @@ from typing import NamedTuple
 from .contract import ContractionSpec, psi_matrix
 from .errors import JobError
 from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
-from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, _expansion, bp_tau,
-                      cochain_from_wedge3, depth_and_tau, filtration_depth, tau_on_H)
+from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
+                      cochain_from_wedge3, depth_and_tau, depth_of_sum, tau_on_H)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
-from .tensors import TruncatedTensor, _sum_terms
 from .words import (MAX_WORD_LETTERS, FreeEndomorphism, compose_endos, inner_automorphism,
                     parse_word, sep_twist)
 
@@ -250,17 +243,22 @@ def parse_job(obj: dict) -> Job:
                contraction)
 
 
+def read_json(path):
+    """The JSON document in the file at `path`; JobError naming the file if it is not JSON."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise JobError(f"invalid JSON in {path}: {exc}") from None
+
+
 def load_job(path, options: dict | None = None) -> Job:
     """Read and parse the job document at `path`.
 
     Entries of `options` replace the document's own options of the same
     name (the command line's overrides).
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise JobError(f"invalid JSON in {path}: {exc}") from None
+    doc = read_json(path)
     if options and isinstance(doc, dict):
         own = doc.get("options", {})
         if not isinstance(own, dict):
@@ -499,61 +497,20 @@ def _leaf_counts(node, times: int, counts: dict) -> None:
         _leaf_counts(f, times * node.exponent, counts)
 
 
-def _leaf_tau(f: FreeEndomorphism, k: int) -> list[dict] | None:
-    """The term dicts of f's level-k cochain, or None when f has depth below k.
+def _pi1_cochain(job: Job) -> tuple[DepthResult, JohnsonCochain]:
+    """The depth and the level-k cochain of the pi1 element, summed over its leaves when it can be.
 
-    The generators are expanded at k+1 shortest image first, so a leaf of low
-    depth is usually declined after one short expansion.  Each dict keeps the
-    empty word's coefficient 1 next to the degree-(k+1) terms.
-    """
-    images = [None] * len(f.images)
-    for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])):
-        terms = _expansion(f, i, k + 1).terms
-        if any(0 < len(w) <= k for w in terms):
-            return None
-        images[i] = terms
-    return images
-
-
-def _additive_tau(job: Job) -> JohnsonCochain | None:
-    """The level-k cochain of a pi1 element summed over the leaves of its tree, or None.
-
-    On J(k) the cochain is a homomorphism, so each leaf contributes its own
-    cochain times the number of times the tree composes it.  None when the
-    tree counts more than MAX_EXPONENT leaves, or at the first leaf, in tree
-    order, whose depth is below k.
+    When the tree counts more than MAX_EXPONENT leaves, or has a leaf of
+    depth below k, the element is built and summed as one leaf.
     """
     counts: dict = {}
     _leaf_counts(job.element, 1, counts)
-    if sum(counts.values()) > MAX_EXPONENT:
-        return None
-    taus = []
-    for leaf, times in counts.items():
-        images = _leaf_tau(leaf, job.k)
-        if images is None:
-            return None
-        taus.append((times, images))
-    weight = job.k + 1
-    return JohnsonCochain(job.genus, weight, tuple(
-        TruncatedTensor(job.genus, weight, _sum_terms(
-            (w, times * c) for times, images in taus for w, c in images[i].items() if w))
-        for i in range(2 * job.genus)))
-
-
-def _pi1_cochain(job: Job) -> tuple[DepthResult, JohnsonCochain]:
-    """The depth and the level-k cochain of the pi1 element, additively when it can be.
-
-    When the additive route declines, the element is built and expanded as a
-    whole.  A nonzero sum fixes the depth at k.  A vanishing one leaves the
-    depth to be read on the built element at the truncation, as the word
-    route would read it after its own expansion at k+1.
-    """
-    tau = _additive_tau(job)
-    if tau is None:
-        return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
-    if tau.is_zero():
-        return filtration_depth(build_endomorphism(job.element), job.truncation - 1), tau
-    return DepthResult(job.k, exact=True), tau
+    if sum(counts.values()) <= MAX_EXPONENT:
+        tau = additive_tau(counts, job.k)
+        if tau is not None:
+            return depth_of_sum(tau, job.k, job.truncation,
+                                lambda: build_endomorphism(job.element)), tau
+    return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
 
 
 def run_tau(job: Job):

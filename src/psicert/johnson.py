@@ -7,6 +7,14 @@ is the degree-(k+1) graded part of the Magnus expansion of f(x) x^{-1}.
 The cochain extends uniquely to a derivation of the tensor algebra, which
 is how the squared invariant (needed at odd levels) is computed.
 
+On J(k), the endomorphisms of depth at least k, the cochain is additive
+(Johnson 1980; Morita 1993).  `additive_tau` sums it over the factors of a
+composite, each expanded once per generator at degree k+1, and declines at
+the first term of lower degree.  A nonzero sum fixes the depth at k, a
+vanishing one at truncation k+1 bounds it below by k, and only otherwise is
+the composite built and expanded at the truncation (`depth_of_sum`).
+`depth_and_tau` is this rule over one endomorphism.
+
 Weight-2 cochains can also be built directly from trivector data: the class
 u ^ v ^ w acts by x -> <u,x>[v,w] + <v,x>[w,u] + <w,x>[u,v], extended
 linearly (the sign and scale of this identification are pinned by the
@@ -18,8 +26,7 @@ from dataclasses import dataclass
 
 from .errors import DepthError, GenusMismatchError, TruncationError, _same_genus
 from .homology import HVector, intersection
-from .tensors import (TruncatedTensor, _sum_terms, dynkin_is_lie, graded_part, lie_bracket,
-                      magnus_expand)
+from .tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, lie_bracket, magnus_expand
 from .words import FreeEndomorphism, generator
 
 
@@ -123,24 +130,57 @@ def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
     return depth_and_tau(f, k, k + 1)[1]
 
 
-def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
-    """filtration_depth(f, truncation - 1) and tau_on_H(f, k); DepthError if the depth is below k.
+def additive_tau(counts: dict, k: int, declined=lambda low, rest: None) -> JohnsonCochain | None:
+    """The level-k cochain of a composite, summed over `counts`, each factor's multiplicity.
 
-    Each generator is expanded once at k+1 <= truncation, where the cochain
-    is exact and a nonzero term fixes the depth; only when every expansion
-    vanishes through k+1 is the depth read again at the truncation.
+    The generators are expanded shortest image first.  At the first nonzero
+    term of degree low <= k, declined(low, rest) is returned, `rest` yielding
+    that factor's remaining (basis index, terms) pairs.
+    """
+    weight, summands = k + 1, []
+    for f, times in counts.items():
+        images = [None] * len(f.images)
+        rest = ((i, _expansion(f, i, weight).terms)
+                for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])))
+        for i, terms in rest:
+            low = min(map(len, filter(None, terms)), default=weight)
+            if low <= k:
+                return declined(low, rest)
+            images[i] = terms
+        summands.append((times, images))
+    genus = next(iter(counts)).genus
+    return JohnsonCochain(genus, weight, tuple(
+        TruncatedTensor(genus, weight, _sum_terms(
+            (w, times * c) for times, images in summands for w, c in images[i].items() if w))
+        for i in range(2 * genus)))
+
+
+def depth_of_sum(tau: JohnsonCochain, k: int, truncation: int, build) -> DepthResult:
+    """Depth of the element build() returns, whose level-k cochain additive_tau summed to `tau`."""
+    if not tau.is_zero():
+        return DepthResult(k, exact=True)
+    if truncation == k + 1:
+        return DepthResult(k, exact=False)
+    return filtration_depth(build(), truncation - 1)
+
+
+def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
+    """filtration_depth(f, truncation - 1) and tau_on_H(f, k): additive_tau over f alone.
+
+    DepthError if the depth is below k; its exact value is read off the
+    declined expansion and those of the generators not yet expanded.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
-    expansions = [_expansion(f, i, k + 1) for i in range(len(f.images))]
-    depth = _depth(expansions, k)
-    if not depth.exact and truncation > k + 1:
-        depth = filtration_depth(f, truncation - 1)
-    if depth.value < k:
+
+    def declined(low, rest):
+        depth = min([low, *(len(w) for _, terms in rest for w in terms if w)]) - 1
         raise DepthError(
             f"element has filtration depth {depth} < k = {k}; the level-{k} "
             "invariant is undefined")
-    return depth, JohnsonCochain(f.genus, k + 1, tuple(graded_part(e, k + 1) for e in expansions))
+
+    tau = additive_tau({f: 1}, k, declined)
+    return depth_of_sum(tau, k, truncation, lambda: f), tau
 
 
 def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:

@@ -58,6 +58,18 @@ class TestCertify:
         path.write_text("{not json")
         assert main(["certify", "--job", str(path)]) == 2
 
+    @pytest.mark.parametrize("flag", ["--job", "--contraction-spec", "--matrix"])
+    def test_bad_json_names_the_file(self, tmp_path, capsys, flag):
+        broken = tmp_path / "broken.json"
+        broken.write_text("")
+        args = {"--job": ["certify", "--job", str(broken)],
+                "--contraction-spec": ["certify", "--job", write_job(tmp_path, twist_job()),
+                                       "--contraction-spec", str(broken)],
+                "--matrix": ["charpoly", "--matrix", str(broken)]}[flag]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid JSON in {broken}: Expecting value: line 1 column 1 (char 0)\n")
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["certify", "--job", str(tmp_path / "absent.json")]) == 2
 

@@ -229,7 +229,7 @@ class TestValidation:
         t20 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 20}
         job = parse_job(base_job(element={"op": "compose", "factors": [t20, t20]}))
         additive = run_job(job).to_json()
-        monkeypatch.setattr(jobs, "_additive_tau", lambda job: None)
+        monkeypatch.setattr(jobs, "additive_tau", lambda counts, k: None)
         assert run_job(job).to_json() == additive
 
     def test_power_admission_boundary(self):

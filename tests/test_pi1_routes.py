@@ -16,11 +16,13 @@ from collections import Counter
 
 import pytest
 
+from checks import exact_length_word
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.jobs import parse_job, run_job
 from psicert.johnson import depth_and_tau
-from psicert.words import commutator, format_word, generator, sep_twist, sep_twist_gamma
+from psicert.words import (MAX_WORD_LETTERS, commutator, compose_endos, format_word, generator,
+                           inner_automorphism, sep_twist, sep_twist_gamma)
 
 
 def job_doc(genus, k, element, truncation=None):
@@ -43,10 +45,13 @@ def outcome(job):
         return type(exc).__name__, str(exc)
 
 
-def both_routes(job, monkeypatch):
+def both_routes(job, monkeypatch, letters=MAX_WORD_LETTERS):
+    """The outcomes of the additive route and of the word route, the latter
+    building compositions of up to `letters` letters."""
     additive = outcome(job)
     with monkeypatch.context() as patch:
         patch.setattr(jobs, "_pi1_cochain", word_route)
+        patch.setattr(jobs, "MAX_WORD_LETTERS", letters)
         return additive, outcome(job)
 
 
@@ -114,7 +119,10 @@ def to_element(tree, pairs, mirror=False):
 
 def seeded_cases():
     """At each genus and k: a tree over leaves of depth at least k, one composed with
-    its mirror, one with a leaf of depth below k, and one over all leaves."""
+    its mirror, one with a leaf of depth below k, and one over all leaves.
+
+    A vanishing sum at truncation k+1 fixes the depth without building the
+    element, so its word route is given four times the letter cap."""
     cases = []
     for genus in range(2, 7):
         for k in (1, 2, 3):
@@ -130,15 +138,18 @@ def seeded_cases():
                 if shape == "vanishing":
                     element = {"op": "compose",
                                "factors": [element, to_element(tree, pairs, mirror=True)]}
-                cases.append(pytest.param(genus, k, element, rng.choice((k + 1, k + 2)),
+                truncation = rng.choice((k + 1, k + 2))
+                unbuilt = shape == "vanishing" and truncation == k + 1
+                cases.append(pytest.param(genus, k, element, truncation,
+                                          MAX_WORD_LETTERS * (4 if unbuilt else 1),
                                           id=f"g{genus}-k{k}-{shape}"))
     return cases
 
 
-@pytest.mark.parametrize("genus, k, element, truncation", seeded_cases())
-def test_routes_agree_on_seeded_trees(monkeypatch, genus, k, element, truncation):
+@pytest.mark.parametrize("genus, k, element, truncation, letters", seeded_cases())
+def test_routes_agree_on_seeded_trees(monkeypatch, genus, k, element, truncation, letters):
     job = parse_job(job_doc(genus, k, element, truncation))
-    additive, word = both_routes(job, monkeypatch)
+    additive, word = both_routes(job, monkeypatch, letters)
     assert additive == word
 
 
@@ -147,12 +158,13 @@ def test_seeded_trees_take_every_path():
     leaf, each several times, and some compose a leaf more than once."""
     paths, repeated = Counter(), 0
     for case in seeded_cases():
-        genus, k, element, truncation = case.values
+        genus, k, element, truncation, _ = case.values
         job = parse_job(job_doc(genus, k, element, truncation))
-        tau = jobs._additive_tau(job)
-        paths["declined" if tau is None else "zero" if tau.is_zero() else "sum"] += 1
         counts = {}
         jobs._leaf_counts(job.element, 1, counts)
+        assert sum(counts.values()) <= jobs.MAX_EXPONENT
+        tau = johnson.additive_tau(counts, job.k)
+        paths["declined" if tau is None else "zero" if tau.is_zero() else "sum"] += 1
         repeated += max(counts.values()) > 1
     assert min(paths["sum"], paths["zero"], paths["declined"]) >= 12, paths
     assert repeated >= 12
@@ -229,3 +241,43 @@ def test_power_ladder_costs_the_same_at_every_exponent(monkeypatch):
     report = run_job(parse_job(job_doc(3, 2, power(t2, 256))))
     assert report.tau == tau2.scale(256)
     assert made == ladder[20][:6]
+
+
+def record_expansions(monkeypatch):
+    """The (truncation, letters) of every Magnus expansion made from here on."""
+    made = []
+    real = johnson.magnus_expand
+    monkeypatch.setattr(johnson, "magnus_expand",
+                        lambda w, t: made.append((t, len(w))) or real(w, t))
+    return made
+
+
+def test_vanishing_sum_at_k_plus_one_builds_nothing(monkeypatch):
+    """At k=1 the twist's cochain vanishes, so at truncation k+1 the sum over
+    T^40 after T^40 bounds the depth below by k without building the element,
+    whose compositions the letter cap would refuse."""
+    made = record_expansions(monkeypatch)
+    report = run_job(parse_job(job_doc(2, 1, compose(power(T, 40), power(T, 40)), 2)))
+    assert report.to_json_obj()["observed_depth"] == {"value": 1, "exact": False}
+    assert report.tau.is_zero()
+    assert made == [(2, 0), (2, 0), (2, 8), (2, 10)]
+
+
+def test_depth_error_expands_each_generator_once_per_pass(monkeypatch):
+    """T_1 after inner(w), |w| = 20, at k=2: the twist leaf is expanded once per
+    generator and the inner leaf declines after one expansion; the composite
+    is then expanded once per generator, and its exact depth read off those."""
+    genus, k = 3, 2
+    w = exact_length_word(random.Random(20), genus, 20)
+    made = record_expansions(monkeypatch)
+    with pytest.raises(DepthError, match="depth 1 < k = 2"):
+        run_job(parse_job(job_doc(genus, k, compose(T, {"op": "inner", "word": format_word(w)}),
+                                  4)))
+
+    def letters(f):
+        return sorted((k + 1, len(x * generator(genus, i + 1, -1))) for i, x in enumerate(f.images))
+
+    twist, inner = sep_twist(genus, 1), inner_automorphism(w)
+    assert made[:2 * genus] == letters(twist)
+    assert made[2 * genus] == min(letters(inner))
+    assert sorted(made[2 * genus + 1:]) == letters(compose_endos(twist, inner))
