@@ -57,6 +57,20 @@ def phi_contract(t: TruncatedTensor, spec: ContractionSpec) -> HVector:
     return HVector(t.genus, tuple(coords))
 
 
+def level_spec(k: int, spec: ContractionSpec | None = None) -> ContractionSpec:
+    """The contraction at level k: `spec`, or by default consecutive pairs.
+
+    Its arity is the degree contracted, k+1 at even k and 2k+1 at odd k;
+    ValueError if `spec` has another.
+    """
+    arity = k + 1 if k % 2 == 0 else 2 * k + 1
+    if spec is None:
+        return ContractionSpec.default(arity)
+    if spec.arity != arity:
+        raise ValueError(f"contraction spec arity {spec.arity} does not match degree {arity}")
+    return spec
+
+
 def psi_matrix(c: JohnsonCochain, k: int, spec: ContractionSpec | None = None) -> IntMatrix:
     """The level-k invariant matrix of a cochain of weight k+1.
 
@@ -68,11 +82,7 @@ def psi_matrix(c: JohnsonCochain, k: int, spec: ContractionSpec | None = None) -
         raise ValueError("level k must be at least 1")
     if c.weight != k + 1:
         raise ValueError(f"cochain weight {c.weight} does not match level {k} (need {k + 1})")
+    spec = level_spec(k, spec)
     target = c if k % 2 == 0 else tau_squared(c)
-    arity = k + 1 if k % 2 == 0 else 2 * k + 1
-    if spec is None:
-        spec = ContractionSpec.default(arity)
-    if spec.arity != arity:
-        raise ValueError(f"contraction spec arity {spec.arity} does not match degree {arity}")
     cols = [phi_contract(img, spec).coords for img in target.images]
     return IntMatrix.from_columns(cols)

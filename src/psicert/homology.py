@@ -320,12 +320,22 @@ def symplectic_form(genus: int) -> IntMatrix:
     return IntMatrix.from_rows([[symbol_intersection(p + 1, q + 1) for q in range(n)] for p in range(n)])
 
 
-def sp_check(m: IntMatrix) -> bool:
-    """True iff m preserves the intersection form: m^T J m = J."""
-    if m.dimension % 2:
+def _minus_j_transpose_j(s: IntMatrix) -> IntMatrix:
+    """-J s^T J, read off by index: entry (p, q) is s[q^1][p^1], negated when p
+    and q differ in parity."""
+    if s.dimension % 2:
         raise ValueError("symplectic matrices have even dimension")
-    j = symplectic_form(m.dimension // 2)
-    return m.transpose() * j * m == j
+    rows, n = s.rows, s.dimension
+    return IntMatrix(tuple(tuple(rows[q ^ 1][p ^ 1] if (p ^ q) & 1 == 0 else -rows[q ^ 1][p ^ 1]
+                                 for q in range(n)) for p in range(n)))
+
+
+def sp_check(m: IntMatrix) -> bool:
+    """True iff m preserves the intersection form: m^T J m = J.
+
+    That holds exactly when m (-J m^T J) = I, which one product tests.
+    """
+    return m * _minus_j_transpose_j(m) == IntMatrix.identity(m.dimension)
 
 
 def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
@@ -341,14 +351,9 @@ def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
 
 
 def symplectic_inverse(s: IntMatrix) -> IntMatrix:
-    """-J s^T J, the inverse of a symplectic s; ValueError when s is not symplectic.
-
-    s (-J s^T J) = I holds exactly when s^T J s = J, which the product checks.
-    """
-    if s.dimension % 2:
-        raise ValueError("symplectic matrices have even dimension")
-    j = symplectic_form(s.dimension // 2)
-    inv = -(j * s.transpose() * j)
+    """-J s^T J, the inverse of a symplectic s; ValueError when s is not symplectic,
+    tested as in `sp_check`."""
+    inv = _minus_j_transpose_j(s)
     if s * inv != IntMatrix.identity(s.dimension):
         raise ValueError("matrix is not symplectic")
     return inv

@@ -27,9 +27,10 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple
 
-from .contract import ContractionSpec, psi_matrix
+from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
 from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
@@ -143,6 +144,12 @@ MAX_CONJUGATOR_BITS = 16
 # reach 60 rows and 58-bit entries; a conjugator is 2g x 2g.
 MAX_MATRIX_DIMENSION = 2 * MAX_GENUS
 MAX_MATRIX_BITS = 64
+# A homology element may have this many nodes: sums, conjugates and atoms
+# together.  Each conjugate costs four 2g x 2g products, one to check the
+# conjugator at parse and three to invert it and conjugate.  At genus 36 on a
+# 2-core x86 VM, 31 nested conjugates took 0.41 s to parse and 1.08 s to run,
+# a sum of 15 conjugated atoms 0.20 s and 0.54 s.  The fixtures reach 8 nodes.
+MAX_HOMOLOGY_NODES = 32
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -235,20 +242,25 @@ def parse_job(obj: dict) -> Job:
                        "(the default is k+2, or 2k+2 at odd k)")
     contraction = options.get("contraction_spec")
     if contraction is not None:
-        contraction = _contraction_spec(contraction)
+        try:
+            contraction = level_spec(k, _contraction_spec(contraction))
+        except ValueError as exc:
+            raise JobError(str(exc)) from None
     if not isinstance(obj.get("name", ""), str):
         raise JobError(f"name must be a string, got {type(obj['name']).__name__}")
-    tree = _parse_pi1(element, genus) if pipeline == "pi1" else _parse_homology(element, genus, k)
+    tree = (_parse_pi1(element, genus) if pipeline == "pi1"
+            else _parse_homology(element, genus, k, count(1)))
     return Job(genus, k, pipeline, tree, obj.get("name"), divide_by, primes, truncation,
                contraction)
 
 
 def read_json(path):
-    """The JSON document in the file at `path`; JobError naming the file if it is not JSON."""
+    """The JSON document in the file at `path`; JobError naming the file if it is not
+    UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise JobError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -315,9 +327,13 @@ def _parse_pi1(node, genus: int):
     raise JobError(f"unknown pi1 op {op!r}")
 
 
-def _parse_homology(node, genus: int, k: int):
+def _parse_homology(node, genus: int, k: int, nodes):
+    """The node's tree; `nodes` counts the element's nodes as they are parsed, from 1."""
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
+    if next(nodes) > MAX_HOMOLOGY_NODES:
+        raise JobError(f"homology element has more than {MAX_HOMOLOGY_NODES} nodes "
+                       "(sums, conjugates and atoms)")
     if "sum" in node:
         terms = node["sum"]
         if not isinstance(terms, list) or not terms:
@@ -330,7 +346,7 @@ def _parse_homology(node, genus: int, k: int):
             if (not isinstance(t, dict) or type(t.get("sign")) is not int
                     or t["sign"] not in (1, -1) or "term" not in t):
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
-            parsed.append((t["sign"], _parse_homology(t["term"], genus, k)))
+            parsed.append((t["sign"], _parse_homology(t["term"], genus, k, nodes)))
         return Sum(tuple(parsed))
     if "conjugate" in node:
         if ("matrix" in node) == ("transvections" in node):
@@ -350,7 +366,7 @@ def _parse_homology(node, genus: int, k: int):
                 _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
         if not sp_check(s):
             raise JobError("non-symplectic conjugator matrix")
-        return Conjugate(_parse_homology(node["conjugate"], genus, k), s)
+        return Conjugate(_parse_homology(node["conjugate"], genus, k, nodes), s)
     atom = node.get("atom")
     if atom in ("wedge3", "bounding_pair") and k != 1:
         raise JobError(f"{atom} atoms define weight-2 data and require k = 1")

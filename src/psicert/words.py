@@ -10,10 +10,8 @@ A product of reduced words can cancel only at the seams between them: a
 product or an image is built by appending reduced blocks to a reduced list,
 and each seam cancels the longest suffix of the list that equals the same
 suffix of the block's inverse.  That test is monotone in the suffix length,
-so a search over list slices finds it, and the slices compare in C.  Every
-letter the package builds is the one canonical tuple for its (index,
-sign), made once in `_LETTERS`, so those comparisons short-cut on identity
-and words share their letters instead of each holding copies.
+so a doubling-and-halving search over list slices finds it, and the slices
+compare in C.
 
 Text syntax: whitespace-separated tokens `a3`, `b1^-1`, with any nonzero
 integer exponent allowed after `^`.
@@ -23,7 +21,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import eq
 
 from .errors import GenusMismatchError, _same_genus
 
@@ -35,35 +32,9 @@ _TOKEN = re.compile(r"([ab])([0-9]+)(?:\^(-?[0-9]+))?$")
 MAX_WORD_LETTERS = 1 << 16
 
 
-class _Letters(dict):
-    """(index, sign) -> the canonical tuple for that letter, made on first use.
-
-    A key's value never changes, so every caller may share the table.  A key
-    that is not a pair of ints (say a bool sign from a caller) is returned as
-    given and not kept, so it never becomes the canonical letter.
-    """
-
-    def __missing__(self, key):
-        if type(key[0]) is int and type(key[1]) is int:
-            self[key] = key
-        return key
-
-
-class _Inverses(dict):
-    """letter -> the canonical letter of its inverse, made on first use."""
-
-    def __missing__(self, letter):
-        inverse = self[letter] = _LETTERS[letter[0], -letter[1]]
-        return inverse
-
-
-_LETTERS = _Letters()
-_INVERSE = _Inverses()
-
-
 def _inverse_list(letters) -> list[Letter]:
     """The letters of a word's inverse."""
-    return list(map(_INVERSE.__getitem__, reversed(letters)))
+    return [(idx, -sign) for idx, sign in reversed(letters)]
 
 
 def _reduce_letters(letters) -> tuple[Letter, ...]:
@@ -72,7 +43,7 @@ def _reduce_letters(letters) -> tuple[Letter, ...]:
         if out and out[-1][0] == idx and out[-1][1] == -sign:
             out.pop()
         else:
-            out.append(_LETTERS[idx, sign])
+            out.append((idx, sign))
     return tuple(out)
 
 
@@ -112,24 +83,16 @@ class GroupWord:
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be positive")
-        letters, n = self.letters, 2 * self.genus
-        # the checks once per distinct letter, and in C per adjacent pair;
-        # the loop below only names the first fault
-        try:
-            if all(1 <= idx <= n and sign in (1, -1) for idx, sign in set(letters)) and not any(
-                    map(eq, letters[1:], map(_INVERSE.__getitem__, letters))):
-                return
-        except (TypeError, ValueError):
-            pass
-        prev = None
-        for idx, sign in letters:
+        n, prev = 2 * self.genus, (0, 0)
+        for letter in self.letters:
+            idx, sign = letter
             if not 1 <= idx <= n:
                 raise ValueError(f"generator index {idx} out of range for genus {self.genus}")
             if sign not in (1, -1):
                 raise ValueError(f"letter sign must be +-1, got {sign}")
-            if prev is not None and prev[0] == idx and prev[1] == -sign:
+            if prev[0] == idx and prev[1] == -sign:
                 raise ValueError("word is not freely reduced")
-            prev = (idx, sign)
+            prev = letter
 
     @staticmethod
     def identity(genus: int) -> "GroupWord":
@@ -152,7 +115,7 @@ class GroupWord:
 
 
 def generator(genus: int, index: int, sign: int = 1) -> GroupWord:
-    return GroupWord(genus, (_LETTERS[index, sign],))
+    return GroupWord(genus, ((index, sign),))
 
 
 def a_gen(genus: int, j: int) -> GroupWord:
@@ -233,8 +196,8 @@ class FreeEndomorphism:
         blocks = {}
         for i, w in enumerate(self.images, 1):
             image, inverse = list(w.letters), _inverse_list(w.letters)
-            blocks[_LETTERS[i, 1]] = image, inverse
-            blocks[_LETTERS[i, -1]] = inverse, image
+            blocks[i, 1] = image, inverse
+            blocks[i, -1] = inverse, image
         return blocks
 
 

@@ -69,6 +69,10 @@ class TestCertify:
         assert main(args) == 2
         assert capsys.readouterr().err == (
             f"error: invalid JSON in {broken}: Expecting value: line 1 column 1 (char 0)\n")
+        broken.write_bytes(b"\xff\xfe{}")
+        assert main(args) == 2
+        assert capsys.readouterr().err == (f"error: invalid JSON in {broken}: 'utf-8' codec "
+                                           "can't decode byte 0xff in position 0: invalid start byte\n")
 
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["certify", "--job", str(tmp_path / "absent.json")]) == 2
@@ -152,6 +156,9 @@ def hostile_documents() -> dict[str, str]:
             "pairs": [[True, 2]], "output": 3}}),
         "contraction-output-string": dict(twist, options={"contraction_spec": {
             "pairs": [[1, 2]], "output": "3"}}),
+        # arity 5 at k = 2, where the degree is 3: refused at parse, so by `tau` too
+        "contraction-arity-mismatch": dict(twist, options={"contraction_spec": {
+            "pairs": [[1, 2], [3, 4]], "output": 5}}),
         "primes-beyond-2-64": dict(twist, options={"primes": [2**64 + 13]}),
         # refused by the length cap; testing each entry took 21 s in parse_job (2-core x86 VM)
         "primes-repeated-10-5": dict(twist, options={"primes": [2**64 - 59] * 10**5}),
@@ -175,6 +182,10 @@ def hostile_documents() -> dict[str, str]:
         "conjugator-280-bits": dict(twist, genus=36, pipeline="homology", element={
             "conjugate": {"atom": "sep_twist", "index": 1},
             "transvections": [[rng.randint(-3, 3) for _ in range(72)] for _ in range(64)]}),
+        # refused by the node cap: 1 sum and 16 conjugated atoms
+        "homology-33-nodes": dict(twist, pipeline="homology", element={"sum": [
+            {"sign": 1, "term": {"conjugate": {"atom": "sep_twist", "index": 1},
+                                 "transvections": ["a1"]}}] * 16}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

@@ -320,6 +320,22 @@ class TestWorkDoneOnce:
         run_job(parse_job(doc))
         assert len(calls) == 1
 
+    def test_conjugate_costs_four_products(self, monkeypatch):
+        """One matrix product checks the conjugator at parse; at evaluation one
+        checks it again as it is inverted, and two conjugate."""
+        products = []
+        real = IntMatrix.__mul__
+        monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: (
+            products.append(a.dimension) if isinstance(b, IntMatrix) else None) or real(a, b))
+        doc = base_job(genus=3, pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "transvections": ["a1", [0, 1, 1, 0, 0, -1]],
+        })
+        job = parse_job(doc)
+        assert products == [6]
+        run_job(job)
+        assert products == [6] * 4
+
     @pytest.mark.parametrize("k, calls", [
         # each twist is a leaf of depth 2, expanded at k+1 shortest image first
         # (as (truncation, letters of f(x) x^-1)): the generators each twist

@@ -10,7 +10,8 @@ not only in a benchmark run.  The benchmark modules and `digests.json` are
 loaded from their files and only read: nothing is wrapped or written.  The
 benchmark's own test suite runs here too, in a subprocess, because it calls
 psicert names (aliases, module bindings) that no other test pins.  The
-package itself imports only the standard library.  Every committed
+package itself imports only the standard library, and each of its modules
+reads every name it imports.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
 of every seed-1 polynomial case equals the Berkowitz oracle's, and each of its
@@ -212,6 +213,25 @@ def test_package_imports_only_stdlib():
                 names.add(node.module.split(".")[0])
     assert len(names) >= 10
     assert sorted(names - sys.stdlib_module_names) == []
+
+
+def test_package_modules_use_every_import():
+    """Every name a module of src/psicert imports (`__init__.py`, which
+    re-exports, aside) is read somewhere in that module."""
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert unused == []
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import (abelianize, identity_endo, letterwise_apply_endo, letterwise_compose,
-                    random_endo, random_word, transvection)
+from checks import (abelianize, exact_length_word, identity_endo, letterwise_apply_endo,
+                    letterwise_compose, random_endo, random_word, transvection)
 from psicert.errors import GenusMismatchError
 from psicert.homology import HVector, IntMatrix
-from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator, compose_endos, format_word, generator,
-                           inner_automorphism, parse_word, reduce_word,
-                           sep_twist, sep_twist_gamma)
+from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
+                           compose_endos, format_word, inner_automorphism, parse_word,
+                           reduce_word, sep_twist, sep_twist_gamma)
 
 
 def letters_strategy(genus=2, max_len=12):
@@ -106,13 +106,26 @@ class TestSeamReduction:
             u = random_word(rng, genus, 20)
             assert apply_endo(f, apply_endo(g, u)) == u
 
-    def test_package_letters_are_canonical(self):
-        x = parse_word("a1 b2^-1 a3^2", 3)
-        built = [x, x.inverse(), x * a_gen(3, 1), apply_endo(sep_twist(3, 1), x),
-                 sep_twist(3, 2).images[0], reduce_word(3, [(1, 1), (4, -1), (4, 1), (2, 1)])]
-        for w in built:
-            for letter in w.letters:
-                assert letter is generator(3, *letter).letters[0]
+    @pytest.mark.parametrize("genus, length", [(2, 20), (3, 40), (4, 30), (5, 40), (6, 25)])
+    def test_deep_seams_of_inner_powers(self, genus, length):
+        """f^e for f: x -> w x w^-1 is f^(e-1) after f, so each letter of w
+        maps to w^(e-1) l w^-(e-1), and the seams between them cancel up to
+        (e-1)|w| letters."""
+        rng = random.Random(0xDEE9 * genus + length)
+        w = exact_length_word(rng, genus, length)
+        f = inner_automorphism(w)
+        power = f
+        for e in range(2, 7):
+            previous, power = power, compose_endos(power, f)
+            assert power == letterwise_compose(previous, f)
+            w_e = reduce_word(genus, w.letters * e)
+            for i, image in enumerate(power.images, 1):
+                raw = w_e.letters + ((i, 1),) + w_e.inverse().letters
+                assert image == reduce_word(genus, raw)
+            for _ in range(10):
+                u = random_word(rng, genus, 15)
+                assert apply_endo(power, u) == letterwise_apply_endo(power, u)
+                assert apply_endo(power, w_e * u) == letterwise_apply_endo(power, w_e * u)
 
     @pytest.mark.parametrize("genus", [2, 3, 4, 5])
     def test_mul_matches_letterwise(self, genus):
