@@ -359,7 +359,8 @@ def symplectic_inverse(s: IntMatrix) -> IntMatrix:
     return inv
 
 
-def conjugate(s: IntMatrix, m: IntMatrix) -> IntMatrix:
-    """s m s^{-1} for a symplectic s, inverted exactly by symplectic_inverse."""
+def conjugate(s: IntMatrix, m: IntMatrix, inverse: IntMatrix | None = None) -> IntMatrix:
+    """s m s^{-1} for a symplectic s, with s^{-1} the given `inverse` (one the
+    caller already formed by symplectic_inverse) or else symplectic_inverse(s)."""
     s._same_dim(m)
-    return s * m * symplectic_inverse(s)
+    return s * m * (symplectic_inverse(s) if inverse is None else inverse)

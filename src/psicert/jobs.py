@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
-from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
+from .homology import HVector, IntMatrix, conjugate, symplectic_inverse, times_transvection
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
                       cochain_from_wedge3, depth_and_tau, depth_of_sum, tau_on_H)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
@@ -177,10 +177,12 @@ class Sum(NamedTuple):
 
 
 class Conjugate(NamedTuple):
-    """Homology node: `inner` conjugated by a checked symplectic matrix."""
+    """Homology node: `inner` conjugated by a symplectic matrix, with the
+    inverse that checked it."""
 
     inner: object
     conjugator: IntMatrix
+    inverse: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -364,9 +366,11 @@ def _parse_homology(node, genus: int, k: int, nodes):
             for v in classes:
                 s = times_transvection(s, parse_hvector(v, genus, what="transvection class"))
                 _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
-        if not sp_check(s):
-            raise JobError("non-symplectic conjugator matrix")
-        return Conjugate(_parse_homology(node["conjugate"], genus, k, nodes), s)
+        try:
+            inverse = symplectic_inverse(s)
+        except ValueError:
+            raise JobError("non-symplectic conjugator matrix") from None
+        return Conjugate(_parse_homology(node["conjugate"], genus, k, nodes), s, inverse)
     atom = node.get("atom")
     if atom in ("wedge3", "bounding_pair") and k != 1:
         raise JobError(f"{atom} atoms define weight-2 data and require k = 1")
@@ -446,7 +450,8 @@ def _eval_homology(node, job: Job, atom_taus: list, done: dict) -> IntMatrix:
         terms = [sign * _eval_homology(term, job, atom_taus, done) for sign, term in node.terms]
         return sum(terms[1:], terms[0])
     if isinstance(node, Conjugate):
-        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done))
+        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done),
+                         node.inverse)
     if node not in done:
         c = _atom_cochain(node, job)
         index = {} if node.index is None else {"index": node.index}

@@ -19,7 +19,15 @@ and Gerhard, *Modern Computer Algebra*, sections 8.4 and 9.1), taken by the
 same schoolbook division `_gf_divmod` as every other remainder.  That
 quotient is set up once per modulus: once for f and again after each
 product the distinct-degree loop divides out, and once per call of the
-equal-degree split.
+equal-degree split.  Euclid's remainder sequences, the resultants of the
+certificate scan and the squarefree tests and the gcds of the
+distinct-degree and Cantor-Zassenhaus loops, run on packed ints too, in one
+routine (`_gf_resultant`): a slot of 64-bit words per coefficient, sized
+from p alone (one word for every default scan prime), holds a lazy value
+below 2p when a step starts; a quotient step adds (p - q) x^s times the
+divisor, and one slotwise Barrett reduction per step brings every slot back
+below 2p.  Hensel lifting and recombination modulo p^a keep the list kernel,
+whose normal step (deg a = deg b + 1) `_gf_rem` takes in one pass.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
@@ -54,8 +62,7 @@ irreducible by construction even when no modular certificate exists, and
 `criterion` only reads the certificates that `factor_z` records.
 Both the certificate test and the modular factorization run on one lazy
 distinct-degree loop; the squarefree test modulo a prime and the
-discriminant each take one resultant Euclid, `_gf_resultant`, whose normal
-steps (the degree drops by one) `_gf_rem` takes in one pass.
+discriminant each take one packed resultant Euclid, `_gf_resultant`.
 
 The verdict reads only the multiset of factor degrees, through the one
 predicate `even_degree_split`.  Verdicts are only ever
@@ -417,12 +424,6 @@ def _gf_monic(a, p):
     return [c * inv % p for c in a]
 
 
-def _gf_gcd(a, b, p):
-    while b:
-        a, b = b, _gf_rem(a, b, p)
-    return _gf_monic(a, p)
-
-
 def _gf_pack(a, words):
     """One int holding the coefficients of a, each in [0, 2^64), in slots of
     `words` 64-bit words, lowest degree in the lowest slot."""
@@ -510,24 +511,119 @@ def _gf_derivative(a, p):
     return _gf_trim([i * c % p for i, c in enumerate(a)][1:])
 
 
-def _gf_resultant(a, b, p):
-    """Res(a, b) over GF(p), taken at the actual degrees of a and b; 0 when
-    either is zero or they share a factor.  One Euclid: each step uses
-    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
-    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c."""
+# per prime p: (degree, words, width, shift, mu, ones, inverses); see
+# `_gf_euclid_layout`
+_EUCLID_LAYOUTS: dict[int, tuple] = {}
+
+
+def _gf_euclid_layout(p, degree):
+    """The packed layout of `_gf_resultant` modulo p for inputs up to
+    `degree`, set up once per prime (and again when a larger degree comes).
+
+    A slot is `words` 64-bit words, `width` bits, and a slot value v below
+    2^shift, with shift = floor((width + bitlen(p) - 1) / 2), is reduced by
+    Barrett's method: with mu = floor(2^shift / p), q = floor(v mu / 2^shift)
+    is floor(v / p) or one less, so v - p q lies in [0, 2p).  Since
+    v mu < 2^(2 shift) / p <= 2^width, the slots of (packed * mu) do not
+    overlap; shifted right by `shift`, each slot holds its q in its low
+    width - shift bits and the low bits of the next slot's product above them,
+    which the repunit `ones` (width - shift one bits per slot) drops.  The
+    words are the fewest that keep (degree + 2) 2p^2, the slot bound of a
+    Euclid step, below 2^shift.  Below 256, `inverses` lists the inverses
+    mod p (None above).  The cache forgets every prime after 256 of them.
+    """
+    bound = ((degree + 2) * 2 * p * p).bit_length()
+    words = -(-(2 * bound - p.bit_length() + 1) // 64)
+    width = 64 * words
+    shift = (width + p.bit_length() - 1) // 2
+    ones = ((1 << width - shift) - 1).to_bytes(8 * words, "little") * (degree + 1)
+    inverses = [0] + [pow(c, -1, p) for c in range(1, p)] if p < 256 else None
+    if len(_EUCLID_LAYOUTS) >= 256:
+        _EUCLID_LAYOUTS.clear()
+    layout = _EUCLID_LAYOUTS[p] = (degree, words, width, shift, (1 << shift) // p,
+                                   int.from_bytes(ones, "little"), inverses)
+    return layout
+
+
+def _gf_resultant(a, b, p, gcd=False):
+    """Res(a, b) over GF(p) (a and b reduced lists), taken at their actual
+    degrees; 0 when either is zero or they share a factor.  With `gcd`, the
+    monic gcd of a and b instead (the empty list when both are zero), read
+    off the same remainder sequence.
+
+    One Euclid: each step uses Res(a, b) = (-1)^(deg a deg b)
+    lc(b)^(deg a - deg r) Res(b, r) for r = a mod b, down to Res(a, c) =
+    c^(deg a) for a constant c.  It runs on packed ints: each polynomial is
+    one int with a slot of `_gf_euclid_layout` per coefficient, and every
+    slot lies in [0, 2p) when a step starts.  A quotient step reads the top
+    slot of the dividend mod p (every slot above it is 0 mod p, so the
+    shifted int is congruent to it; the first step's is the leading
+    coefficient, already known) and adds (p - q) x^s times the divisor,
+    which keeps every slot nonnegative and makes the top slot 0 mod p; a
+    step adds at most deg a + 1 such multiples to a slot, so every slot
+    stays below (deg a + 2) 2p^2.  The remainder's degree and leading
+    coefficient are read the same way from its top down; it is cut to its
+    degree and brought back below 2p by one slotwise Barrett reduction.  The
+    resultant reads only degrees and leading coefficients; the gcd unpacks
+    only its last remainder.
+    """
     if not a or not b:
-        return 0
-    res = 1
-    while len(b) > 1:
-        r = _gf_rem(a, b, p)
-        if not r:
-            return 0
-        m, n = len(a) - 1, len(b) - 1
-        if m * n % 2:
-            res = -res
-        res = res * pow(b[-1], m - len(r) + 1, p) % p
-        a, b = b, r
-    return res * pow(b[0], len(a) - 1, p) % p
+        return _gf_monic(a or b, p) if gcd else 0
+    m, n, res = len(a) - 1, len(b) - 1, 1
+    if not n:  # Res(a, c) = c^(deg a) for a constant c
+        return [1] if gcd else pow(b[0], m, p)
+    if not m:
+        return [1] if gcd else pow(a[0], n, p)
+    if m < n:  # Res(a, b) = (-1)^(deg a deg b) Res(b, a)
+        a, b, m, n = b, a, n, m
+        if m & n & 1:
+            res = -1
+    layout = _EUCLID_LAYOUTS.get(p)
+    if layout is None or layout[0] < m + n:
+        layout = _gf_euclid_layout(p, 2 * (m + n))
+    _, words, width, shift, mu, ones, inverses = layout
+    cut = width * (m + 1)
+    packed = _gf_pack(a + b, words)
+    small = packed >> cut
+    big = packed - (small << cut)
+    above, lead = a[-1], b[-1]
+    while True:
+        inv = inverses[lead] if inverses else pow(lead, -1, p)
+        low, top = width * n, width * m
+        q = above * inv % p
+        while True:
+            big += (p - q) * small << top - low
+            top -= width
+            if top < low:
+                break
+            q = (big >> top) % p * inv % p
+        r = n - 1
+        while r >= 0:
+            c = (big >> top) % p
+            if c:
+                break
+            r, top = r - 1, top - width
+        if gcd:
+            if r == 0:
+                return [1]
+            if r < 0:
+                return _gf_mul(_gf_unpack(small, n + 1, words), [inv], p)
+        else:
+            if r < 0:
+                return 0
+            if m & n & 1:
+                res = -res
+            res = res * pow(lead, m - r, p) % p
+            if r == 0:
+                return res * pow(c, n, p) % p
+        big &= (1 << top + width) - 1
+        big -= p * ((big * mu >> shift) & ones)
+        big, small, m, n, above, lead = small, big, n, r, lead, c
+
+
+def _gf_gcd(a, b, p):
+    """Monic gcd of a and b over GF(p), by `_gf_resultant`'s remainder sequence."""
+    return _gf_resultant(a, b, p, True)
 
 
 def irreducible_mod_p(f: IntPolynomial, prime: int) -> bool:
@@ -671,7 +767,9 @@ def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: i
     Computer Algebra*, ch. 15): `_factor_tree` splits the factors into
     halves, recursively, and `_hensel_step` lifts the monic F = f / lc down
     the tree along the exponents 1 -> ... -> ceil(a/2) -> a, so each step at
-    most doubles the exponent and the last lands on a.
+    most doubles the exponent and the last lands on a.  The step from e to
+    e' reads the inverses of the tree modulo p^(e' - e) only, so each is
+    lifted no further than the next step reads.
     """
     exponents = [exponent]
     while exponents[-1] > 1:
@@ -682,39 +780,43 @@ def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: i
     monic = [c * inverse % modulus for c in f.coeffs]
     leaves = [[g[:]] for g in factors]
     tree = _factor_tree(leaves, p)
-    for low, high in zip(exponents, exponents[1:]):
+    steps = list(zip(exponents, exponents[1:]))
+    for i, (low, high) in enumerate(steps):
         new = p ** high
-        _hensel_step(tree, [c % new for c in monic], p ** low, new, high == exponent)
+        need = p ** (steps[i + 1][1] - high) if i + 1 < len(steps) else 1
+        _hensel_step(tree, [c % new for c in monic], p ** low, new, need)
     return [leaf[0] for leaf in leaves], modulus
 
 
 def _factor_tree(nodes, p):
     """The tree over the leaves [g] in `nodes`: an inner node is
-    [product, left, right, s], with s * L = 1 mod (R, p) for the products L
-    and R of its two halves.  The left half is the longest run of leaves of
-    at most half the degree."""
+    [product, left, right, s, held], with s * L = 1 mod (R, held) for the
+    products L and R of its two halves, held = p here.  The left half is the
+    longest run of leaves of at most half the degree."""
     if len(nodes) == 1:
         return nodes[0]
     degrees = list(itertools.accumulate(len(node[0]) - 1 for node in nodes))
     half = min(max(1, sum(2 * d <= degrees[-1] for d in degrees)), len(nodes) - 1)
     left, right = _factor_tree(nodes[:half], p), _factor_tree(nodes[half:], p)
-    return [_gf_mul(left[0], right[0], p), left, right, _gf_inverse_mod(left[0], right[0], p)]
+    return [_gf_mul(left[0], right[0], p), left, right, _gf_inverse_mod(left[0], right[0], p), p]
 
 
-def _hensel_step(node, target, m, new, last):
+def _hensel_step(node, target, m, new, need):
     """Set the node to the monic `target` mod `new` and lift its halves L and
-    R from mod m to a factorization of it (m | new | m^2); lift the node's
-    inverse s of L mod R too unless this is the `last` step.
+    R from mod m to a factorization of it (m | new | m^2); then lift the
+    node's inverse s of L mod R until it holds modulo `need`, the modulus the
+    next step reads (1 after the last step).
 
-    With e = (target - L * R) / m, R moves by m * (s * e rem R) and L becomes
-    target / R; s moves by -m * (s * u rem R), with u = (s * L - 1) / m
-    taken mod R (Newton iteration for the inverse).  Each correction is
-    computed mod new / m.
+    With e = (target - L * R) / m, R moves by m * (s * e rem R), taken mod
+    new / m, and L becomes target / R.  An s that holds modulo M is lifted to
+    t = min(M^2, new) by Newton's iteration for the inverse: it moves by
+    -M * (s * u rem R), with u = (s * L - 1) / M, both taken mod t / M;
+    `node[4]` records the modulus s holds.
     """
     node[0] = target
     if len(node) == 1:
         return
-    _, left, right, s = node
+    _, left, right, s, held = node
     low, high = left[0], right[0]
     d = new // m
     err = _gf_sub(target, _gf_mul(low, high, new), new)
@@ -723,12 +825,16 @@ def _hensel_step(node, target, m, new, last):
     r = _gf_rem(_gf_mul(s_d, [c // m for c in err], d), [c % d for c in high], d)
     high = [c + m * x for c, x in itertools.zip_longest(high, r, fillvalue=0)]
     low = _gf_divmod(target, high, new)[0]
-    if not last:
-        u = _gf_sub(_gf_rem(_gf_mul(s, low, new), high, new), [1], new)
-        r = _gf_rem(_gf_mul(s_d, [c // m for c in u], d), [c % d for c in high], d)
-        node[3] = _gf_sub(s, [m * c for c in r], new)
-    _hensel_step(left, low, m, new, last)
-    _hensel_step(right, high, m, new, last)
+    while held % need:
+        t = min(held * held, new)
+        step = t // held  # s_d is s mod step when step == d, since d divides held
+        u = _gf_sub(_gf_rem(_gf_mul(s, low, t), high, t), [1], t)
+        s_step = s_d if step == d else _gf_trim([c % step for c in s])
+        r = _gf_rem(_gf_mul(s_step, [c // held for c in u], step), [c % step for c in high], step)
+        s, held = _gf_sub(s, [held * c for c in r], t), t
+    node[3], node[4] = s, held
+    _hensel_step(left, low, m, new, need)
+    _hensel_step(right, high, m, new, need)
 
 
 def _gf_inverse_mod(a, mod, p):

@@ -10,8 +10,9 @@ Dynkin map, the tensor pairing, theta, omega0, the diagonal action,
 cyclotomic and Swinnerton-Dyer polynomials, the product of a factorization,
 the Berkowitz characteristic polynomial, the schoolbook GF(p) product,
 division and powers modulo a polynomial with the distinct-degree loop on
-them, linear Hensel lifting, recombination by the constant-term test alone,
-and the literal verdict definition.
+them, the GF(p) gcd and resultant by Euclid on lists, linear Hensel
+lifting, recombination by the constant-term test alone, and the literal
+verdict definition.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from psicert.contract import psi_matrix
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
-                             _gf_gcd, _gf_inverse_mod, _gf_mul, _gf_rem, _gf_sub, _symmetric,
+                             _gf_inverse_mod, _gf_monic, _gf_mul, _gf_rem, _gf_sub, _symmetric,
                              charpoly, even_degree_split, factor_z)
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, magnus_expand, tensor_mul
 from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
@@ -420,6 +421,34 @@ def schoolbook_gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> li
     return result
 
 
+def list_gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    """Monic gcd over GF(p) by Euclid on lists, each remainder from `_gf_rem`,
+    as `polylab._gf_gcd` was before it ran on packed ints (oracle)."""
+    while b:
+        a, b = b, _gf_rem(a, b, p)
+    return _gf_monic(a, p)
+
+
+def list_gf_resultant(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) over GF(p) by Euclid on lists, as `polylab._gf_resultant`
+    was before it ran on packed ints (oracle): each step uses
+    Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, down to Res(a, c) = c^(deg a) for a constant c."""
+    if not a or not b:
+        return 0
+    res = 1
+    while len(b) > 1:
+        r = _gf_rem(a, b, p)
+        if not r:
+            return 0
+        m, n = len(a) - 1, len(b) - 1
+        if m * n % 2:
+            res = -res
+        res = res * pow(b[-1], m - len(r) + 1, p) % p
+        a, b = b, r
+    return res * pow(b[0], len(a) - 1, p) % p
+
+
 def schoolbook_distinct_degree(fbar: list[int], p: int) -> list[tuple[list[int], int]]:
     """Every (product, degree) pair that `polylab._distinct_degree` yields for
     the monic fbar, from the same loop on `schoolbook_gf_pow_mod` (oracle)."""
@@ -430,7 +459,7 @@ def schoolbook_distinct_degree(fbar: list[int], p: int) -> list[tuple[list[int],
         if 2 * d > len(f) - 1:
             return out + [(f, len(f) - 1)]
         power = schoolbook_gf_pow_mod(power, p, f, p)
-        g = _gf_gcd(_gf_sub(power, x, p), f, p)
+        g = list_gf_gcd(_gf_sub(power, x, p), f, p)
         if len(g) > 1:
             out.append((g, d))
             f = _gf_divmod(f, g, p)[0]

@@ -4,7 +4,7 @@ import re
 import pytest
 
 from checks import letterwise_compose, transvection
-from psicert import jobs, johnson
+from psicert import homology, jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
@@ -310,9 +310,12 @@ class TestTransvectionUpdate:
 
 class TestWorkDoneOnce:
     def test_conjugator_checked_once(self, monkeypatch):
+        # the parse-time inverse is the one check; evaluation reuses it
         calls = []
-        real = jobs.sp_check
-        monkeypatch.setattr(jobs, "sp_check", lambda m: calls.append(m) or real(m))
+        real = homology.symplectic_inverse
+        for module in (jobs, homology):
+            monkeypatch.setattr(module, "symplectic_inverse",
+                                lambda m: calls.append(m) or real(m))
         doc = base_job(pipeline="homology", element={
             "conjugate": {"atom": "sep_twist", "index": 1},
             "matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -320,9 +323,9 @@ class TestWorkDoneOnce:
         run_job(parse_job(doc))
         assert len(calls) == 1
 
-    def test_conjugate_costs_four_products(self, monkeypatch):
-        """One matrix product checks the conjugator at parse; at evaluation one
-        checks it again as it is inverted, and two conjugate."""
+    def test_conjugate_costs_three_products(self, monkeypatch):
+        """One matrix product checks the conjugator as it is inverted at parse;
+        at evaluation two conjugate, by the inverse the node keeps."""
         products = []
         real = IntMatrix.__mul__
         monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: (
@@ -334,7 +337,7 @@ class TestWorkDoneOnce:
         job = parse_job(doc)
         assert products == [6]
         run_job(job)
-        assert products == [6] * 4
+        assert products == [6] * 3
 
     @pytest.mark.parametrize("k, calls", [
         # each twist is a leaf of depth 2, expanded at k+1 shortest image first

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -7,8 +8,9 @@ import pytest
 
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, expand_factorization,
-                    linear_hensel_lift, naive_charpoly, schoolbook_gf_divmod, schoolbook_gf_mul,
-                    schoolbook_gf_pow_mod, swinnerton_dyer, transvection)
+                    linear_hensel_lift, list_gf_gcd, list_gf_resultant, naive_charpoly,
+                    schoolbook_gf_divmod, schoolbook_gf_mul, schoolbook_gf_pow_mod,
+                    swinnerton_dyer, transvection)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix
 from psicert.jobs import MAX_MATRIX_DIMENSION
@@ -333,6 +335,46 @@ class TestHenselLift:
                     checked += 1
         assert checked == 7 * len(primes)
 
+    @pytest.mark.parametrize("p", [3, 5, 97])
+    def test_exponents_two_to_twelve_match_linear_lifting(self, p):
+        # four coprime factors (a tree of three inner nodes) of a non-monic f,
+        # lifted along every schedule from 1 -> 2 up to 1 -> 2 -> 3 -> 6 -> 12
+        rng = random.Random(0x48454E53 + p)
+        factors, product = [], [1]
+        while len(factors) < 4:
+            g = [rng.randrange(p) for _ in range(rng.randrange(1, 4))] + [1]
+            if len(polylab._gf_gcd(g, product, p)) == 1:
+                factors.append(g)
+                product = polylab._gf_mul(product, g, p)
+        lc = p + 2
+        f = IntPolynomial.of_coeffs([lc * c + p * rng.randrange(-99, 100) for c in product[:-1]]
+                                    + [lc])
+        for a in range(2, 13):
+            assert polylab._hensel_lift(f, p, factors, a) == \
+                linear_hensel_lift(f, p, factors, a), (p, a)
+
+    def test_inverses_lifted_only_as_far_as_the_next_step_reads(self, monkeypatch):
+        # the steps 1 -> 2 -> 3 -> 5 read the inverses mod p, p and p^2, so each
+        # inner node lifts its inverse once, to p^2 (lifting it at every step
+        # but the last took it to p^3)
+        p, roots = 5, []
+        real = polylab._factor_tree
+        monkeypatch.setattr(polylab, "_factor_tree",
+                            lambda nodes, q: roots.append(real(nodes, q)) or roots[-1])
+        factors = [[1, 1], [2, 1], [3, 0, 1], [2, 0, 0, 1]]
+        f = IntPolynomial.of_coeffs(functools.reduce(lambda a, b: polylab._gf_mul(a, b, p),
+                                                     factors))
+        lifted, modulus = polylab._hensel_lift(f, p, factors, 5)
+        assert lifted == linear_hensel_lift(f, p, factors, 5)[0] and modulus == p ** 5
+        inner = [roots[-1]]
+        for node in inner:
+            _, left, right, s, held = node
+            assert held == p ** 2
+            assert polylab._gf_rem(polylab._gf_mul(s, left[0], held),
+                                   [c % held for c in right[0]], held) == [1]
+            inner += [child for child in (left, right) if len(child) > 1]
+        assert len(inner) == 3
+
     def test_one_lift_equals_the_monic_reduction(self):
         # a single factor lifts to f / lc mod p^a
         f = poly(3, 1, 4, 1, 5)
@@ -549,6 +591,75 @@ class TestPackedPowers:
         assert len(splitting) == p - 1
         assert [modulus.f for modulus in built] == splitting
         assert all(any(modulus is m for m in built) for modulus in used)
+
+
+class TestPackedEuclid:
+    """`_gf_resultant` and `_gf_gcd`, one remainder sequence on packed ints,
+    against the list loops in checks.py."""
+
+    @staticmethod
+    def cases(p, rng):
+        """(a, b) pairs over GF(p), degrees 0 to 72: random, monic and unit-led
+        divisors, remainders that drop the degree by more than one, shared
+        factors, zero and constant inputs."""
+
+        def rand(n, lead=None):
+            return [rng.randrange(p) for _ in range(n)] + [lead or rng.randrange(1, p)]
+
+        top = MAX_MATRIX_DIMENSION
+        out = [([], []), ([], rand(3)), (rand(4), []), ([5 % p or 1], rand(7)),
+               (rand(9), [3 % p or 1]), ([1], [2 % p or 1]), (rand(top), rand(0))]
+        for _ in range(12):
+            m, n = rng.randrange(top + 1), rng.randrange(top + 1)
+            out.append((rand(m), rand(n, rng.choice([1, None]))))
+        for _ in range(6):
+            # a = q b + r with deg r <= deg b - 2, then steps that drop by more
+            n = rng.randrange(2, top - 4)
+            b = rand(n, rng.choice([1, None]))
+            r = rand(rng.randrange(n - 1))
+            q = rand(rng.randrange(1, top - n + 1))
+            a = polylab._gf_trim([(x + y) % p for x, y in itertools.zip_longest(
+                polylab._gf_mul(q, b, p), r, fillvalue=0)])
+            out.append((a, b))
+        for _ in range(6):
+            # a shared factor: the resultant is 0 and the gcd has degree >= 1
+            c = rand(rng.randrange(1, 12), 1)
+            m, n = rng.randrange(top - 12), rng.randrange(top - 12)
+            out.append((polylab._gf_mul(rand(m), c, p), polylab._gf_mul(rand(n), c, p)))
+        # every coefficient p - 1, the largest slot values; a linear divisor,
+        # whose 72 quotient steps each add to the slots; and (x^36 + ... + 1)
+        # times a divisor of 37 coefficients p - 1, whose 37 quotient digits 1
+        # each add (p - 1)^2 to the middle slot
+        half = top // 2
+        wide = polylab._gf_mul([1] * (half + 1), [p - 1] * (half + 1), p)
+        out += [([p - 1] * (top + 1), [p - 1] * top), ([p - 1] * (top + 1), [p - 1, p - 1]),
+                (polylab._gf_trim([(c + 1) % p for c in wide]), [p - 1] * (half + 1))]
+        return out
+
+    # 2^40 - 87 is a prime whose slot width depends on the degree: it takes
+    # three words at degree 144 where the bound 2p^2 alone fits in two
+    @pytest.mark.parametrize("p", [2, 3, 5, 97, (1 << 31) - 1, (1 << 40) - 87, (1 << 61) - 1,
+                                   LARGEST_PRIME_BELOW_2_64])
+    def test_against_list_loops(self, p):
+        rng = random.Random(0x45554C + p)
+        kinds = set()
+        for a, b in self.cases(p, rng):
+            for x, y in ((a, b), (b, a)):
+                res = polylab._gf_resultant(x, y, p)
+                assert res == list_gf_resultant(x, y, p), (p, x, y)
+                gcd = polylab._gf_gcd(x, y, p)
+                assert gcd == list_gf_gcd(x, y, p), (p, x, y)
+                kinds.add("zero" if not res else "unit")
+                kinds.add("coprime" if len(gcd) == 1 else "shared" if gcd else "both zero")
+        assert kinds == {"zero", "unit", "coprime", "shared", "both zero"}
+
+    def test_slot_width_from_p(self):
+        # one 64-bit word for the default scan primes at degree 144; more for
+        # primes up to 2^64, whose slot bound (degree + 2) 2p^2 has 137 bits
+        assert all(polylab._gf_euclid_layout(p, 144)[1] == 1 for p in DEFAULT_CERT_PRIMES)
+        assert polylab._gf_euclid_layout((1 << 31) - 1, 144)[1] == 2
+        assert polylab._gf_euclid_layout((1 << 40) - 87, 144)[1] == 3
+        assert polylab._gf_euclid_layout(LARGEST_PRIME_BELOW_2_64, 144)[1] == 4
 
 
 class TestSquarefree:

@@ -14,9 +14,11 @@ package itself imports only the standard library, and each of its modules
 reads every name it imports.  Every committed
 `BENCH_*.json` names a workload and a metric of `BENCHMARK.json` in its claim
 and shows that metric better on that workload.  The characteristic polynomial
-of every seed-1 polynomial case equals the Berkowitz oracle's, and each of its
-Hensel lifts equals the linear lifting oracle's, and each recombination gives
-the factors of the constant-term walk.  Every seed-1
+of every seed-1 polynomial case equals the Berkowitz oracle's, each of its
+Hensel lifts equals the linear lifting oracle's, each of its GF(p) resultants
+and gcds equals the list loop's, and each recombination gives the factors of
+the constant-term walk; a job certified at the largest prime below 2^64 keeps
+its report bytes.  Every seed-1
 pi1 job has depth exactly k and makes a pinned number of expansions, all at
 k+1, so a change that makes the benchmark pay for the job truncation, or
 leaves the additive route on a family that takes it, fails here.  The Layout
@@ -33,8 +35,8 @@ from pathlib import Path
 
 import pytest
 
-from checks import (berkowitz_char_coeffs, linear_hensel_lift, schoolbook_distinct_degree,
-                    walk_recombine)
+from checks import (berkowitz_char_coeffs, linear_hensel_lift, list_gf_gcd, list_gf_resultant,
+                    schoolbook_distinct_degree, walk_recombine)
 from psicert.homology import IntMatrix, char_coeffs
 from psicert import johnson, polylab
 from psicert.jobs import canonical_json, parse_job, run_job
@@ -164,6 +166,54 @@ def test_quadratic_lift_matches_linear_on_polynomial_cases(monkeypatch):
         criterion(charpoly(IntMatrix.from_rows(case["input"])))
     assert len(lifts) == 71
     assert all(quadratic == linear for quadratic, linear in lifts)
+
+
+def test_packed_euclid_matches_list_loops_on_polynomial_cases(monkeypatch):
+    """Every resultant (discriminants in the certificate scan, squarefree
+    tests) and every gcd (distinct-degree and Cantor-Zassenhaus) of a seed-1
+    polynomial pass equals the list loop's."""
+    workloads = load_bench_module("workloads")
+    real = polylab._gf_resultant
+    calls = []
+
+    def resultant(a, b, p, gcd=False):
+        out = real(a, b, p, gcd)
+        calls.append((a[:], b[:], p, gcd, out))
+        return out
+
+    monkeypatch.setattr(polylab, "_gf_resultant", resultant)
+    for case in workloads.generate("polynomial", workloads.DEFAULT_SEED):
+        criterion(charpoly(IntMatrix.from_rows(case["input"])))
+    assert sum(not gcd for *_, gcd, _ in calls) == 2011
+    assert sum(gcd for *_, gcd, _ in calls) == 1204
+    assert max(len(a) - 1 for a, *_ in calls) == 60
+    for a, b, p, gcd, out in calls:
+        assert out == (list_gf_gcd if gcd else list_gf_resultant)(a, b, p), (a, b, p, gcd)
+
+
+def test_largest_prime_below_2_64_reports_unchanged():
+    """With `primes` listing the largest prime below 2^64, whose Euclid slots
+    are four words, the seed-1 wedge3/8/1 job is certified at that prime (its
+    discriminant, distinct-degree gcds and powers all modulo it) and the
+    genus5-positive fixture is refused it by the discriminant parity; both
+    reports keep the bytes recorded before the Euclid was packed."""
+    workloads = load_bench_module("workloads")
+    prime = (1 << 64) - 59
+    wedge = next(case["input"] for case in workloads.generate("odd-level", workloads.DEFAULT_SEED)
+                 if case["id"] == "wedge3/8/1")
+    fixture = json.loads((PACKAGE / "fixtures_data" / "genus5-positive" / "job.json")
+                         .read_text(encoding="utf-8"))
+    recorded = {"wedge3/8/1": "382460d63218187ee41e7b1a8a604839b97e778847ab3429a5493e729dfcd1c1",
+                "genus5-positive":
+                    "c9bdcb4af125205f390a73b91c7c4bc1f03bc8b4f9aee2dfad09a762e10bab76"}
+    certified = {"wedge3/8/1": [prime], "genus5-positive": [None]}
+    for name, doc in (("wedge3/8/1", wedge), ("genus5-positive", fixture)):
+        doc = json.loads(json.dumps(doc))
+        doc.setdefault("options", {})["primes"] = [prime]
+        text = run_job(parse_job(doc)).to_json()
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == recorded[name], name
+        assert [f["certificate"] and f["certificate"]["prime"]
+                for f in json.loads(text)["factors"]] == certified[name], name
 
 
 def test_trace_recombination_matches_the_walk_on_polynomial_cases(monkeypatch):
