@@ -8,13 +8,12 @@ against the produced report, exactly.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .errors import FixtureError
-from .jobs import canonical_json, load_job, run_job
+from .jobs import canonical_json, load_job, read_json, run_job
 
 COMPARABLE_FIELDS = ("psi", "psi_divided", "charpoly", "verdict", "factors",
                      "certificates", "observed_depth")
@@ -79,8 +78,9 @@ def verify_fixtures(directory=None) -> FixtureSummary:
             expected_path = root / name / "expected.json"
             if not expected_path.is_file():
                 raise FixtureError(f"missing expected.json for fixture {name}")
-            with open(expected_path, "r", encoding="utf-8") as fh:
-                expected = json.load(fh)
+            expected = read_json(expected_path)
+            if not isinstance(expected, dict):
+                raise FixtureError(f"{expected_path} is not a JSON object")
             unknown = set(expected) - set(COMPARABLE_FIELDS)
             if unknown:
                 raise FixtureError(f"expected.json for {name} has unknown fields {sorted(unknown)}")

@@ -47,10 +47,6 @@ class HVector:
             raise ValueError("coordinate length must be 2*genus")
 
     @staticmethod
-    def zero(genus: int) -> "HVector":
-        return HVector(genus, (0,) * (2 * genus))
-
-    @staticmethod
     def basis(genus: int, position: int) -> "HVector":
         coords = [0] * (2 * genus)
         coords[position] = 1
@@ -59,23 +55,6 @@ class HVector:
     @staticmethod
     def from_name(name: str, genus: int) -> "HVector":
         return HVector.basis(genus, basis_position(name, genus))
-
-    def __add__(self, other: "HVector") -> "HVector":
-        _same_genus(self, other)
-        return HVector(self.genus, tuple(x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "HVector") -> "HVector":
-        _same_genus(self, other)
-        return HVector(self.genus, tuple(x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "HVector":
-        return HVector(self.genus, tuple(-x for x in self.coords))
-
-    def scale(self, k: int) -> "HVector":
-        return HVector(self.genus, tuple(k * x for x in self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
 
 
 def symbol_intersection(p: int, q: int) -> int:
@@ -116,16 +95,6 @@ class IntMatrix:
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
     @staticmethod
-    def zero(n: int) -> "IntMatrix":
-        return IntMatrix(tuple((0,) * n for _ in range(n)))
-
-    @staticmethod
-    def diagonal(entries) -> "IntMatrix":
-        entries = tuple(entries)
-        n = len(entries)
-        return IntMatrix(tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @staticmethod
     def from_columns(columns) -> "IntMatrix":
         cols = tuple(tuple(c) for c in columns)
         n = len(cols)
@@ -134,13 +103,6 @@ class IntMatrix:
     def __add__(self, other: "IntMatrix") -> "IntMatrix":
         self._same_dim(other)
         return IntMatrix(tuple(tuple(a + b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def __sub__(self, other: "IntMatrix") -> "IntMatrix":
-        self._same_dim(other)
-        return IntMatrix(tuple(tuple(a - b for a, b in zip(r, s)) for r, s in zip(self.rows, other.rows)))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-a for a in r) for r in self.rows))
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -161,12 +123,6 @@ class IntMatrix:
     def _same_dim(self, other: "IntMatrix"):
         if self.dimension != other.dimension:
             raise ValueError(f"dimension {self.dimension} vs {other.dimension}")
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(r[j] for r in self.rows)
 
     def apply(self, coords) -> tuple[int, ...]:
         """Image of a coordinate (column) vector."""
@@ -314,12 +270,6 @@ def char_coeffs(m: IntMatrix) -> list[int]:
     return [c - modulus if c > half else c for c in coeffs]
 
 
-def symplectic_form(genus: int) -> IntMatrix:
-    """J with J[p][q] = <e_p, e_q>, the intersection pairing on the ordered basis."""
-    n = 2 * genus
-    return IntMatrix.from_rows([[symbol_intersection(p + 1, q + 1) for q in range(n)] for p in range(n)])
-
-
 def _minus_j_transpose_j(s: IntMatrix) -> IntMatrix:
     """-J s^T J, read off by index: entry (p, q) is s[q^1][p^1], negated when p
     and q differ in parity."""
@@ -359,8 +309,8 @@ def symplectic_inverse(s: IntMatrix) -> IntMatrix:
     return inv
 
 
-def conjugate(s: IntMatrix, m: IntMatrix, inverse: IntMatrix | None = None) -> IntMatrix:
-    """s m s^{-1} for a symplectic s, with s^{-1} the given `inverse` (one the
-    caller already formed by symplectic_inverse) or else symplectic_inverse(s)."""
+def conjugate(s: IntMatrix, m: IntMatrix, inverse: IntMatrix) -> IntMatrix:
+    """s m s^{-1} for a symplectic s, with s^{-1} the `inverse` that
+    symplectic_inverse(s) formed."""
     s._same_dim(m)
-    return s * m * (symplectic_inverse(s) if inverse is None else inverse)
+    return s * m * inverse

@@ -145,10 +145,11 @@ MAX_CONJUGATOR_BITS = 16
 MAX_MATRIX_DIMENSION = 2 * MAX_GENUS
 MAX_MATRIX_BITS = 64
 # A homology element may have this many nodes: sums, conjugates and atoms
-# together.  Each conjugate costs four 2g x 2g products, one to check the
-# conjugator at parse and three to invert it and conjugate.  At genus 36 on a
-# 2-core x86 VM, 31 nested conjugates took 0.41 s to parse and 1.08 s to run,
-# a sum of 15 conjugated atoms 0.20 s and 0.54 s.  The fixtures reach 8 nodes.
+# together.  Each conjugate costs three 2g x 2g products, one at parse that
+# checks and inverts the conjugator and two to conjugate.  At genus 36 on a
+# 2-core x86 VM, when a conjugate still cost four products, 31 nested
+# conjugates took 0.41 s to parse and 1.08 s to run, a sum of 15 conjugated
+# atoms 0.20 s and 0.54 s.  The fixtures reach 8 nodes.
 MAX_HOMOLOGY_NODES = 32
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about

@@ -53,24 +53,6 @@ class JohnsonCochain:
             if not dynkin_is_lie(img):
                 raise ValueError("image fails the Lie-membership check")
 
-    @staticmethod
-    def zero(genus: int, weight: int) -> "JohnsonCochain":
-        z = TruncatedTensor.zero(genus, weight)
-        return JohnsonCochain(genus, weight, (z,) * (2 * genus))
-
-    def __add__(self, other: "JohnsonCochain") -> "JohnsonCochain":
-        _same_genus(self, other)
-        if self.weight != other.weight:
-            raise ValueError(f"weight {self.weight} vs {other.weight}")
-        return JohnsonCochain(self.genus, self.weight,
-                              tuple(a + b for a, b in zip(self.images, other.images)))
-
-    def __sub__(self, other: "JohnsonCochain") -> "JohnsonCochain":
-        return self + other.scale(-1)
-
-    def scale(self, k: int) -> "JohnsonCochain":
-        return JohnsonCochain(self.genus, self.weight, tuple(img.scale(k) for img in self.images))
-
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
 

@@ -147,10 +147,6 @@ class IntPolynomial:
         return IntPolynomial(())
 
     @staticmethod
-    def one() -> "IntPolynomial":
-        return IntPolynomial((1,))
-
-    @staticmethod
     def constant(c: int) -> "IntPolynomial":
         return IntPolynomial.of_coeffs([c])
 
@@ -184,39 +180,10 @@ class IntPolynomial:
     def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "IntPolynomial":
-        return self.scale(-1)
-
     def scale(self, k: int) -> "IntPolynomial":
         if k == 0:
             return IntPolynomial.zero()
         return IntPolynomial(tuple(k * c for c in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        if not isinstance(other, IntPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return IntPolynomial.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(tuple(out))
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __pow__(self, n: int) -> "IntPolynomial":
-        out = IntPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial.of_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])

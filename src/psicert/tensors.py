@@ -3,9 +3,8 @@
 A basis word of H^{(d)} is a tuple of d symbol indices in 1..2g (same
 indexing as group generators: 2j-1 is a_j, 2j is b_j).  A TruncatedTensor
 stores a sparse map from basis words to nonzero integers together with an
-explicit truncation degree; products silently discard degrees beyond the
-truncation, and mixing two truncations takes the minimum.  Asking for a
-graded part beyond the truncation is an error, never a silent zero.
+explicit truncation degree, which can be raised but never lowered; the Lie
+bracket discards degrees beyond the lesser of its operands' truncations.
 Construction validates the terms with C-speed scans (a stored zero, the
 longest word, the smallest and largest symbol) and walks the terms one by
 one only to name the first fault.
@@ -19,9 +18,8 @@ Membership of a homogeneous tensor t in that embedded layer is certified by
 the Dynkin map, D(x) = x and D(u s) = [D(u), s] for a word u and a letter s,
 which multiplies a degree-m Lie element by m.  `dynkin_is_lie` adds D(t)
 into the residual -m*t, one last-letter group at a time (depth first), and
-tests that nothing is left; it builds no tensor for D(t).  Term dicts of the
-algebra are built by `_sum_terms`, which drops the cancelled words once, at
-the end.
+tests that nothing is left; it builds no tensor for D(t).  Term dicts are
+built by `_sum_terms`, which drops the cancelled words once, at the end.
 """
 from __future__ import annotations
 
@@ -59,52 +57,16 @@ class TruncatedTensor:
                 if any(not 1 <= s <= n for s in word):
                     raise ValueError("symbol index out of range")
 
-    # ---- constructors -------------------------------------------------
-    @staticmethod
-    def zero(genus: int, truncation: int) -> "TruncatedTensor":
-        return TruncatedTensor(genus, truncation, {})
-
-    @staticmethod
-    def unit(genus: int, truncation: int) -> "TruncatedTensor":
-        return TruncatedTensor(genus, truncation, {(): 1})
-
-    @staticmethod
-    def symbol(genus: int, index: int, truncation: int) -> "TruncatedTensor":
-        return TruncatedTensor(genus, truncation, {(index,): 1})
-
     @staticmethod
     def from_hvector(v: HVector, truncation: int) -> "TruncatedTensor":
         terms = {(p + 1,): c for p, c in enumerate(v.coords) if c}
         return TruncatedTensor(v.genus, truncation, terms)
 
-    # ---- linear structure ---------------------------------------------
-    def __add__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        _same_genus(self, other)
-        d = min(self.truncation, other.truncation)
-        return TruncatedTensor(self.genus, d, _sum_terms(
-            (w, c) for t in (self, other) for w, c in t.terms.items() if len(w) <= d))
-
-    def __sub__(self, other: "TruncatedTensor") -> "TruncatedTensor":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "TruncatedTensor":
-        return self.scale(-1)
-
-    def scale(self, k: int) -> "TruncatedTensor":
-        if k == 0:
-            return TruncatedTensor.zero(self.genus, self.truncation)
-        return TruncatedTensor(self.genus, self.truncation, {w: k * c for w, c in self.terms.items()})
-
     def is_zero(self) -> bool:
         return not self.terms
 
-    # ---- grading -------------------------------------------------------
     def max_degree(self) -> int:
         return max(map(len, self.terms), default=0)
-
-    def min_degree(self) -> int | None:
-        """Lowest degree with a nonzero term, None for the zero tensor."""
-        return min(map(len, self.terms), default=None)
 
     def is_homogeneous(self, degree: int) -> bool:
         return set(map(len, self.terms)) <= {degree}
@@ -112,22 +74,9 @@ class TruncatedTensor:
     def with_truncation(self, truncation: int) -> "TruncatedTensor":
         """Same element viewed at a higher truncation (raising only)."""
         if truncation < self.truncation:
-            raise TruncationError("use graded parts to lower a truncation explicitly")
+            raise TruncationError("a truncation can be raised, never lowered")
         return TruncatedTensor(self.genus, truncation, dict(self.terms))
 
-    def __mul__(self, other):
-        if isinstance(other, TruncatedTensor):
-            return tensor_mul(self, other)
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self.scale(other)
-        return NotImplemented
-
-    # ---- serialization ---------------------------------------------------
     def to_json_obj(self) -> list:
         """Canonical list form: sorted by (degree, word), coefficients as strings."""
         items = sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
@@ -142,15 +91,6 @@ def _sum_terms(pairs) -> dict[BasisWord, int]:
     return {w: c for w, c in out.items() if c}
 
 
-def tensor_mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
-    """Concatenation product, truncated at min(truncations)."""
-    _same_genus(s, t)
-    d = min(s.truncation, t.truncation)
-    return TruncatedTensor(s.genus, d, _sum_terms(
-        (w1 + w2, c1 * c2) for w1, c1 in s.terms.items()
-        for w2, c2 in t.terms.items() if len(w1) + len(w2) <= d))
-
-
 def lie_bracket(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
     """[s, t] = s t - t s in the tensor algebra, truncated at min(truncations)."""
     _same_genus(s, t)
@@ -158,14 +98,6 @@ def lie_bracket(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
     return TruncatedTensor(s.genus, d, _sum_terms(
         pair for w1, c1 in s.terms.items() for w2, c2 in t.terms.items()
         if len(w1) + len(w2) <= d for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))))
-
-
-def graded_part(t: TruncatedTensor, degree: int) -> TruncatedTensor:
-    """Homogeneous degree-d component; degrees beyond the truncation are an error."""
-    if degree > t.truncation:
-        raise TruncationError(
-            f"degree {degree} exceeds truncation {t.truncation}; recompute upstream with a larger truncation")
-    return TruncatedTensor(t.genus, degree, {w: c for w, c in t.terms.items() if len(w) == degree})
 
 
 def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:

@@ -110,9 +110,6 @@ class GroupWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __str__(self) -> str:
-        return format_word(self)
-
 
 def generator(genus: int, index: int, sign: int = 1) -> GroupWord:
     return GroupWord(genus, ((index, sign),))
@@ -159,15 +156,6 @@ def parse_word(text: str, genus: int) -> GroupWord:
         sign = 1 if e > 0 else -1
         letters.extend([(idx, sign)] * abs(e))
     return reduce_word(genus, letters)
-
-
-def format_word(w: GroupWord) -> str:
-    if not w.letters:
-        return ""
-    parts = []
-    for idx, sign in w.letters:
-        parts.append(letter_name(idx) + ("" if sign == 1 else "^-1"))
-    return " ".join(parts)
 
 
 def commutator(x: GroupWord, y: GroupWord) -> GroupWord:

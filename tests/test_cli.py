@@ -6,12 +6,11 @@ import time
 
 import pytest
 
-from checks import exact_length_word
+from checks import exact_length_word, format_word
 from psicert import johnson
 from psicert.cli import main
 from psicert.fixtures import bundled_dir, verify_fixtures
 from psicert.errors import FixtureError
-from psicert.words import format_word
 
 
 def write_job(tmp_path, doc, name="job.json"):
@@ -332,6 +331,23 @@ class TestFixturesCommand:
         captured = capsys.readouterr()
         assert "septwist-g2-i1" in captured.out
         assert "verdict" in captured.out + captured.err
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"verdict": }', "JobError: invalid JSON in {path}: Expecting value: line 1 column 13 "
+                           "(char 12)"),
+        (b"\xff\xfe{}", "JobError: invalid JSON in {path}: 'utf-8' codec can't decode byte 0xff in "
+                        "position 0: invalid start byte"),
+        (b'["verdict"]', "FixtureError: {path} is not a JSON object"),
+    ], ids=["malformed", "not-utf-8", "not-an-object"])
+    def test_unreadable_expected_names_the_file(self, tmp_path, capsys, content, message):
+        dst = tmp_path / "corpus"
+        shutil.copytree(bundled_dir(), dst)
+        path = dst / "genus2-negative" / "expected.json"
+        path.write_bytes(content)
+        assert main(["fixtures", "--dir", str(dst)]) == 4
+        captured = capsys.readouterr()
+        assert f"FAIL genus2-negative: {message.format(path=path)}\n" in captured.out
+        assert "Traceback" not in captured.out + captured.err
 
     def test_empty_corpus_errors(self, tmp_path):
         empty = tmp_path / "empty"

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from checks import (abelianize, check_inner_conjugation_invariance, check_pairing_positivity,
-                    diagonal_action, omega0, random_tensor, tensor_pairing, theta,
-                    transvection)
+                    diagonal_action, linear_combination, omega0, random_tensor, tensor_pairing,
+                    theta, transvection)
 from psicert.contract import ContractionSpec, phi_contract, psi_matrix, symbol_intersection
-from psicert.homology import HVector, IntMatrix, conjugate
+from psicert.homology import HVector, IntMatrix, conjugate, symplectic_inverse
 from psicert.johnson import JohnsonCochain, bp_tau, tau_on_H
 from psicert.tensors import TruncatedTensor
 from psicert.words import (FreeEndomorphism, a_gen, b_gen, compose_endos, parse_word,
@@ -14,7 +14,7 @@ from psicert.words import (FreeEndomorphism, a_gen, b_gen, compose_endos, parse_
 
 
 def sym(genus, idx, trunc=1):
-    return TruncatedTensor.symbol(genus, idx, trunc)
+    return TruncatedTensor(genus, trunc, {(idx,): 1})
 
 
 class TestOmega0:
@@ -42,12 +42,12 @@ class TestPhiContract:
     def test_non_pairing_slots_vanish(self):
         spec = ContractionSpec.default(3)
         t = TruncatedTensor(2, 3, {(1, 3, 2): 1})  # a1 (x) a2 (x) b1
-        assert phi_contract(t, spec).is_zero()
+        assert phi_contract(t, spec) == HVector(2, (0, 0, 0, 0))
 
     def test_twist_image_contracts_to_three(self):
         c = tau_on_H(sep_twist(2, 1), 2)
         out = phi_contract(c.images[0], ContractionSpec.default(3))
-        assert out == HVector.basis(2, 0).scale(3)
+        assert out == HVector(2, (3, 0, 0, 0))
 
     def test_arity_mismatch(self):
         t = TruncatedTensor(2, 2, {(1, 2): 1})
@@ -102,7 +102,7 @@ class TestTheta:
         t = TruncatedTensor(2, 2, {(1, 2): 1, (3, 4): -2})
         assert theta(theta(t)) == t  # degree 2: (-1)^2 = +1
         u = TruncatedTensor(2, 3, {(1, 2, 3): 5})
-        assert theta(theta(u)) == u.scale(-1)
+        assert theta(theta(u)) == linear_combination((-1, u))
 
 
 class TestTensorPairing:
@@ -129,15 +129,17 @@ class TestTensorPairing:
 
 class TestPsiMatrix:
     def test_zero_cochain(self):
-        assert psi_matrix(JohnsonCochain.zero(2, 3), 2) == IntMatrix.zero(4)
+        zero = JohnsonCochain(2, 3, (TruncatedTensor(2, 3, {}),) * 4)
+        assert psi_matrix(zero, 2) == IntMatrix.from_rows([[0] * 4] * 4)
 
     def test_twist_diagonal(self):
         c = tau_on_H(sep_twist(2, 1), 2)
-        assert psi_matrix(c, 2) == IntMatrix.diagonal([3, 3, 0, 0])
+        assert psi_matrix(c, 2) == IntMatrix.from_rows([[3, 0, 0, 0], [0, 3, 0, 0], [0] * 4,
+                                                        [0] * 4])
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
-            psi_matrix(JohnsonCochain.zero(2, 3), 1)
+            psi_matrix(JohnsonCochain(2, 3, (TruncatedTensor(2, 3, {}),) * 4), 1)
 
     def test_odd_level_uses_squared_cochain(self):
         m = psi_matrix(bp_tau(2, 2), 1)
@@ -168,7 +170,8 @@ class TestPsiMatrix:
         f = sep_twist(g, 1)
         conj_f = compose_endos(phi, compose_endos(f, phi_inv))
         lhs = psi_matrix(tau_on_H(conj_f, 2), 2)
-        rhs = conjugate(abelianize(phi), psi_matrix(tau_on_H(f, 2), 2))
+        s = abelianize(phi)
+        rhs = conjugate(s, psi_matrix(tau_on_H(f, 2), 2), symplectic_inverse(s))
         assert lhs == rhs
 
     def test_inner_conjugation_suite(self):

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from checks import poly_mul, poly_pow
 from psicert import polylab
 from psicert.homology import IntMatrix, char_coeffs
 from psicert.polylab import IntPolynomial, factor_z, gcd_z, squarefree_decomposition
@@ -45,7 +46,7 @@ def test_swinnerton_dyer(n):
     # factors modulo every prime, so only recombination proves irreducibility
     sd = from_sympy(sympy.swinnerton_dyer_poly(n, X))
     assert_same_factorization(sd)
-    assert_same_factorization(sd * from_sympy(sympy.swinnerton_dyer_poly(n - 1, X)))
+    assert_same_factorization(poly_mul(sd, from_sympy(sympy.swinnerton_dyer_poly(n - 1, X))))
 
 
 @pytest.mark.parametrize("m", [None, 3], ids=["SD-32", "SD-32*SD-8"])
@@ -56,7 +57,7 @@ def test_swinnerton_dyer_trace_search(m):
     # SD-16*SD-8)
     p = from_sympy(sympy.swinnerton_dyer_poly(5, X))
     if m is not None:
-        p = p * from_sympy(sympy.swinnerton_dyer_poly(m, X))
+        p = poly_mul(p, from_sympy(sympy.swinnerton_dyer_poly(m, X)))
     assert_same_factorization(p)
 
 
@@ -67,7 +68,7 @@ def test_non_monic_leading_changes(monkeypatch):
     # modulo every prime
     sd4 = from_sympy(sympy.swinnerton_dyer_poly(2, X).subs(X, 2 * X + 1)).primitive_part()
     assert sd4.coeffs == (-1, -4, -2, 4, 2)
-    p = IntPolynomial.of_coeffs([1, 2]) * IntPolynomial.of_coeffs([7, 1, 3]) * sd4
+    p = poly_mul(IntPolynomial.of_coeffs([1, 2]), IntPolynomial.of_coeffs([7, 1, 3]), sd4)
     seen = []
     real = polylab._trace_passes
 
@@ -85,17 +86,14 @@ def test_zero_constant_term(n):
     # x joins the modular factors of SD-8 or SD-16 in recombination; the
     # constant-term test must not reject it
     sd = from_sympy(sympy.swinnerton_dyer_poly(n, X))
-    assert_same_factorization(IntPolynomial.of_coeffs([0, 1]) * sd)
-    assert_same_factorization(IntPolynomial.of_coeffs([0, 0, 1]) * sd)
+    assert_same_factorization(poly_mul(IntPolynomial.of_coeffs([0, 1]), sd))
+    assert_same_factorization(poly_mul(IntPolynomial.of_coeffs([0, 0, 1]), sd))
 
 
 @pytest.mark.parametrize("orders", [(1, 2, 3, 4), (5, 8, 12), (7, 7, 9), (15, 16, 20, 24),
                                     (3, 6, 9, 18, 30)])
 def test_cyclotomic_products(orders):
-    p = IntPolynomial.one()
-    for d in orders:
-        p = p * from_sympy(sympy.cyclotomic_poly(d, X))
-    assert_same_factorization(p)
+    assert_same_factorization(poly_mul(*(from_sympy(sympy.cyclotomic_poly(d, X)) for d in orders)))
 
 
 def even(q: IntPolynomial) -> IntPolynomial:
@@ -110,13 +108,13 @@ def test_even_polynomials():
     for _ in range(12):
         q = random_poly(rng, rng.randrange(2, 7), 6)
         assert_same_factorization(even(q))
-        assert_same_factorization(even(q) * q)
+        assert_same_factorization(poly_mul(even(q), q))
     rng = random.Random(0x45564E32)
     for _ in range(6):
         q, r = random_poly(rng, rng.randrange(2, 5), 9), random_poly(rng, rng.randrange(2, 5), 9)
-        assert_same_factorization(even(q) * even(r))
+        assert_same_factorization(poly_mul(even(q), even(r)))
     sd8 = from_sympy(sympy.swinnerton_dyer_poly(3, X))
-    assert_same_factorization(sd8 * from_sympy(sympy.cyclotomic_poly(16, X)))
+    assert_same_factorization(poly_mul(sd8, from_sympy(sympy.cyclotomic_poly(16, X))))
 
 
 def test_non_monic_large_coefficients():
@@ -124,11 +122,9 @@ def test_non_monic_large_coefficients():
     for _ in range(12):
         parts = [random_poly(rng, rng.randrange(1, 5), 10**6, lead=rng.randint(2, 10**4))
                  for _ in range(rng.randrange(2, 4))]
-        p = IntPolynomial.constant(rng.choice((-1, 1)) * rng.randint(1, 60))
-        for q in parts:
-            p = p * q
+        p = poly_mul(IntPolynomial.constant(rng.choice((-1, 1)) * rng.randint(1, 60)), *parts)
         assert_same_factorization(p)
-        assert_same_factorization(p * parts[0])
+        assert_same_factorization(poly_mul(p, parts[0]))
 
 
 
@@ -142,11 +138,10 @@ def test_gcd_against_sympy():
     # primitive parts are coprime; sympy's gcd keeps the content gcd throughout
     rng = random.Random(0x47434421)
     for _ in range(40):
-        common = IntPolynomial.one()
-        for _ in range(rng.randrange(0, 3)):
-            common = common * random_poly(rng, rng.randrange(1, 4), 5, lead=rng.randint(1, 3))
-        a = random_with_content(rng, common * random_poly(rng, rng.randrange(0, 4), 5))
-        b = random_with_content(rng, common * random_poly(rng, rng.randrange(0, 4), 5))
+        common = poly_mul(*(random_poly(rng, rng.randrange(1, 4), 5, lead=rng.randint(1, 3))
+                            for _ in range(rng.randrange(0, 3))))
+        a = random_with_content(rng, poly_mul(common, random_poly(rng, rng.randrange(0, 4), 5)))
+        b = random_with_content(rng, poly_mul(common, random_poly(rng, rng.randrange(0, 4), 5)))
         expected = from_sympy(sympy.gcd(to_sympy(a), to_sympy(b)).as_expr())
         if expected.degree > 0:
             expected = expected.primitive_part()
@@ -171,7 +166,7 @@ def test_squarefree_fast_path_against_sympy():
               IntPolynomial.of_coeffs([0, -30030, 1])]
     for a, b in ((1, 2), (5, 8), (12, 3), (7, 9)):
         phi_a = from_sympy(sympy.cyclotomic_poly(a, X))
-        inputs.append(phi_a * phi_a * from_sympy(sympy.cyclotomic_poly(b, X)))
+        inputs.append(poly_mul(phi_a, phi_a, from_sympy(sympy.cyclotomic_poly(b, X))))
     for p in inputs:
         assert_same_squarefree(p)
         assert_same_squarefree(p.scale(-6))
@@ -180,11 +175,11 @@ def test_squarefree_fast_path_against_sympy():
 def test_squarefree_against_sympy():
     rng = random.Random(0x53514621)
     for trial in range(40):
-        p = IntPolynomial.one()
+        p = IntPolynomial((1,))
         for mult in range(1, 5):
             if rng.random() < 0.6:
                 q = random_poly(rng, rng.randrange(1, 3), 6, lead=rng.randint(1, 3))
-                p = p * q ** mult
+                p = poly_mul(p, poly_pow(q, mult))
         if trial % 4 == 0:  # squarefree input
             p = random_poly(rng, rng.randrange(1, 8), 9)
         p = random_with_content(rng, p)
@@ -224,10 +219,7 @@ def test_char_coeffs_of_companions():
     cyclotomic_products = [(5, 8, 12), (7, 9), (15, 16, 20)]
     inputs = [from_sympy(sympy.swinnerton_dyer_poly(n, X)) for n in (2, 3, 4)]
     for orders in cyclotomic_products:
-        p = IntPolynomial.one()
-        for d in orders:
-            p = p * from_sympy(sympy.cyclotomic_poly(d, X))
-        inputs.append(p)
+        inputs.append(poly_mul(*(from_sympy(sympy.cyclotomic_poly(d, X)) for d in orders)))
     q = random_poly(rng, 8, 9)
     inputs.append(IntPolynomial.of_coeffs([a for c in q.coeffs for a in (c, 0)][:-1]))  # q(x^2)
     for p in inputs:

@@ -9,8 +9,8 @@ import pytest
 from checks import (check_charpoly_oracle, check_criterion_closed_form,
                     check_factor_roundtrip, cyclotomic, expand_factorization,
                     linear_hensel_lift, list_gf_gcd, list_gf_resultant, naive_charpoly,
-                    schoolbook_gf_divmod, schoolbook_gf_mul, schoolbook_gf_pow_mod,
-                    swinnerton_dyer, transvection)
+                    poly_mul, poly_pow, schoolbook_gf_divmod, schoolbook_gf_mul,
+                    schoolbook_gf_pow_mod, swinnerton_dyer, transvection)
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix
 from psicert.jobs import MAX_MATRIX_DIMENSION
@@ -65,16 +65,17 @@ def companion(p: IntPolynomial) -> IntMatrix:
 
 class TestCharpoly:
     def test_diagonal(self):
-        assert charpoly(IntMatrix.diagonal([3, 3, 0, 0])) == poly(0, 0, 9, -6, 1)
+        m = IntMatrix.from_rows([[3, 0, 0, 0], [0, 3, 0, 0], [0] * 4, [0] * 4])
+        assert charpoly(m) == poly(0, 0, 9, -6, 1)
 
     def test_worked_four_by_four(self):
         m = IntMatrix.from_rows([[-3, 0, 3, 3], [0, -3, 3, -3], [-3, -3, 3, 0], [-3, 3, 0, 3]])
         chi = charpoly(m)
         assert chi == poly(81, 0, 18, 0, 1)
-        assert chi == (poly(9, 0, 1)) * (poly(9, 0, 1))
+        assert chi == poly_mul(poly(9, 0, 1), poly(9, 0, 1))
 
     def test_zero_matrix(self):
-        assert charpoly(IntMatrix.zero(5)) == poly(0, 0, 0, 0, 0, 1)
+        assert charpoly(IntMatrix.from_rows([[0] * 5] * 5)) == poly(0, 0, 0, 0, 0, 1)
 
     def test_cofactor_oracle_suite(self):
         check_charpoly_oracle(200)
@@ -91,11 +92,11 @@ class TestFactorZ:
         assert [(q.coeffs, m) for q, m in fz.factors] == [((-1, 1), 1), ((1, 1), 1)]
 
     def test_repeated_quadratic(self):
-        fz = factor_z(poly(9, 0, 1) * poly(9, 0, 1))
+        fz = factor_z(poly_mul(poly(9, 0, 1), poly(9, 0, 1)))
         assert [(q.coeffs, m) for q, m in fz.factors] == [((9, 0, 1), 2)]
 
     def test_quintic_square(self):
-        fz = factor_z(QUINTIC * QUINTIC)
+        fz = factor_z(poly_mul(QUINTIC, QUINTIC))
         assert [(q, m) for q, m in fz.factors] == [(QUINTIC, 2)]
 
     def test_content_and_sign(self):
@@ -114,7 +115,7 @@ class TestFactorZ:
     def test_swinnerton_dyer_style_recombination(self):
         # (x^2-2)(x^2-3): reducible over Z but every prime splits it further;
         # forces the lifting/recombination path rather than any certificate
-        p = poly(-2, 0, 1) * poly(-3, 0, 1)
+        p = poly_mul(poly(-2, 0, 1), poly(-3, 0, 1))
         fz = factor_z(p)
         assert [(q.coeffs, m) for q, m in fz.factors] == [((-3, 0, 1), 1), ((-2, 0, 1), 1)]
 
@@ -146,7 +147,7 @@ class TestFactorZ:
         # x^4 - 10x^2 + 1 is irreducible over Z yet reducible modulo every
         # prime, so recombination must reassemble it out of the modular pieces
         hard = poly(1, 0, -10, 0, 1)
-        p = hard * poly(1, 0, 0, 0, 1)
+        p = poly_mul(hard, poly(1, 0, 0, 0, 1))
         fz = factor_z(p)
         assert sorted(q.coeffs for q, _ in fz.factors) == [
             (1, 0, -10, 0, 1), (1, 0, 0, 0, 1)]
@@ -167,12 +168,12 @@ class TestFactorZ:
         # modulo every prime not dividing the leading coefficient
         g2, g3 = poly(1, 0, -40, 0, 16), poly(1, 0, -90, 0, 81)
         assert find_certificate(g2) is None and find_certificate(g3) is None
-        fz = factor_z((g2 * g3 * poly(-7, 2)).scale(-14))
+        fz = factor_z(poly_mul(g2, g3, poly(-7, 2)).scale(-14))
         assert fz.constant == -14
         assert [q for q, _ in fz.factors] == [poly(-7, 2), g3, g2]
 
     def test_repeated_cyclotomic_square(self):
-        p = (cyclotomic(5) * cyclotomic(8)) ** 2
+        p = poly_pow(poly_mul(cyclotomic(5), cyclotomic(8)), 2)
         fz = factor_z(p)
         assert [(q, m) for q, m in fz.factors] == [
             (cyclotomic(8), 2), (cyclotomic(5), 2)]
@@ -221,7 +222,7 @@ class TestFactorZ:
         # x is a modular factor with constant term 0: it must still divide
         sd8 = swinnerton_dyer((2, 3, 5))
         assert find_certificate(sd8) is None
-        fz = factor_z(poly(0, 1) * sd8)
+        fz = factor_z(poly_mul(poly(0, 1), sd8))
         assert fz.constant == 1
         assert [(q, m) for q, m in fz.factors] == [(poly(0, 1), 1), (sd8, 1)]
 
@@ -232,7 +233,8 @@ class TestFactorOrder:
     is scanned over the job's primes and the defaults."""
 
     @pytest.mark.parametrize("primes", [None, [19, 3], [5]], ids=["none", "19-3", "5"])
-    @pytest.mark.parametrize("f", [cyclotomic(5) * cyclotomic(8), poly(-2, 0, 1) * poly(-3, 0, 1)],
+    @pytest.mark.parametrize("f", [poly_mul(cyclotomic(5), cyclotomic(8)),
+                                   poly_mul(poly(-2, 0, 1), poly(-3, 0, 1))],
                              ids=["phi5-phi8", "(x2-2)(x2-3)"])
     def test_reducible_part_is_never_scanned(self, monkeypatch, f, primes):
         tested = record_tests(monkeypatch)
@@ -269,7 +271,7 @@ class TestFactorOrder:
         # factoring an irreducible part before its scan draws from the rng
         # that factor_z shares between parts; the modular factors are sorted,
         # so the next part's factors and certificates do not depend on it
-        f = cyclotomic(5) * cyclotomic(8) * swinnerton_dyer((2, 3, 5))
+        f = poly_mul(cyclotomic(5), cyclotomic(8), swinnerton_dyer((2, 3, 5)))
         results = {tuple(polylab._zassenhaus_squarefree(f, random.Random(seed), None))
                    for seed in range(8)}
         assert results == {((cyclotomic(5), Certificate(2)), (cyclotomic(8), None),
@@ -281,8 +283,8 @@ class TestHenselLift:
     # 2x - 7 of test_non_monic_recombination it is 2
     @pytest.mark.parametrize("f", [
         swinnerton_dyer((2, 3, 5, 7)),
-        poly(1, 0, -40, 0, 16) * poly(1, 0, -90, 0, 81),
-        poly(1, 0, -40, 0, 16) * poly(1, 0, -90, 0, 81) * poly(-7, 2),
+        poly_mul(poly(1, 0, -40, 0, 16), poly(1, 0, -90, 0, 81)),
+        poly_mul(poly(1, 0, -40, 0, 16), poly(1, 0, -90, 0, 81), poly(-7, 2)),
     ], ids=["SD-16", "g(2x)g(3x)", "g(2x)g(3x)(2x-7)"])
     def test_lift_invariants(self, f):
         # factor_z's working prime: the first odd prime with good reduction
@@ -294,12 +296,11 @@ class TestHenselLift:
         exponent = polylab._mignotte_exponent(f, p)
         lifted, modulus = polylab._hensel_lift(f, p, modular, exponent)
         assert modulus == p ** exponent
-        product = IntPolynomial.constant(f.leading)
         for g, orig in zip(lifted, modular, strict=True):
             assert len(g) == len(orig) and g[-1] == 1
             assert all(0 <= c < modulus for c in g)
             assert [c % p for c in g] == orig
-            product = product * IntPolynomial.of_coeffs(g)
+        product = poly_mul(IntPolynomial.constant(f.leading), *map(IntPolynomial.of_coeffs, lifted))
         assert all(c % modulus == 0 for c in (f - product).coeffs)
 
     def test_swinnerton_dyer_oracle(self):
@@ -440,7 +441,7 @@ class TestRecombination:
             return iter(walks[-1][2])
 
         monkeypatch.setattr(polylab, "_trace_passes", walk)
-        fz = factor_z(g * h)
+        fz = factor_z(poly_mul(g, h))
         assert [q for q, _ in fz.factors] == sorted([g, h], key=lambda q: q.coeffs)
         assert [(size, first) for size, first, _ in walks] == (
             [(s, False) for s in range(1, k)] + [(k, True)])
@@ -567,7 +568,8 @@ class TestPackedPowers:
         # phi_59 (degree 58) stays irreducible modulo 11
         p = 11
         phi = polylab._gf_from_int_poly(cyclotomic(59), p)
-        fbar = polylab._gf_mul(polylab._gf_from_int_poly(poly(-1, 1) * poly(-2, 1), p), phi, p)
+        fbar = polylab._gf_mul(polylab._gf_from_int_poly(poly_mul(poly(-1, 1), poly(-2, 1)), p),
+                               phi, p)
         assert len(fbar) - 1 == 60
         built, used = self.record_setups(monkeypatch)
         pairs = list(polylab._distinct_degree(fbar, p))
@@ -664,7 +666,7 @@ class TestPackedEuclid:
 
 class TestSquarefree:
     def test_multiplicities(self):
-        p = poly(-1, 1) ** 2 * poly(2, 1)
+        p = poly_mul(poly(-1, 1), poly(-1, 1), poly(2, 1))
         decomp = squarefree_decomposition(p)
         assert decomp == [(poly(2, 1), 1), (poly(-1, 1), 2)]
 
@@ -679,14 +681,10 @@ class TestSquarefree:
                         [rng.randrange(-4, 5) for _ in range(deg)] + [1]), mult))
             if not parts:
                 continue
-            p = IntPolynomial.one()
-            for q, m in parts:
-                p = p * q ** m
+            p = poly_mul(*(poly_pow(q, m) for q, m in parts))
             if p.degree < 1:
                 continue
-            rebuilt = IntPolynomial.one()
-            for q, m in squarefree_decomposition(p):
-                rebuilt = rebuilt * q ** m
+            rebuilt = poly_mul(*(poly_pow(q, m) for q, m in squarefree_decomposition(p)))
             assert rebuilt == p.primitive_part()
 
 
@@ -719,7 +717,7 @@ class TestSquarefree:
         # split by Yun: each part of degree 2 or more scans for its own prime
         calls.clear()
         f = poly(0, -30030, 1)
-        g = poly(-2, 0, 1) ** 2 * poly(-3, 0, 1)
+        g = poly_mul(poly(-2, 0, 1), poly(-2, 0, 1), poly(-3, 0, 1))
         factor_z(f)
         factor_z(g)
         assert calls == [(f, 13), (f, None), (g, 13),
@@ -830,7 +828,7 @@ class TestDiscriminantFilter:
                     for d in degrees)
             if trial % 4 == 0:  # a common factor: the resultant is 0
                 common = IntPolynomial.of_coeffs([rng.randint(-5, 5), 1])
-                a, b = a * common, b * common
+                a, b = poly_mul(a, common), poly_mul(b, common)
             # sympy's resultant(f, g) omits the sign (-1)^(deg f deg g) when
             # deg f < deg g, so it is asked with the larger degree first
             expected = int(sympy.resultant(to_sympy(a), to_sympy(b), x)) % p
@@ -864,12 +862,12 @@ class TestIsPrime:
 
 class TestCriterion:
     def test_even_degree_square(self):
-        rep = criterion(poly(9, 0, 1) * poly(9, 0, 1))
+        rep = criterion(poly_mul(poly(9, 0, 1), poly(9, 0, 1)))
         assert rep.verdict == INCONCLUSIVE
         assert rep.reasons["even_degree_split"] is True
 
     def test_two_odd_factors(self):
-        rep = criterion(QUINTIC * QUINTIC)
+        rep = criterion(poly_mul(QUINTIC, QUINTIC))
         assert rep.verdict == CERTIFIED
         assert rep.reasons["two_odd_irreducible_factors"] is True
 
@@ -891,28 +889,29 @@ class TestCriterion:
         check_criterion_closed_form(12)
 
     def test_certificate_selection(self):
-        rep = criterion(QUINTIC * QUINTIC, primes=[17])
+        rep = criterion(poly_mul(QUINTIC, QUINTIC), primes=[17])
         assert rep.certificates[0].prime == 17
         assert rep.certificates[0].method == "distinct-degree-gcd"
 
     def test_certifying_job_prime_ends_the_scan(self, monkeypatch):
         tested = record_tests(monkeypatch)
-        rep = criterion(QUINTIC * QUINTIC, primes=[17])
+        rep = criterion(poly_mul(QUINTIC, QUINTIC), primes=[17])
         assert rep.certificates[0].prime == 17
         assert tested == [(QUINTIC, 17)]
 
     def test_job_primes_scanned_first(self, monkeypatch):
         # neither 19 nor 3 certifies QUINTIC, and no default prime is tried
         tested = record_tests(monkeypatch)
-        rep = criterion(QUINTIC * QUINTIC, primes=[19, 3])
+        rep = criterion(poly_mul(QUINTIC, QUINTIC), primes=[19, 3])
         assert rep.certificates == (None,)
         assert [p for _, p in tested] == [19, 3]
 
     @pytest.mark.parametrize("primes", [None, [19, 3], [3, 5, 7], [], [17, 17, 3]])
     def test_each_factor_prime_pair_tested_once(self, monkeypatch, primes):
         tested = record_tests(monkeypatch)
-        for p in (QUINTIC * QUINTIC, OCTIC * poly(-1, 1), poly(1, 0, 0, 0, 1),
-                  poly(1, 0, -10, 0, 1) * cyclotomic(7) ** 2, cyclotomic(9) * cyclotomic(15)):
+        for p in (poly_mul(QUINTIC, QUINTIC), poly_mul(OCTIC, poly(-1, 1)), poly(1, 0, 0, 0, 1),
+                  poly_mul(poly(1, 0, -10, 0, 1), poly_pow(cyclotomic(7), 2)),
+                  poly_mul(cyclotomic(9), cyclotomic(15))):
             tested.clear()
             rep = criterion(p, primes)
             assert len(tested) == len(set(tested)), p
@@ -952,9 +951,7 @@ class TestCertificateRule:
         tested = record_tests(monkeypatch)
         for _ in range(12):
             chosen = {q: rng.randrange(1, 4) for q in rng.sample(CERTIFICATE_POOL, 3)}
-            p = IntPolynomial.one()
-            for q, m in chosen.items():
-                p = p * q ** m
+            p = poly_mul(*(poly_pow(q, m) for q, m in chosen.items()))
             oracle = {q: certificate_oracle(q, primes) for q in chosen}
             tested.clear()
             fz = factor_z(p, primes)
@@ -970,7 +967,7 @@ class TestCertificateRule:
 
     def test_repeated_listed_prime_tested_once(self, monkeypatch):
         tested = record_tests(monkeypatch)
-        p = poly(1, 0, 0, 0, 1) * poly(1, *[0] * 9, 1)  # (x^4 + 1)(x^10 + 1)
+        p = poly_mul(poly(1, 0, 0, 0, 1), poly(1, *[0] * 9, 1))  # (x^4 + 1)(x^10 + 1)
         once = criterion(p, [2])
         calls = len(tested)
         tested.clear()
@@ -992,10 +989,7 @@ class TestRootsOfUnity:
 
     def test_cyclotomic_product(self):
         for n in (1, 2, 6, 12, 18, 20):
-            prod = IntPolynomial.one()
-            for d in range(1, n + 1):
-                if n % d == 0:
-                    prod = prod * cyclotomic(d)
+            prod = poly_mul(*(cyclotomic(d) for d in range(1, n + 1) if n % d == 0))
             assert prod == poly(*([-1] + [0] * (n - 1) + [1]))
 
 

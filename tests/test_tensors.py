@@ -5,16 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import (check_magnus_multiplicativity, left_normed_dynkin, random_tensor, random_word,
-                    tensor_fault)
+from checks import (check_magnus_multiplicativity, graded_part, left_normed_dynkin,
+                    linear_combination, random_tensor, random_word, tensor_fault, tensor_mul)
 from psicert.errors import GenusMismatchError, TruncationError
-from psicert.tensors import (TruncatedTensor, dynkin_is_lie, graded_part,
-                             lie_bracket, magnus_expand, tensor_mul)
+from psicert.tensors import TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand
 from psicert.words import a_gen, b_gen, commutator
 
 
 def sym(genus, idx, trunc):
-    return TruncatedTensor.symbol(genus, idx, trunc)
+    return TruncatedTensor(genus, trunc, {(idx,): 1})
 
 
 class TestValidation:
@@ -74,20 +73,20 @@ class TestValidation:
 
 class TestAdd:
     def test_cancelling_terms_dropped(self):
-        t = sym(2, 1, 3) + sym(2, 4, 3)
-        assert (t + sym(2, 1, 3).scale(-1)).terms == {(4,): 1}
-        assert (t - t).is_zero()
+        t = linear_combination((1, sym(2, 1, 3)), (1, sym(2, 4, 3)))
+        assert linear_combination((1, t), (-1, sym(2, 1, 3))).terms == {(4,): 1}
+        assert linear_combination((1, t), (-1, t)).is_zero()
 
     def test_truncation_is_min(self):
         s = TruncatedTensor(1, 4, {(1, 1, 1): 1, (2,): 1})
         t = TruncatedTensor(1, 2, {(2,): -1, (1, 2): 3})
-        assert s + t == TruncatedTensor(1, 2, {(1, 2): 3})
+        assert linear_combination((1, s), (1, t)) == TruncatedTensor(1, 2, {(1, 2): 3})
 
 
 class TestTensorMul:
     def test_unit(self):
-        t = sym(2, 1, 3) + sym(2, 4, 3).scale(2)
-        assert tensor_mul(TruncatedTensor.unit(2, 3), t) == t
+        t = TruncatedTensor(2, 3, {(1,): 1, (4,): 2})
+        assert tensor_mul(TruncatedTensor(2, 3, {(): 1}), t) == t
 
     def test_concatenation(self):
         assert tensor_mul(sym(1, 1, 2), sym(1, 2, 2)).terms == {(1, 2): 1}
@@ -95,7 +94,7 @@ class TestTensorMul:
     def test_truncated_geometric_inverse(self):
         one_plus = TruncatedTensor(1, 2, {(): 1, (1,): 1})
         series = TruncatedTensor(1, 2, {(): 1, (1,): -1, (1, 1): 1})
-        assert tensor_mul(one_plus, series) == TruncatedTensor.unit(1, 2)
+        assert tensor_mul(one_plus, series) == TruncatedTensor(1, 2, {(): 1})
 
     def test_truncation_is_min(self):
         s = TruncatedTensor(1, 4, {(1, 1): 1})
@@ -134,9 +133,10 @@ class TestLieBracket:
             x = random_tensor(rng, 2, 1, 3, terms=2)
             y = random_tensor(rng, 2, 1, 3, terms=2)
             z = random_tensor(rng, 2, 1, 3, terms=2)
-            assert lie_bracket(x, y) == lie_bracket(y, x).scale(-1)
-            jac = (lie_bracket(x, lie_bracket(y, z)) + lie_bracket(y, lie_bracket(z, x))
-                   + lie_bracket(z, lie_bracket(x, y)))
+            assert linear_combination((1, lie_bracket(x, y)), (1, lie_bracket(y, x))).is_zero()
+            jac = linear_combination((1, lie_bracket(x, lie_bracket(y, z))),
+                                     (1, lie_bracket(y, lie_bracket(z, x))),
+                                     (1, lie_bracket(z, lie_bracket(x, y))))
             assert jac.is_zero()
 
 
@@ -184,7 +184,7 @@ class TestDynkin:
     def test_bracket_is_lie(self):
         t = lie_bracket(sym(1, 1, 2), sym(1, 2, 2))
         assert dynkin_is_lie(t)
-        assert left_normed_dynkin(t) == t.scale(2)
+        assert left_normed_dynkin(t) == linear_combination((2, t))
 
     def test_square_word_is_not(self):
         assert not dynkin_is_lie(TruncatedTensor(1, 2, {(1, 1): 1}))
@@ -200,7 +200,7 @@ class TestDynkin:
             dynkin_is_lie(TruncatedTensor(1, 2, {(1,): 1, (1, 2): 1}))
 
     def test_zero_passes(self):
-        assert dynkin_is_lie(TruncatedTensor.zero(1, 3))
+        assert dynkin_is_lie(TruncatedTensor(1, 3, {}))
 
     def test_empty_word_rejected(self):
         for terms in ({(): 1, (1, 2): 1}, {(): 3}):
@@ -216,13 +216,17 @@ class TestDynkin:
                 for _ in range(4):
                     bracket = random_bracket(rng, genus, degree)[1]
                     word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(degree))
-                    plus = bracket + TruncatedTensor(genus, degree, {word: 1})
-                    lie_sum = bracket.scale(rng.randrange(-3, 4)) + random_bracket(rng, genus, degree)[1]
+                    plus = linear_combination((1, bracket),
+                                              (1, TruncatedTensor(genus, degree, {word: 1})))
+                    lie_sum = linear_combination((rng.randrange(-3, 4), bracket),
+                                                 (1, random_bracket(rng, genus, degree)[1]))
                     words = random_tensor(rng, genus, degree, degree, terms=5)
                     for t in (bracket, plus, lie_sum, words):
-                        assert dynkin_is_lie(t) == (left_normed_dynkin(t) == t.scale(degree))
-                    mixed = words + random_tensor(rng, genus, rng.randrange(degree + 1), degree, terms=3)
-                    if mixed.min_degree() != mixed.max_degree():
+                        dynkin = left_normed_dynkin(t)
+                        assert dynkin_is_lie(t) == (dynkin == linear_combination((degree, t)))
+                    lower = random_tensor(rng, genus, rng.randrange(degree + 1), degree, terms=3)
+                    mixed = linear_combination((1, words), (1, lower))
+                    if not mixed.is_homogeneous(mixed.max_degree()):
                         with pytest.raises(ValueError):
                             dynkin_is_lie(mixed)
 
@@ -230,7 +234,8 @@ class TestDynkin:
         # D(t) goes into a residual dict, never into a validated tensor
         rng = random.Random(0x52455349)
         inputs = [random_bracket(rng, 3, 6)[1] for _ in range(5)]
-        inputs += [t + TruncatedTensor(3, 6, {(1, 2, 3, 4, 5, 6): 1}) for t in inputs]
+        inputs += [linear_combination((1, t), (1, TruncatedTensor(3, 6, {(1, 2, 3, 4, 5, 6): 1})))
+                   for t in inputs]
         built = []
         real = TruncatedTensor.__post_init__
         monkeypatch.setattr(TruncatedTensor, "__post_init__", lambda t: built.append(t) or real(t))
@@ -251,7 +256,8 @@ class TestDynkin:
             found += 1
             assert dynkin_is_lie(bracket)
             word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(weight))
-            assert not dynkin_is_lie(bracket + TruncatedTensor(genus, weight, {word: 1}))
+            plus = linear_combination((1, bracket), (1, TruncatedTensor(genus, weight, {word: 1})))
+            assert not dynkin_is_lie(plus)
 
 
 def random_bracket(rng, genus, weight):
@@ -259,7 +265,7 @@ def random_bracket(rng, genus, weight):
     if weight == 1:
         i = rng.randrange(1, 2 * genus + 1)
         from psicert.words import generator
-        return generator(genus, i), TruncatedTensor.symbol(genus, i, weight)
+        return generator(genus, i), sym(genus, i, weight)
     left_w = rng.randrange(1, weight)
     lw, lt = random_bracket(rng, genus, left_w)
     rw, rt = random_bracket(rng, genus, weight - left_w)
@@ -277,8 +283,8 @@ class TestLowerCentralIdentification:
             if bracket.is_zero():
                 continue  # degenerate tree (e.g. [x, x]); not a weight-m class
             found += 1
-            e = magnus_expand(word, weight) - TruncatedTensor.unit(genus, weight)
-            assert e.min_degree() == weight
+            e = magnus_expand(word, weight)
+            assert min(len(w) for w in e.terms if w) == weight
             lead = graded_part(e, weight)
             assert lead == graded_part(bracket, weight)
             assert dynkin_is_lie(lead)
@@ -289,7 +295,7 @@ class TestLowerCentralIdentification:
         rng = random.Random(seed)
         w = random_word(rng, 2, 6)
         t = tensor_mul(magnus_expand(w, 4), magnus_expand(w.inverse(), 4))
-        assert t == TruncatedTensor.unit(2, 4)
+        assert t == TruncatedTensor(2, 4, {(): 1})
 
 
 class TestSerialization:

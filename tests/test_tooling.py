@@ -23,12 +23,18 @@ pi1 job has depth exactly k and makes a pinned number of expansions, all at
 k+1, so a change that makes the benchmark pay for the job truncation, or
 leaves the additive route on a family that takes it, fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
+Every function of the package runs in a pass of the seed-1 workloads, the
+CLI's subcommands and options, or the README's library example, so code that
+only tests call is kept in `tests/` instead.
 """
 import ast
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +45,7 @@ from checks import (berkowitz_char_coeffs, linear_hensel_lift, list_gf_gcd, list
                     schoolbook_distinct_degree, walk_recombine)
 from psicert.homology import IntMatrix, char_coeffs
 from psicert import johnson, polylab
+from psicert.cli import main
 from psicert.jobs import canonical_json, parse_job, run_job
 from psicert.johnson import DepthResult
 from psicert.polylab import charpoly, criterion, squarefree_decomposition
@@ -282,6 +289,94 @@ def test_package_modules_use_every_import():
         read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - read)]
     assert unused == []
+
+
+def package_functions() -> dict:
+    """(resolved file, first line of its code) -> name, for every function and
+    method defined in src/psicert; a decorated function's code starts at its
+    first decorator."""
+    found = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                line = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[path, line] = f"{path.stem}.{prefix}{child.name}"
+                walk(child, path, f"{prefix}{child.name}.<locals>.")
+            else:
+                walk(child, path, f"{prefix}{child.name}." if isinstance(child, ast.ClassDef)
+                     else prefix)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text(encoding="utf-8"), str(path)), path.resolve(), "")
+    return found
+
+
+# No route calls these, but perfbench/tracer.py wraps them and BENCHMARK.json
+# names per-layer metrics after them, so they leave only with a declared
+# retarget of the tracer.
+UNREACHED_TRACER_TARGETS = {
+    "homology.sp_check": "conjugate nodes are checked by symplectic_inverse at parse",
+    "polylab.squarefree_decomposition": "factor_z reads _squarefree_parts",
+}
+
+
+def reach_scan(directory: str) -> list[str]:
+    """The package functions, by name, that none of these call: one pass of
+    the seed-1 workloads, `psicert fixtures`, `certify --timings` and `tau` on
+    every fixture, `certify` with each option, `charpoly` on a matrix file, a
+    job that ends in DepthError and the README's library example.  Its input
+    files go in `directory`."""
+    workloads = load_bench_module("workloads")
+    jobs = [str(path) for path in sorted((PACKAGE / "fixtures_data").glob("*/job.json"))]
+    matrix, spec, shallow = (Path(directory) / name
+                             for name in ("matrix.json", "spec.json", "shallow.json"))
+    matrix.write_text("[[2, 1], [1, 1]]")
+    spec.write_text('{"pairs": [[2, 3]], "output": 1}')
+    shallow.write_text('{"schema": 1, "genus": 2, "k": 2, "pipeline": "pi1", '
+                       '"element": {"op": "inner", "word": "a1"}}')
+    twist = str(PACKAGE / "fixtures_data" / "septwist-g2-i1" / "job.json")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
+    example = readme.split("```python", 1)[1].split("```", 1)[0]
+    seen = set()
+    sys.setprofile(lambda frame, event, arg: event == "call" and seen.add(frame.f_code))
+    try:
+        for name in workloads.WORKLOADS:
+            for case in workloads.generate(name, workloads.DEFAULT_SEED):
+                if case["kind"] == "job":
+                    run_job(parse_job(case["input"])).to_json()
+                else:
+                    criterion(charpoly(IntMatrix.from_rows(case["input"]))).to_json_obj()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            codes = [main(["fixtures"])]
+            for job in jobs:
+                codes += [main(["certify", "--job", job, "--timings"]), main(["tau", "--job", job])]
+            codes += [main(["certify", "--job", twist, "--primes", "17, 3", "--truncation", "5",
+                            "--contraction-spec", str(spec)]),
+                      main(["charpoly", "--matrix", str(matrix)]),
+                      main(["certify", "--job", str(shallow)])]
+            exec(example, {})
+    finally:
+        sys.setprofile(None)
+    # tau refuses the two homology sums; the shallow job's depth is 1 < k
+    assert codes == [0, 0, 2, 0, 0, 0, 2] + [0] * 8 + [0, 0, 3], codes
+    reached = {(Path(code.co_filename).resolve(), code.co_firstlineno)
+               for code in seen if "psicert" in code.co_filename}
+    return sorted(name for key, name in package_functions().items() if key not in reached)
+
+
+def test_package_code_is_reached(tmp_path):
+    """`reach_scan` calls every function of the package but the unreached
+    tracer targets.  It runs in a fresh interpreter, so that no cache an
+    earlier test filled (the CRT moduli, the Euclid layouts) hides a call."""
+    paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
+    script = ("import json, test_tooling; "
+              f"print(json.dumps(test_tooling.reach_scan({str(tmp_path)!r})))")
+    result = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                            text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                            timeout=120)
+    assert result.returncode == 0, result.stderr[-4000:]
+    assert json.loads(result.stdout) == sorted(UNREACHED_TRACER_TARGETS)
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

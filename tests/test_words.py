@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import (abelianize, exact_length_word, identity_endo, letterwise_apply_endo,
-                    letterwise_compose, random_endo, random_word, transvection)
+from checks import (abelianize, exact_length_word, format_word, identity_endo,
+                    letterwise_apply_endo, letterwise_compose, random_endo, random_word,
+                    transvection)
 from psicert.errors import GenusMismatchError
 from psicert.homology import HVector, IntMatrix
 from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
-                           compose_endos, format_word, inner_automorphism, parse_word,
+                           compose_endos, inner_automorphism, parse_word,
                            reduce_word, sep_twist, sep_twist_gamma)
 
 
