@@ -10,7 +10,7 @@ the exact factor structure of the characteristic polynomial.
 """
 
 from .contract import ContractionSpec, phi_contract, psi_matrix
-from .errors import DepthError, FixtureError, GenusMismatchError, JobError, TruncationError
+from .errors import DepthError, FixtureError, GenusMismatchError, JobError
 from .fixtures import verify_fixtures
 from .homology import HVector, IntMatrix, conjugate, intersection, sp_check, symplectic_inverse
 from .jobs import CertificationReport, Job, load_job, parse_job, run_job, run_tau

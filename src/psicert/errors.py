@@ -11,10 +11,6 @@ def _same_genus(x, y):
         raise GenusMismatchError(f"genus {x.genus} vs {y.genus}")
 
 
-class TruncationError(ValueError):
-    """A tensor operation needed degrees beyond the carried truncation."""
-
-
 class DepthError(ValueError):
     """A Johnson-level operation was requested below the element's filtration depth."""
 

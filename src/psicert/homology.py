@@ -18,16 +18,17 @@ from math import isqrt
 from operator import mul
 
 from .errors import _same_genus
+from .words import bounded_int
 
 GENERATOR_KINDS = ("a", "b")
 
 
 def basis_position(name: str, genus: int) -> int:
-    """0-based coordinate position of a generator name like 'b3'."""
+    """0-based coordinate position of a generator name like 'b3': a or b, then ASCII digits."""
     name = name.strip()
-    if len(name) < 2 or name[0] not in GENERATOR_KINDS or not name[1:].isdigit():
+    if name[:1] not in GENERATOR_KINDS or not (name[1:].isascii() and name[1:].isdecimal()):
         raise ValueError(f"bad generator name {name!r}")
-    j = int(name[1:])
+    j = bounded_int(name[1:], genus)
     if not 1 <= j <= genus:
         raise ValueError(f"generator {name!r} out of range for genus {genus}")
     return 2 * (j - 1) + (0 if name[0] == "a" else 1)

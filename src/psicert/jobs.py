@@ -196,9 +196,18 @@ class Job:
     divide_by: int = 1
     primes: tuple[int, ...] | None = None
     # how far observed_depth is read when the level-k cochain vanishes;
-    # parse_job sets k+2, or 2k+2 at odd k, when absent
+    # None stands for the default, default_truncation(k)
     truncation: int | None = None
     contraction: ContractionSpec | None = None
+
+    def __post_init__(self):
+        if self.truncation is None:
+            object.__setattr__(self, "truncation", default_truncation(self.k))
+
+
+def default_truncation(k: int) -> int:
+    """The truncation of a job that gives none: k+2, or 2k+2 at odd k."""
+    return 2 * k + 2 if k % 2 else k + 2
 
 
 def parse_job(obj: dict) -> Job:
@@ -237,7 +246,7 @@ def parse_job(obj: dict) -> Job:
         for p in primes:
             if not (p < 1 << 64 and _is_prime(p)):
                 raise JobError(f"primes must all be primes below 2^64, got {p}")
-    truncation = _integer(options.get("truncation", 2 * k + 2 if k % 2 else k + 2), "truncation")
+    truncation = _integer(options.get("truncation", default_truncation(k)), "truncation")
     if truncation < k + 1:
         raise JobError(f"truncation must be at least k+1 = {k + 1}")
     if truncation > MAX_TRUNCATION:
@@ -301,6 +310,13 @@ def _index(node: dict, what: str, top: int, top_name: str) -> int:
     return index
 
 
+def _word(text: str, genus: int, what: str):
+    try:
+        return parse_word(text, genus)
+    except ValueError as exc:
+        raise JobError(f"{what}: {exc}") from None
+
+
 def _parse_pi1(node, genus: int):
     if not isinstance(node, dict) or "op" not in node:
         raise JobError("pi1 element nodes must be objects with an 'op' field")
@@ -310,13 +326,14 @@ def _parse_pi1(node, genus: int):
     if op == "inner":
         if not isinstance(node.get("word"), str):
             raise JobError("inner node needs a 'word' string")
-        return inner_automorphism(parse_word(node["word"], genus))
+        return inner_automorphism(_word(node["word"], genus, "inner word"))
     if op == "custom":
         images = node.get("images")
         if (not isinstance(images, list) or len(images) != 2 * genus
                 or not all(isinstance(w, str) for w in images)):
             raise JobError(f"custom node needs exactly {2 * genus} image word strings")
-        return FreeEndomorphism(genus, tuple(parse_word(w, genus) for w in images))
+        return FreeEndomorphism(genus, tuple(_word(w, genus, f"custom image {i}")
+                                             for i, w in enumerate(images, 1)))
     if op == "compose":
         factors = node.get("factors")
         if not isinstance(factors, list) or not factors:

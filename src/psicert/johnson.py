@@ -5,7 +5,9 @@ the map x -> f(x) x^{-1} induces a homomorphism from H to the degree-(k+1)
 layer of the free Lie algebra; computationally, the image of a basis vector
 is the degree-(k+1) graded part of the Magnus expansion of f(x) x^{-1}.
 The cochain extends uniquely to a derivation of the tensor algebra, which
-is how the squared invariant (needed at odd levels) is computed.
+is how the squared invariant (needed at odd levels) is computed.  Only
+`magnus_expand` bounds degrees, at the truncation its caller passes: k+1
+for a cochain, the job truncation for a depth read.
 
 On J(k), the endomorphisms of depth at least k, the cochain is additive
 (Johnson 1980; Morita 1993).  `additive_tau` sums it over the factors of a
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DepthError, GenusMismatchError, TruncationError, _same_genus
+from .errors import DepthError, GenusMismatchError, _same_genus
 from .homology import HVector, intersection
 from .tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, lie_bracket, magnus_expand
 from .words import FreeEndomorphism, generator
@@ -46,8 +48,6 @@ class JohnsonCochain:
         for img in self.images:
             if img.genus != self.genus:
                 raise GenusMismatchError("image tensor has wrong genus")
-            if img.truncation != self.weight:
-                raise ValueError("images must be carried at truncation = weight")
             if not img.is_homogeneous(self.weight):
                 raise ValueError(f"image not homogeneous of degree {self.weight}")
             if not dynkin_is_lie(img):
@@ -132,7 +132,7 @@ def additive_tau(counts: dict, k: int, declined=lambda low, rest: None) -> Johns
         summands.append((times, images))
     genus = next(iter(counts)).genus
     return JohnsonCochain(genus, weight, tuple(
-        TruncatedTensor(genus, weight, _sum_terms(
+        TruncatedTensor(genus, _sum_terms(
             (w, times * c) for times, images in summands for w, c in images[i].items() if w))
         for i in range(2 * genus)))
 
@@ -169,31 +169,22 @@ def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:
     """Leibniz extension of the cochain applied to a tensor.
 
     Each slot of each basis word is replaced in turn by its image under c,
-    raising the degree by weight - 1 per replacement; the input truncation
-    must accommodate that.
+    raising the degree by weight - 1 per replacement.
     """
     _same_genus(c, t)
-    lift = c.weight - 1
-    if t.max_degree() + lift > t.truncation:
-        raise TruncationError(
-            f"derivation raises degree to {t.max_degree() + lift} beyond truncation {t.truncation}")
     def replaced():
         for word, coeff in t.terms.items():
             for j, s in enumerate(word):
                 head, tail = word[:j], word[j + 1:]
                 for cw, cc in c.images[s - 1].terms.items():
                     yield head + cw + tail, coeff * cc
-    return TruncatedTensor(t.genus, t.truncation, _sum_terms(replaced()))
+    return TruncatedTensor(t.genus, _sum_terms(replaced()))
 
 
 def tau_squared(c: JohnsonCochain) -> JohnsonCochain:
     """The derivation applied to the cochain's own images: weight k+1 -> 2k+1."""
-    new_weight = 2 * c.weight - 1
-    images = []
-    for img in c.images:
-        lifted = img.with_truncation(new_weight)
-        images.append(derivation_apply(c, lifted))
-    return JohnsonCochain(c.genus, new_weight, tuple(images))
+    return JohnsonCochain(c.genus, 2 * c.weight - 1,
+                          tuple(derivation_apply(c, img) for img in c.images))
 
 
 WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
@@ -207,14 +198,15 @@ def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
         for vec in (u, v, w):
             if vec.genus != genus:
                 raise GenusMismatchError("wedge vector has wrong genus")
-        tu, tv, tw = (TruncatedTensor.from_hvector(vec, 2) for vec in (u, v, w))
+        tu, tv, tw = (TruncatedTensor(genus, {(p + 1,): c for p, c in enumerate(vec.coords) if c})
+                      for vec in (u, v, w))
         parts += [(u, coeff, lie_bracket(tv, tw)), (v, coeff, lie_bracket(tw, tu)),
                   (w, coeff, lie_bracket(tu, tv))]
     images = []
     for p in range(2 * genus):
         x = HVector.basis(genus, p)
         scaled = ((coeff * intersection(vec, x), bracket) for vec, coeff, bracket in parts)
-        images.append(TruncatedTensor(genus, 2, _sum_terms(
+        images.append(TruncatedTensor(genus, _sum_terms(
             (w, k * c) for k, bracket in scaled if k for w, c in bracket.terms.items())))
     return JohnsonCochain(genus, 2, tuple(images))
 

@@ -2,12 +2,12 @@
 
 A basis word of H^{(d)} is a tuple of d symbol indices in 1..2g (same
 indexing as group generators: 2j-1 is a_j, 2j is b_j).  A TruncatedTensor
-stores a sparse map from basis words to nonzero integers together with an
-explicit truncation degree, which can be raised but never lowered; the Lie
-bracket discards degrees beyond the lesser of its operands' truncations.
-Construction validates the terms with C-speed scans (a stored zero, the
-longest word, the smallest and largest symbol) and walks the terms one by
-one only to name the first fault.
+is a genus and a sparse map from basis words to nonzero integers; it carries
+no degree bound of its own.  Degrees are bounded in one place, the
+`truncation` argument of `magnus_expand`, which its caller chooses; every
+other operation here is exact.  Construction validates the terms with
+C-speed scans (a stored zero, the smallest and largest symbol) and walks
+the terms one by one only to name the first fault.
 
 The Magnus expansion sends a generator x to 1 + X and its inverse to the
 truncated geometric series 1 - X + X^2 - ...; for a word in the m-th lower
@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import TruncationError, _same_genus
-from .homology import HVector
+from .errors import _same_genus
 from .words import GroupWord, letter_name
 
 BasisWord = tuple[int, ...]
@@ -34,33 +33,22 @@ BasisWord = tuple[int, ...]
 
 @dataclass(frozen=True)
 class TruncatedTensor:
-    """Sparse integer element of the tensor algebra truncated at `truncation`."""
+    """Sparse integer element of the tensor algebra: a finite sum of basis words."""
 
     genus: int
-    truncation: int
     terms: dict  # BasisWord -> nonzero int; treated as immutable
 
     def __post_init__(self):
         if self.genus < 1:
             raise ValueError("genus must be positive")
-        if self.truncation < 0:
-            raise ValueError("truncation must be nonnegative")
         terms, n = self.terms, 2 * self.genus
         symbols = set().union(*terms)
-        if (0 in terms.values() or max(map(len, terms), default=0) > self.truncation
-                or symbols and (min(symbols) < 1 or max(symbols) > n)):
+        if 0 in terms.values() or symbols and (min(symbols) < 1 or max(symbols) > n):
             for word, coeff in terms.items():  # name the first fault, in term order
                 if coeff == 0:
                     raise ValueError("stored zero coefficient")
-                if len(word) > self.truncation:
-                    raise ValueError("stored word beyond truncation")
                 if any(not 1 <= s <= n for s in word):
                     raise ValueError("symbol index out of range")
-
-    @staticmethod
-    def from_hvector(v: HVector, truncation: int) -> "TruncatedTensor":
-        terms = {(p + 1,): c for p, c in enumerate(v.coords) if c}
-        return TruncatedTensor(v.genus, truncation, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -70,12 +58,6 @@ class TruncatedTensor:
 
     def is_homogeneous(self, degree: int) -> bool:
         return set(map(len, self.terms)) <= {degree}
-
-    def with_truncation(self, truncation: int) -> "TruncatedTensor":
-        """Same element viewed at a higher truncation (raising only)."""
-        if truncation < self.truncation:
-            raise TruncationError("a truncation can be raised, never lowered")
-        return TruncatedTensor(self.genus, truncation, dict(self.terms))
 
     def to_json_obj(self) -> list:
         """Canonical list form: sorted by (degree, word), coefficients as strings."""
@@ -92,21 +74,22 @@ def _sum_terms(pairs) -> dict[BasisWord, int]:
 
 
 def lie_bracket(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
-    """[s, t] = s t - t s in the tensor algebra, truncated at min(truncations)."""
+    """[s, t] = s t - t s in the tensor algebra."""
     _same_genus(s, t)
-    d = min(s.truncation, t.truncation)
-    return TruncatedTensor(s.genus, d, _sum_terms(
+    return TruncatedTensor(s.genus, _sum_terms(
         pair for w1, c1 in s.terms.items() for w2, c2 in t.terms.items()
-        if len(w1) + len(w2) <= d for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))))
+        for pair in ((w1 + w2, c1 * c2), (w2 + w1, -c1 * c2))))
 
 
 def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:
-    """Magnus expansion of a word, multiplicative and truncated.
+    """Magnus expansion of a word through degree `truncation`, multiplicative.
 
     Generator letters map to 1 + X and inverse letters to the truncated
     geometric series 1 - X + X^2 - ...; the factors multiply left to right,
     so each letter keeps every term and adds its shift by X, or by X^d with
-    sign (-1)^d for every d that fits for an inverse letter.
+    sign (-1)^d for every d that fits for an inverse letter.  The bound is
+    the caller's: the returned tensor holds every term of degree at most
+    `truncation` and carries no bound of its own.
     """
     if truncation < 1:
         raise ValueError("truncation must be at least 1")
@@ -120,7 +103,7 @@ def magnus_expand(w: GroupWord, truncation: int) -> TruncatedTensor:
                 c *= sign
                 out[word] = out.get(word, 0) + c
         acc = {word: c for word, c in out.items() if c}
-    return TruncatedTensor(w.genus, truncation, acc)
+    return TruncatedTensor(w.genus, acc)
 
 
 def _add_dynkin(out: dict[BasisWord, int], terms: dict[BasisWord, int]) -> dict[BasisWord, int]:

@@ -14,7 +14,7 @@ so a doubling-and-halving search over list slices finds it, and the slices
 compare in C.
 
 Text syntax: whitespace-separated tokens `a3`, `b1^-1`, with any nonzero
-integer exponent allowed after `^`.
+integer exponent allowed after `^`; indices and exponents are ASCII digits.
 """
 from __future__ import annotations
 
@@ -137,6 +137,15 @@ def reduce_word(genus: int, letters) -> GroupWord:
     return GroupWord(genus, _reduce_letters(letters))
 
 
+def bounded_int(digits: str, top: int) -> int:
+    """The integer of ASCII digits after an optional -, or top + 1, unread, if it has
+    more significant digits than top."""
+    significant = digits.lstrip("-0") or "0"
+    if len(significant) > len(str(top)):
+        return top + 1
+    return -int(significant) if digits.startswith("-") else int(significant)
+
+
 def parse_word(text: str, genus: int) -> GroupWord:
     letters: list[Letter] = []
     for token in text.split():
@@ -144,11 +153,11 @@ def parse_word(text: str, genus: int) -> GroupWord:
         if not m:
             raise ValueError(f"bad word token {token!r}")
         kind, num, exponent = m.groups()
-        j = int(num)
+        j = bounded_int(num, genus)
         if not 1 <= j <= genus:
-            raise ValueError(f"generator {kind}{j} out of range for genus {genus}")
+            raise ValueError(f"generator {kind}{num} out of range for genus {genus}")
         idx = 2 * j - 1 if kind == "a" else 2 * j
-        e = 1 if exponent is None else int(exponent)
+        e = 1 if exponent is None else bounded_int(exponent, MAX_WORD_LETTERS)
         if e == 0:
             raise ValueError(f"zero exponent in {token!r}")
         if len(letters) + abs(e) > MAX_WORD_LETTERS:

@@ -22,7 +22,7 @@ import random
 from operator import mul
 
 from psicert.contract import psi_matrix
-from psicert.errors import TruncationError, _same_genus
+from psicert.errors import _same_genus
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import JohnsonCochain, derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
@@ -38,34 +38,30 @@ def format_word(w: GroupWord) -> str:
     return " ".join(letter_name(idx) + ("" if sign == 1 else "^-1") for idx, sign in w.letters)
 
 
-def tensor_mul(s: TruncatedTensor, t: TruncatedTensor) -> TruncatedTensor:
-    """Concatenation product, truncated at min(truncations)."""
+def tensor_mul(s: TruncatedTensor, t: TruncatedTensor, truncation: int) -> TruncatedTensor:
+    """Concatenation product, keeping the words of degree at most `truncation`."""
     _same_genus(s, t)
-    d = min(s.truncation, t.truncation)
-    return TruncatedTensor(s.genus, d, _sum_terms(
+    return TruncatedTensor(s.genus, _sum_terms(
         (w1 + w2, c1 * c2) for w1, c1 in s.terms.items()
-        for w2, c2 in t.terms.items() if len(w1) + len(w2) <= d))
+        for w2, c2 in t.terms.items() if len(w1) + len(w2) <= truncation))
 
 
 def linear_combination(*pairs):
-    """Sum of k * x over (k, x) pairs: of tensors, truncated at the least
-    truncation, or of cochains of one weight, image by image."""
+    """Sum of k * x over (k, x) pairs: of tensors, or of cochains of one
+    weight, image by image."""
     x0 = pairs[0][1]
     for _, x in pairs:
         _same_genus(x0, x)
     if isinstance(x0, JohnsonCochain):
         return JohnsonCochain(x0.genus, x0.weight, tuple(
             linear_combination(*((k, c.images[i]) for k, c in pairs)) for i in range(2 * x0.genus)))
-    d = min(t.truncation for _, t in pairs)
-    return TruncatedTensor(x0.genus, d, _sum_terms(
-        (w, k * c) for k, t in pairs for w, c in t.terms.items() if len(w) <= d))
+    return TruncatedTensor(x0.genus, _sum_terms(
+        (w, k * c) for k, t in pairs for w, c in t.terms.items()))
 
 
 def graded_part(t: TruncatedTensor, degree: int) -> TruncatedTensor:
-    """Homogeneous degree-d component; degrees beyond the truncation are an error."""
-    if degree > t.truncation:
-        raise TruncationError(f"degree {degree} exceeds truncation {t.truncation}")
-    return TruncatedTensor(t.genus, degree, {w: c for w, c in t.terms.items() if len(w) == degree})
+    """Homogeneous degree-d component."""
+    return TruncatedTensor(t.genus, {w: c for w, c in t.terms.items() if len(w) == degree})
 
 
 def poly_mul(*factors: IntPolynomial) -> IntPolynomial:
@@ -171,9 +167,10 @@ def random_endo(rng: random.Random, genus: int, max_len: int) -> FreeEndomorphis
                                          for _ in range(2 * genus)))
 
 
-def random_tensor(rng: random.Random, genus: int, degree: int, truncation: int,
+def random_tensor(rng: random.Random, genus: int, degree: int,
                   terms: int = 4, coeff_bound: int = 5) -> TruncatedTensor:
-    return TruncatedTensor(genus, truncation, _sum_terms(
+    """Up to `terms` random words of one degree with nonzero coefficients."""
+    return TruncatedTensor(genus, _sum_terms(
         (tuple(rng.randrange(1, 2 * genus + 1) for _ in range(degree)),
          rng.randrange(-coeff_bound, coeff_bound + 1) or 1) for _ in range(terms)))
 
@@ -187,9 +184,9 @@ def check_magnus_multiplicativity(pairs: int = 200) -> None:
         u = random_word(rng, genus, 8)
         v = random_word(rng, genus, 8)
         eu, ev = magnus_expand(u, trunc), magnus_expand(v, trunc)
-        assert magnus_expand(u * v, trunc) == tensor_mul(eu, ev)
-        unit = TruncatedTensor(genus, trunc, {(): 1})
-        assert tensor_mul(magnus_expand(u.inverse(), trunc), eu) == unit
+        assert magnus_expand(u * v, trunc) == tensor_mul(eu, ev, trunc)
+        unit = TruncatedTensor(genus, {(): 1})
+        assert tensor_mul(magnus_expand(u.inverse(), trunc), eu, trunc) == unit
 
 
 def check_tau_additivity(pairs: int = 50) -> None:
@@ -225,15 +222,13 @@ def check_derivation_leibniz(cases: int = 100) -> None:
     for _ in range(cases):
         genus = rng.randrange(2, 4)
         c = tau_on_H(sep_twist(genus, rng.randrange(1, genus)), 2)
-        lift = c.weight - 1
         ds, dt = rng.randrange(1, 3), rng.randrange(1, 3)
-        trunc = ds + dt + lift
-        s = random_tensor(rng, genus, ds, trunc, terms=3)
-        t = random_tensor(rng, genus, dt, trunc, terms=3)
-        st = tensor_mul(s, t)
-        lhs = derivation_apply(c, st)
-        rhs = linear_combination((1, tensor_mul(derivation_apply(c, s), t)),
-                                 (1, tensor_mul(s, derivation_apply(c, t))))
+        trunc = ds + dt + c.weight - 1  # the degree of each product; nothing is cut
+        s = random_tensor(rng, genus, ds, terms=3)
+        t = random_tensor(rng, genus, dt, terms=3)
+        lhs = derivation_apply(c, tensor_mul(s, t, trunc))
+        rhs = linear_combination((1, tensor_mul(derivation_apply(c, s), t, trunc)),
+                                 (1, tensor_mul(s, derivation_apply(c, t), trunc)))
         assert lhs == rhs
 
 
@@ -246,7 +241,7 @@ def omega0(genus: int) -> TruncatedTensor:
         a, b = 2 * j + 1, 2 * j + 2
         terms[(a, b)] = 1
         terms[(b, a)] = -1
-    return TruncatedTensor(genus, 2, terms)
+    return TruncatedTensor(genus, terms)
 
 
 def left_normed_dynkin(t: TruncatedTensor) -> TruncatedTensor:
@@ -265,18 +260,16 @@ def left_normed_dynkin(t: TruncatedTensor) -> TruncatedTensor:
             acc = bracketed
         for w, c in acc.items():
             out[w] = out.get(w, 0) + c
-    return TruncatedTensor(t.genus, t.truncation, {w: c for w, c in out.items() if c})
+    return TruncatedTensor(t.genus, {w: c for w, c in out.items() if c})
 
 
-def tensor_fault(genus: int, truncation: int, terms: dict) -> str | None:
+def tensor_fault(genus: int, terms: dict) -> str | None:
     """The first fault of a term dict in term order, as `TruncatedTensor` names
     it, or None: the term-by-term validation loop (oracle for the scans)."""
     n = 2 * genus
     for word, coeff in terms.items():
         if coeff == 0:
             return "stored zero coefficient"
-        if len(word) > truncation:
-            return "stored word beyond truncation"
         if any(not 1 <= s <= n for s in word):
             return "symbol index out of range"
     return None
@@ -300,7 +293,7 @@ def theta(t: TruncatedTensor) -> TruncatedTensor:
             out[key] = v
         else:
             out.pop(key, None)
-    return TruncatedTensor(t.genus, t.truncation, out)
+    return TruncatedTensor(t.genus, out)
 
 
 def tensor_pairing(s: TruncatedTensor, t: TruncatedTensor) -> int:
@@ -354,7 +347,7 @@ def diagonal_action(m: IntMatrix, t: TruncatedTensor) -> TruncatedTensor:
                 acc[w] = v
             else:
                 acc.pop(w, None)
-    return TruncatedTensor(t.genus, t.truncation, acc)
+    return TruncatedTensor(t.genus, acc)
 
 
 def check_pairing_positivity(cases: int = 100) -> None:
@@ -364,7 +357,7 @@ def check_pairing_positivity(cases: int = 100) -> None:
     while done < cases:
         genus = rng.randrange(1, 4)
         degree = rng.randrange(1, 5)
-        p = random_tensor(rng, genus, degree, degree, terms=rng.randrange(1, 6))
+        p = random_tensor(rng, genus, degree, terms=rng.randrange(1, 6))
         if p.is_zero():
             continue
         assert tensor_pairing(p, theta(p)) > 0

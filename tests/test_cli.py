@@ -205,6 +205,20 @@ def test_hostile_document_exits_2(tmp_path, capsys, name, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("element, node", [
+    ({"op": "inner", "word": "c1"}, "inner word"),
+    ({"op": "inner", "word": "a1^" + "9" * 5000}, "inner word"),
+    ({"op": "custom", "images": ["a1", "b1", "a\u0661", "b2"]}, "custom image 3"),
+])
+@pytest.mark.parametrize("command", ["certify", "tau"])
+def test_bad_word_exits_2_naming_the_node(tmp_path, capsys, element, node, command):
+    job = write_job(tmp_path, dict(twist_job(), element=element))
+    assert main([command, "--job", job]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {node}: ") and "Traceback" not in err
+    assert "set_int_max_str_digits" not in err
+
+
 def oversized_documents() -> dict[str, dict]:
     twist = twist_job()
     return {

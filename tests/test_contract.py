@@ -13,8 +13,8 @@ from psicert.words import (FreeEndomorphism, a_gen, b_gen, compose_endos, parse_
                            sep_twist)
 
 
-def sym(genus, idx, trunc=1):
-    return TruncatedTensor(genus, trunc, {(idx,): 1})
+def sym(genus, idx):
+    return TruncatedTensor(genus, {(idx,): 1})
 
 
 class TestOmega0:
@@ -35,13 +35,13 @@ class TestPhiContract:
     def test_dual_pair_projects(self):
         spec = ContractionSpec.default(3)
         for idx in range(1, 5):
-            t = TruncatedTensor(2, 3, {(1, 2, idx): 1})
+            t = TruncatedTensor(2, {(1, 2, idx): 1})
             out = phi_contract(t, spec)
             assert out == HVector.basis(2, idx - 1)
 
     def test_non_pairing_slots_vanish(self):
         spec = ContractionSpec.default(3)
-        t = TruncatedTensor(2, 3, {(1, 3, 2): 1})  # a1 (x) a2 (x) b1
+        t = TruncatedTensor(2, {(1, 3, 2): 1})  # a1 (x) a2 (x) b1
         assert phi_contract(t, spec) == HVector(2, (0, 0, 0, 0))
 
     def test_twist_image_contracts_to_three(self):
@@ -50,7 +50,7 @@ class TestPhiContract:
         assert out == HVector(2, (3, 0, 0, 0))
 
     def test_arity_mismatch(self):
-        t = TruncatedTensor(2, 2, {(1, 2): 1})
+        t = TruncatedTensor(2, {(1, 2): 1})
         with pytest.raises(ValueError):
             phi_contract(t, ContractionSpec.default(3))
 
@@ -58,7 +58,7 @@ class TestPhiContract:
         rng = random.Random(21)
         spec = ContractionSpec(((2, 3),), 1)  # pair the trailing slots, output the first
         for _ in range(20):
-            t = random_tensor(rng, 2, 3, 3, terms=4)
+            t = random_tensor(rng, 2, 3, terms=4)
             s = IntMatrix.identity(4)
             for _ in range(2):
                 beta = HVector(2, tuple(rng.randrange(-2, 3) for _ in range(4)))
@@ -71,7 +71,7 @@ class TestPhiContract:
         rng = random.Random(22)
         spec = ContractionSpec.default(3)
         for _ in range(30):
-            t = random_tensor(rng, 2, 3, 3, terms=4)
+            t = random_tensor(rng, 2, 3, terms=4)
             s = IntMatrix.identity(4)
             for _ in range(3):
                 beta = HVector(2, tuple(rng.randrange(-2, 3) for _ in range(4)))
@@ -95,33 +95,33 @@ class TestTheta:
         assert theta(sym(1, 2)).terms == {(1,): -1}
 
     def test_slotwise(self):
-        t = TruncatedTensor(2, 2, {(1, 4): 1})  # a1 (x) b2
+        t = TruncatedTensor(2, {(1, 4): 1})  # a1 (x) b2
         assert theta(t).terms == {(2, 3): -1}
 
     def test_involution_sign(self):
-        t = TruncatedTensor(2, 2, {(1, 2): 1, (3, 4): -2})
+        t = TruncatedTensor(2, {(1, 2): 1, (3, 4): -2})
         assert theta(theta(t)) == t  # degree 2: (-1)^2 = +1
-        u = TruncatedTensor(2, 3, {(1, 2, 3): 5})
+        u = TruncatedTensor(2, {(1, 2, 3): 5})
         assert theta(theta(u)) == linear_combination((-1, u))
 
 
 class TestTensorPairing:
     def test_isotropic(self):
-        t = TruncatedTensor(1, 2, {(1, 2): 1})
+        t = TruncatedTensor(1, {(1, 2): 1})
         assert tensor_pairing(t, t) == 0
 
     def test_dual_words(self):
-        s = TruncatedTensor(1, 2, {(1, 2): 1})
-        t = TruncatedTensor(1, 2, {(2, 1): -1})
+        s = TruncatedTensor(1, {(1, 2): 1})
+        t = TruncatedTensor(1, {(2, 1): -1})
         assert tensor_pairing(s, t) == 1
 
     def test_theta_positivity_example(self):
-        p = TruncatedTensor(1, 2, {(1, 2): 1})
+        p = TruncatedTensor(1, {(1, 2): 1})
         assert tensor_pairing(p, theta(p)) == 1
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            tensor_pairing(sym(1, 1), TruncatedTensor(1, 2, {(1, 2): 1}))
+            tensor_pairing(sym(1, 1), TruncatedTensor(1, {(1, 2): 1}))
 
     def test_positivity_suite(self):
         check_pairing_positivity(100)
@@ -129,7 +129,7 @@ class TestTensorPairing:
 
 class TestPsiMatrix:
     def test_zero_cochain(self):
-        zero = JohnsonCochain(2, 3, (TruncatedTensor(2, 3, {}),) * 4)
+        zero = JohnsonCochain(2, 3, (TruncatedTensor(2, {}),) * 4)
         assert psi_matrix(zero, 2) == IntMatrix.from_rows([[0] * 4] * 4)
 
     def test_twist_diagonal(self):
@@ -139,7 +139,7 @@ class TestPsiMatrix:
 
     def test_weight_mismatch(self):
         with pytest.raises(ValueError):
-            psi_matrix(JohnsonCochain(2, 3, (TruncatedTensor(2, 3, {}),) * 4), 1)
+            psi_matrix(JohnsonCochain(2, 3, (TruncatedTensor(2, {}),) * 4), 1)
 
     def test_odd_level_uses_squared_cochain(self):
         m = psi_matrix(bp_tau(2, 2), 1)

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 import subprocess
 import sys
 from math import isqrt, prod
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from checks import berkowitz_char_coeffs, determinant, transvection
 from psicert import homology
 from psicert.errors import GenusMismatchError
-from psicert.homology import (HVector, IntMatrix, char_coeffs, conjugate,
+from psicert.homology import (HVector, IntMatrix, basis_position, char_coeffs, conjugate,
                               intersection, sp_check, symbol_intersection, symplectic_inverse)
 
 # the 10x10 symplectic conjugator used by the bundled genus-5 example
@@ -36,6 +37,23 @@ def hv(genus, *coords):
 
 def coords_strategy(genus=2):
     return st.tuples(*[st.integers(-5, 5) for _ in range(2 * genus)])
+
+
+class TestBasisPosition:
+    @pytest.mark.parametrize("name", ["a\u0661", "b\u00b9", "a", "c1", "a-1", "a+1"])
+    def test_generator_names_take_ascii_digits_only(self, name):
+        # an Arabic-Indic one and a superscript one are digits to str.isdigit
+        with pytest.raises(ValueError, match=f"^bad generator name {re.escape(repr(name))}$"):
+            basis_position(name, 2)
+
+    @pytest.mark.parametrize("name, position", [("a1", 0), ("b2", 3), (" b01 ", 1)])
+    def test_generator_names(self, name, position):
+        assert basis_position(name, 2) == position
+
+    def test_long_generator_index_out_of_range(self):
+        # refused from its digit count, before int() is asked to read it
+        with pytest.raises(ValueError, match="out of range for genus 2$"):
+            basis_position("b" + "7" * 5000, 2)
 
 
 class TestIntersection:

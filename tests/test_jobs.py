@@ -3,13 +3,14 @@ import re
 
 import pytest
 
-from checks import letterwise_compose, linear_combination, transvection
+from checks import identity_endo, letterwise_compose, linear_combination, transvection
 from psicert import homology, jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
-from psicert.jobs import (canonical_json, load_job, parse_hvector, parse_job, parse_matrix,
-                          run_job)
+from psicert.jobs import (Job, canonical_json, load_job, parse_hvector, parse_job, parse_matrix,
+                          run_job, run_tau)
+from psicert.johnson import DepthResult
 from psicert.polylab import IntPolynomial
 from psicert.words import MAX_WORD_LETTERS, sep_twist
 
@@ -197,6 +198,17 @@ class TestValidation:
             parse_job(doc(transvections=[[root, 0, 0, 0]] + [[1, 0, 1, 0]] * 63))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_constructed_job_gets_the_default_truncation(self, k):
+        # a Job built in code without a truncation runs as its parsed document does
+        doc = base_job(k=k, element={"op": "custom", "images": ["a1", "b1", "a2", "b2"]})
+        job = Job(2, k, "pi1", identity_endo(2), "t")
+        assert job.truncation == jobs.default_truncation(k) == parse_job(doc).truncation
+        report = run_job(job)
+        assert report.to_json() == run_job(parse_job(doc)).to_json()
+        assert report.observed_depth == DepthResult(job.truncation - 1, exact=False)
+        assert run_tau(job) == (report.observed_depth, report.tau)
+
     def test_default_truncation_bounds_k(self):
         # the default truncation is k+2, or 2k+2 at odd k
         even = jobs.MAX_TRUNCATION - 2
@@ -247,12 +259,33 @@ class TestValidation:
         with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
             power(3)
 
+    @pytest.mark.parametrize("element, node", [
+        ({"op": "inner", "word": "c1"}, "inner word"),
+        ({"op": "inner", "word": "a1^0"}, "inner word"),
+        ({"op": "inner", "word": "a9"}, "inner word"),
+        ({"op": "inner", "word": "a1^" + "9" * 5000}, "inner word"),
+        ({"op": "custom", "images": ["a1", "b1", "a2 c1", "b2"]}, "custom image 3"),
+        ({"op": "power", "exponent": 2, "base": {
+            "op": "custom", "images": ["a1", "b" + "1" * 5000, "a2", "b2"]}}, "custom image 2"),
+    ])
+    def test_word_errors_name_the_node(self, element, node):
+        with pytest.raises(JobError, match=f"^{node}: ") as info:
+            parse_job(base_job(element=element))
+        assert "set_int_max_str_digits" not in str(info.value)
+
     def test_bad_hvector(self):
         doc = base_job(k=1, pipeline="homology", element={
             "atom": "wedge3",
             "terms": [{"coef": 1, "triple": ["a9", "b1", "b2"]}],
         })
         with pytest.raises(JobError):
+            parse_job(doc)
+
+    @pytest.mark.parametrize("name", ["a\u0661", "b\u00b9"])
+    def test_generator_names_are_ascii(self, name):
+        doc = base_job(k=1, pipeline="homology", element={
+            "atom": "wedge3", "terms": [{"coef": 1, "triple": [name, "b1", "b2"]}]})
+        with pytest.raises(JobError, match="^wedge vector: bad generator name"):
             parse_job(doc)
 
     @pytest.mark.parametrize("entry", ["1_0", " -1", "1 ", "\u0661", "+1", "-", "", "--1", "0x1"])

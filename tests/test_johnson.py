@@ -8,7 +8,7 @@ from checks import (check_derivation_leibniz, check_tau_additivity, check_tau_im
                     exact_length_word, graded_part, identity_endo, linear_combination,
                     random_tensor)
 from psicert import johnson
-from psicert.errors import DepthError, TruncationError
+from psicert.errors import DepthError
 from psicert.homology import HVector
 from psicert.jobs import parse_job, run_job
 from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
@@ -55,8 +55,8 @@ class TestTauOnH:
 
     def test_sep_twist_images(self):
         c = tau_on_H(sep_twist(2, 1), 2)
-        a1 = TruncatedTensor(2, 3, {(1,): 1})
-        b1 = TruncatedTensor(2, 3, {(2,): 1})
+        a1 = TruncatedTensor(2, {(1,): 1})
+        b1 = TruncatedTensor(2, {(2,): 1})
         expected = lie_bracket(lie_bracket(a1, b1), a1)
         assert c.images[0] == expected
         assert c.images[0].terms == {(1, 2, 1): 2, (2, 1, 1): -1, (1, 1, 2): -1}
@@ -229,21 +229,21 @@ class TestLazyExpansion:
 
 class TestDerivation:
     def test_zero_cochain(self):
-        c = JohnsonCochain(2, 3, (TruncatedTensor(2, 3, {}),) * 4)
-        t = random_tensor(random.Random(1), 2, 2, 4)
+        c = JohnsonCochain(2, 3, (TruncatedTensor(2, {}),) * 4)
+        t = random_tensor(random.Random(1), 2, 2)
         assert derivation_apply(c, t).is_zero()
 
     def test_extension_on_degree_one(self):
         c = tau_on_H(sep_twist(2, 1), 2)
-        x = TruncatedTensor(2, 3, {(1,): 1})
+        x = TruncatedTensor(2, {(1,): 1})
         assert derivation_apply(c, x) == c.images[0]
 
     def test_bracket_rule(self):
         c = tau_on_H(sep_twist(2, 1), 2)
         rng = random.Random(2)
         for _ in range(20):
-            x = random_tensor(rng, 2, 1, 5, terms=2)
-            y = random_tensor(rng, 2, 2, 5, terms=2)
+            x = random_tensor(rng, 2, 1, terms=2)
+            y = random_tensor(rng, 2, 2, terms=2)
             lhs = derivation_apply(c, lie_bracket(x, y))
             rhs = linear_combination((1, lie_bracket(derivation_apply(c, x), y)),
                                      (1, lie_bracket(x, derivation_apply(c, y))))
@@ -254,22 +254,22 @@ class TestDerivation:
 
     def test_cancelling_terms_dropped(self):
         # c(a1) = [a1, a2]: D(a1 a1) = [a1, a2] a1 + a1 [a1, a2], where a1 a2 a1 cancels
-        bracket = lie_bracket(TruncatedTensor(2, 2, {(1,): 1}), TruncatedTensor(2, 2, {(3,): 1}))
-        zero = TruncatedTensor(2, 2, {})
+        bracket = lie_bracket(TruncatedTensor(2, {(1,): 1}), TruncatedTensor(2, {(3,): 1}))
+        zero = TruncatedTensor(2, {})
         c = JohnsonCochain(2, 2, (bracket, zero, zero, zero))
-        t = TruncatedTensor(2, 3, {(1, 1): 1})
+        t = TruncatedTensor(2, {(1, 1): 1})
         assert derivation_apply(c, t).terms == {(1, 1, 3): 1, (3, 1, 1): -1}
 
-    def test_insufficient_truncation(self):
+    def test_raises_degree_by_weight_minus_one(self):
+        # no degree bound: each replacement adds weight - 1 = 2 to the degree
         c = tau_on_H(sep_twist(2, 1), 2)
-        t = TruncatedTensor(2, 2, {(1, 2): 1})
-        with pytest.raises(TruncationError):
-            derivation_apply(c, t)
+        t = TruncatedTensor(2, {(1, 2): 1, (2, 1, 1, 2): 3})
+        assert set(map(len, derivation_apply(c, t).terms)) == {4, 6}
 
 
 class TestTauSquared:
     def test_zero(self):
-        assert tau_squared(JohnsonCochain(2, 2, (TruncatedTensor(2, 2, {}),) * 4)).is_zero()
+        assert tau_squared(JohnsonCochain(2, 2, (TruncatedTensor(2, {}),) * 4)).is_zero()
 
     def test_degree_bookkeeping(self):
         c = bp_tau(2, 2)

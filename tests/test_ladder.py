@@ -1,0 +1,58 @@
+"""The level ladder's rungs up to k = 5 against their oracles, with pinned work.
+
+Each report must carry depth exactly k, the cochain the commutator letters
+predict (a left-normed bracket per generator), and a matrix equal to the
+contraction of that cochain at even k, or of its square through the
+derivation at odd k; every cochain image and every squared image must pass
+the Dynkin test.  The work each run does is pinned by deterministic counts,
+never by wall time.
+"""
+import pytest
+
+from ladder import counting, rung, rungs
+from psicert.contract import level_spec, phi_contract
+from psicert.homology import IntMatrix
+from psicert.jobs import parse_job, run_job
+from psicert.johnson import DepthResult, derivation_apply
+from psicert.tensors import TruncatedTensor, dynkin_is_lie, lie_bracket
+
+# (genus, k) -> (tensor validations, terms handed to the Dynkin test, terms
+# Magnus expansions return) in one run_job
+WORK = {
+    (2, 2): (8, 14, 18), (3, 2): (12, 21, 27), (4, 2): (16, 32, 40),
+    (2, 3): (12, 697, 32), (3, 3): (18, 1221, 50), (4, 3): (24, 1726, 68),
+    (2, 4): (8, 48, 52), (3, 4): (12, 77, 83), (4, 4): (16, 112, 120),
+    (2, 5): (12, 8037, 88), (3, 5): (18, 27814, 180), (4, 5): (24, 33591, 226),
+}
+
+
+def bracket_of(genus, letters):
+    """[[...[Y_1, Y_2], ...], Y_m] for letters (index, sign), Y = sign times the class."""
+    out = None
+    for idx, sign in letters:
+        y = TruncatedTensor(genus, {(idx,): sign})
+        out = y if out is None else lie_bracket(out, y)
+    return out
+
+
+def test_rungs_cover_every_genus_and_level():
+    assert sorted(WORK) == sorted(rungs(5))
+    assert len(rungs()) == 21
+
+
+@pytest.mark.parametrize("genus, k", rungs(5), ids=lambda v: str(v))
+def test_rung_matches_oracles(genus, k):
+    doc, tails = rung(genus, k)
+    with counting() as counts:
+        report = run_job(parse_job(doc))
+    assert (counts["validations"], counts["dynkin_terms"], counts["magnus_terms"]) == WORK[genus, k]
+    assert report.observed_depth == DepthResult(k, exact=True)
+    tau = report.tau
+    assert tau.images == tuple(bracket_of(genus, letters) for letters in tails)
+    assert all(dynkin_is_lie(img) for img in tau.images)
+    squared = [derivation_apply(tau, img) for img in tau.images]
+    assert all(img.is_homogeneous(2 * k + 1) and dynkin_is_lie(img) for img in squared)
+    spec = level_spec(k)
+    contracted = tau.images if k % 2 == 0 else squared
+    assert report.psi == IntMatrix.from_columns([phi_contract(img, spec).coords
+                                                 for img in contracted])

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import re
 
@@ -7,132 +8,139 @@ from hypothesis import strategies as st
 
 from checks import (check_magnus_multiplicativity, graded_part, left_normed_dynkin,
                     linear_combination, random_tensor, random_word, tensor_fault, tensor_mul)
-from psicert.errors import GenusMismatchError, TruncationError
+from psicert.errors import GenusMismatchError
 from psicert.tensors import TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand
 from psicert.words import a_gen, b_gen, commutator
 
 
-def sym(genus, idx, trunc):
-    return TruncatedTensor(genus, trunc, {(idx,): 1})
+def sym(genus, idx):
+    return TruncatedTensor(genus, {(idx,): 1})
 
 
 class TestValidation:
-    @pytest.mark.parametrize("truncation, terms, message", [
-        (2, {(1, 2): 0}, "stored zero coefficient"),
-        (2, {(1, 1, 1): 1}, "stored word beyond truncation"),
-        (2, {(0, 1): 1}, "symbol index out of range"),
-        (2, {(1, 5): 1}, "symbol index out of range"),
-        (2, {(-1,): 1}, "symbol index out of range"),
+    # the ids keep the form they had when each case also named a truncation
+    @pytest.mark.parametrize("terms, message", [
+        pytest.param({(1, 2): 0}, "stored zero coefficient", id="2-terms0-stored zero coefficient"),
+        pytest.param({(0, 1): 1}, "symbol index out of range",
+                     id="2-terms2-symbol index out of range"),
+        pytest.param({(1, 5): 1}, "symbol index out of range",
+                     id="2-terms3-symbol index out of range"),
+        pytest.param({(-1,): 1}, "symbol index out of range",
+                     id="2-terms4-symbol index out of range"),
         # the first fault in term order is the one named, and within a term
-        # the zero, then the length, then the symbols
-        (2, {(1,): 1, (5,): 0, (1, 1, 1): 1}, "stored zero coefficient"),
-        (2, {(1, 1, 1): 1, (1,): 0}, "stored word beyond truncation"),
-        (2, {(0,): 1, (1, 1, 1): 0}, "symbol index out of range"),
-        (1, {(5, 5): 2, (0,): 0}, "stored word beyond truncation"),
-        (0, {(): 1, (1,): 1}, "stored word beyond truncation"),
-        (0, {}, None),
-        (0, {(): -1}, None),
-        (3, {(): 2, (4,): -3, (1, 4, 1): 1}, None),
+        # the zero, then the symbols
+        pytest.param({(1,): 1, (5,): 0, (1, 1, 1): 1}, "stored zero coefficient",
+                     id="2-terms5-stored zero coefficient"),
+        pytest.param({(0,): 1, (1, 1, 1): 0}, "symbol index out of range",
+                     id="2-terms7-symbol index out of range"),
+        pytest.param({(5, 5): 2, (0,): 0}, "symbol index out of range",
+                     id="symbol before zero"),
+        pytest.param({}, None, id="0-terms10-None"),
+        pytest.param({(): -1}, None, id="0-terms11-None"),
+        pytest.param({(): 2, (4,): -3, (1, 4, 1): 1}, None, id="3-terms12-None"),
+        pytest.param({(1,) * 30: 1, (): 1}, None, id="any word length"),
     ])
-    def test_construction_names_the_fault(self, truncation, terms, message):
-        assert tensor_fault(2, truncation, terms) == message
+    def test_construction_names_the_fault(self, terms, message):
+        assert tensor_fault(2, terms) == message
         if message is None:
-            assert TruncatedTensor(2, truncation, terms).terms == terms
+            assert TruncatedTensor(2, terms).terms == terms
         else:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                TruncatedTensor(2, truncation, terms)
+                TruncatedTensor(2, terms)
 
-    def test_genus_and_truncation(self):
+    def test_genus(self):
         with pytest.raises(ValueError, match="^genus must be positive$"):
-            TruncatedTensor(0, 1, {(1,): 0})
-        with pytest.raises(ValueError, match="^truncation must be nonnegative$"):
-            TruncatedTensor(1, -1, {(1,): 0})
+            TruncatedTensor(0, {(1,): 0})
+
+    def test_fields_are_genus_and_terms(self):
+        assert [f.name for f in dataclasses.fields(TruncatedTensor)] == ["genus", "terms"]
 
     def test_seeded_faults_match_term_loop(self):
-        # valid words with zeros, long words and bad symbols mixed in at random
+        # valid words with zeros and bad symbols mixed in at random
         rng = random.Random(0x56414C49)
         faulty = 0
         for _ in range(400):
-            genus, truncation = rng.randrange(1, 4), rng.randrange(0, 4)
-            terms = {}
+            genus, terms = rng.randrange(1, 4), {}
             for _ in range(rng.randrange(0, 6)):
-                length = rng.randrange(0, truncation + 1 + (rng.random() < 0.2))
+                length = rng.randrange(0, 5)
                 low, high = 1 - (rng.random() < 0.1), 2 * genus + (rng.random() < 0.1)
                 word = tuple(rng.choice((low, high, rng.randrange(1, 2 * genus + 1)))
                              for _ in range(length))
                 terms[word] = 0 if rng.random() < 0.1 else rng.choice((-2, -1, 1, 3))
-            message = tensor_fault(genus, truncation, terms)
+            message = tensor_fault(genus, terms)
             if message is None:
-                assert TruncatedTensor(genus, truncation, terms).terms == terms
+                assert TruncatedTensor(genus, terms).terms == terms
             else:
                 faulty += 1
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                    TruncatedTensor(genus, truncation, terms)
+                    TruncatedTensor(genus, terms)
         assert 100 < faulty < 300
 
 
 class TestAdd:
     def test_cancelling_terms_dropped(self):
-        t = linear_combination((1, sym(2, 1, 3)), (1, sym(2, 4, 3)))
-        assert linear_combination((1, t), (-1, sym(2, 1, 3))).terms == {(4,): 1}
+        t = linear_combination((1, sym(2, 1)), (1, sym(2, 4)))
+        assert linear_combination((1, t), (-1, sym(2, 1))).terms == {(4,): 1}
         assert linear_combination((1, t), (-1, t)).is_zero()
-
-    def test_truncation_is_min(self):
-        s = TruncatedTensor(1, 4, {(1, 1, 1): 1, (2,): 1})
-        t = TruncatedTensor(1, 2, {(2,): -1, (1, 2): 3})
-        assert linear_combination((1, s), (1, t)) == TruncatedTensor(1, 2, {(1, 2): 3})
 
 
 class TestTensorMul:
     def test_unit(self):
-        t = TruncatedTensor(2, 3, {(1,): 1, (4,): 2})
-        assert tensor_mul(TruncatedTensor(2, 3, {(): 1}), t) == t
+        t = TruncatedTensor(2, {(1,): 1, (4,): 2})
+        assert tensor_mul(TruncatedTensor(2, {(): 1}), t, 3) == t
 
     def test_concatenation(self):
-        assert tensor_mul(sym(1, 1, 2), sym(1, 2, 2)).terms == {(1, 2): 1}
+        assert tensor_mul(sym(1, 1), sym(1, 2), 2).terms == {(1, 2): 1}
 
     def test_truncated_geometric_inverse(self):
-        one_plus = TruncatedTensor(1, 2, {(): 1, (1,): 1})
-        series = TruncatedTensor(1, 2, {(): 1, (1,): -1, (1, 1): 1})
-        assert tensor_mul(one_plus, series) == TruncatedTensor(1, 2, {(): 1})
+        one_plus = TruncatedTensor(1, {(): 1, (1,): 1})
+        series = TruncatedTensor(1, {(): 1, (1,): -1, (1, 1): 1})
+        assert tensor_mul(one_plus, series, 2) == TruncatedTensor(1, {(): 1})
 
-    def test_truncation_is_min(self):
-        s = TruncatedTensor(1, 4, {(1, 1): 1})
-        t = TruncatedTensor(1, 3, {(2,): 1})
-        assert tensor_mul(s, t).truncation == 3
+    def test_keeps_degrees_up_to_the_truncation(self):
+        s = TruncatedTensor(1, {(1, 1): 1, (): 1})
+        t = TruncatedTensor(1, {(2,): 1})
+        assert tensor_mul(s, t, 3).terms == {(1, 1, 2): 1, (2,): 1}
+        assert tensor_mul(s, t, 2).terms == {(2,): 1}
 
     def test_genus_mismatch(self):
         with pytest.raises(GenusMismatchError):
-            tensor_mul(sym(1, 1, 2), sym(2, 1, 2))
+            tensor_mul(sym(1, 1), sym(2, 1), 2)
 
     def test_associative_random(self):
         rng = random.Random(3)
         for _ in range(40):
-            a = random_tensor(rng, 2, rng.randrange(0, 3), 4, terms=3)
-            b = random_tensor(rng, 2, rng.randrange(0, 3), 4, terms=3)
-            c = random_tensor(rng, 2, rng.randrange(0, 3), 4, terms=3)
-            assert tensor_mul(tensor_mul(a, b), c) == tensor_mul(a, tensor_mul(b, c))
+            a = random_tensor(rng, 2, rng.randrange(0, 3), terms=3)
+            b = random_tensor(rng, 2, rng.randrange(0, 3), terms=3)
+            c = random_tensor(rng, 2, rng.randrange(0, 3), terms=3)
+            assert tensor_mul(tensor_mul(a, b, 4), c, 4) == tensor_mul(a, tensor_mul(b, c, 4), 4)
 
 
 class TestLieBracket:
     def test_self_bracket(self):
-        assert lie_bracket(sym(1, 1, 2), sym(1, 1, 2)).is_zero()
+        assert lie_bracket(sym(1, 1), sym(1, 1)).is_zero()
 
     def test_basic(self):
-        b = lie_bracket(sym(1, 1, 2), sym(1, 2, 2))
+        b = lie_bracket(sym(1, 1), sym(1, 2))
         assert b.terms == {(1, 2): 1, (2, 1): -1}
 
+    def test_exact(self):
+        # every degree of the product is kept
+        s = TruncatedTensor(1, {(1,): 1, (1, 2): 2})
+        t = TruncatedTensor(1, {(2,): 1})
+        assert lie_bracket(s, t).terms == {(1, 2): 1, (2, 1): -1, (1, 2, 2): 2, (2, 1, 2): -2}
+
     def test_double_bracket(self):
-        a1, b1 = sym(1, 1, 3), sym(1, 2, 3)
+        a1, b1 = sym(1, 1), sym(1, 2)
         t = lie_bracket(lie_bracket(a1, b1), a1)
         assert t.terms == {(1, 2, 1): 2, (2, 1, 1): -1, (1, 1, 2): -1}
 
     def test_antisymmetry_and_jacobi_random(self):
         rng = random.Random(11)
         for _ in range(30):
-            x = random_tensor(rng, 2, 1, 3, terms=2)
-            y = random_tensor(rng, 2, 1, 3, terms=2)
-            z = random_tensor(rng, 2, 1, 3, terms=2)
+            x = random_tensor(rng, 2, 1, terms=2)
+            y = random_tensor(rng, 2, 1, terms=2)
+            z = random_tensor(rng, 2, 1, terms=2)
             assert linear_combination((1, lie_bracket(x, y)), (1, lie_bracket(y, x))).is_zero()
             jac = linear_combination((1, lie_bracket(x, lie_bracket(y, z))),
                                      (1, lie_bracket(y, lie_bracket(z, x))),
@@ -162,32 +170,27 @@ class TestMagnus:
 
 class TestGradedPart:
     def test_degree_zero(self):
-        t = TruncatedTensor(1, 2, {(): 1, (1,): 1})
+        t = TruncatedTensor(1, {(): 1, (1,): 1})
         assert graded_part(t, 0).terms == {(): 1}
 
     def test_commutator_degree_two(self):
         w = commutator(a_gen(1, 1), b_gen(1, 1))
         part = graded_part(magnus_expand(w, 3), 2)
-        assert part == lie_bracket(sym(1, 1, 2), sym(1, 2, 2))
+        assert part == lie_bracket(sym(1, 1), sym(1, 2))
 
     def test_absent_degree_is_zero(self):
-        t = TruncatedTensor(1, 3, {(1,): 2})
+        t = TruncatedTensor(1, {(1,): 2})
         assert graded_part(t, 3).is_zero()
-
-    def test_beyond_truncation_errors(self):
-        t = TruncatedTensor(1, 2, {(1,): 1})
-        with pytest.raises(TruncationError):
-            graded_part(t, 3)
 
 
 class TestDynkin:
     def test_bracket_is_lie(self):
-        t = lie_bracket(sym(1, 1, 2), sym(1, 2, 2))
+        t = lie_bracket(sym(1, 1), sym(1, 2))
         assert dynkin_is_lie(t)
         assert left_normed_dynkin(t) == linear_combination((2, t))
 
     def test_square_word_is_not(self):
-        assert not dynkin_is_lie(TruncatedTensor(1, 2, {(1, 1): 1}))
+        assert not dynkin_is_lie(TruncatedTensor(1, {(1, 1): 1}))
 
     def test_magnus_of_nested_commutator(self):
         w = commutator(commutator(a_gen(2, 1), b_gen(2, 1)), a_gen(2, 2))
@@ -197,15 +200,15 @@ class TestDynkin:
 
     def test_nonhomogeneous_rejected(self):
         with pytest.raises(ValueError):
-            dynkin_is_lie(TruncatedTensor(1, 2, {(1,): 1, (1, 2): 1}))
+            dynkin_is_lie(TruncatedTensor(1, {(1,): 1, (1, 2): 1}))
 
     def test_zero_passes(self):
-        assert dynkin_is_lie(TruncatedTensor(1, 3, {}))
+        assert dynkin_is_lie(TruncatedTensor(1, {}))
 
     def test_empty_word_rejected(self):
         for terms in ({(): 1, (1, 2): 1}, {(): 3}):
             with pytest.raises(ValueError):
-                dynkin_is_lie(TruncatedTensor(1, 2, terms))
+                dynkin_is_lie(TruncatedTensor(1, terms))
 
     def test_matches_left_normed_expansion(self):
         # D(t) = m*t by the word-at-a-time oracle, on brackets, brackets plus
@@ -217,14 +220,14 @@ class TestDynkin:
                     bracket = random_bracket(rng, genus, degree)[1]
                     word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(degree))
                     plus = linear_combination((1, bracket),
-                                              (1, TruncatedTensor(genus, degree, {word: 1})))
+                                              (1, TruncatedTensor(genus, {word: 1})))
                     lie_sum = linear_combination((rng.randrange(-3, 4), bracket),
                                                  (1, random_bracket(rng, genus, degree)[1]))
-                    words = random_tensor(rng, genus, degree, degree, terms=5)
+                    words = random_tensor(rng, genus, degree, terms=5)
                     for t in (bracket, plus, lie_sum, words):
                         dynkin = left_normed_dynkin(t)
                         assert dynkin_is_lie(t) == (dynkin == linear_combination((degree, t)))
-                    lower = random_tensor(rng, genus, rng.randrange(degree + 1), degree, terms=3)
+                    lower = random_tensor(rng, genus, rng.randrange(degree + 1), terms=3)
                     mixed = linear_combination((1, words), (1, lower))
                     if not mixed.is_homogeneous(mixed.max_degree()):
                         with pytest.raises(ValueError):
@@ -234,7 +237,7 @@ class TestDynkin:
         # D(t) goes into a residual dict, never into a validated tensor
         rng = random.Random(0x52455349)
         inputs = [random_bracket(rng, 3, 6)[1] for _ in range(5)]
-        inputs += [linear_combination((1, t), (1, TruncatedTensor(3, 6, {(1, 2, 3, 4, 5, 6): 1})))
+        inputs += [linear_combination((1, t), (1, TruncatedTensor(3, {(1, 2, 3, 4, 5, 6): 1})))
                    for t in inputs]
         built = []
         real = TruncatedTensor.__post_init__
@@ -256,7 +259,7 @@ class TestDynkin:
             found += 1
             assert dynkin_is_lie(bracket)
             word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(weight))
-            plus = linear_combination((1, bracket), (1, TruncatedTensor(genus, weight, {word: 1})))
+            plus = linear_combination((1, bracket), (1, TruncatedTensor(genus, {word: 1})))
             assert not dynkin_is_lie(plus)
 
 
@@ -265,11 +268,11 @@ def random_bracket(rng, genus, weight):
     if weight == 1:
         i = rng.randrange(1, 2 * genus + 1)
         from psicert.words import generator
-        return generator(genus, i), sym(genus, i, weight)
+        return generator(genus, i), sym(genus, i)
     left_w = rng.randrange(1, weight)
     lw, lt = random_bracket(rng, genus, left_w)
     rw, rt = random_bracket(rng, genus, weight - left_w)
-    return commutator(lw, rw), lie_bracket(lt.with_truncation(weight), rt.with_truncation(weight))
+    return commutator(lw, rw), lie_bracket(lt, rt)
 
 
 class TestLowerCentralIdentification:
@@ -294,13 +297,13 @@ class TestLowerCentralIdentification:
     def test_magnus_of_inverse_word(self, seed):
         rng = random.Random(seed)
         w = random_word(rng, 2, 6)
-        t = tensor_mul(magnus_expand(w, 4), magnus_expand(w.inverse(), 4))
-        assert t == TruncatedTensor(2, 4, {(): 1})
+        t = tensor_mul(magnus_expand(w, 4), magnus_expand(w.inverse(), 4), 4)
+        assert t == TruncatedTensor(2, {(): 1})
 
 
 class TestSerialization:
     def test_canonical_order(self):
-        t = TruncatedTensor(1, 2, {(2, 1): -3, (1,): 2})
+        t = TruncatedTensor(1, {(2, 1): -3, (1,): 2})
         assert t.to_json_obj() == [
             {"word": ["a1"], "coeff": "2"},
             {"word": ["b1", "a1"], "coeff": "-3"},

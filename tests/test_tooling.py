@@ -25,7 +25,8 @@ leaves the additive route on a family that takes it, fails here.  The Layout
 block of README.md names exactly the modules of the package and of `scripts/`.
 Every function of the package runs in a pass of the seed-1 workloads, the
 CLI's subcommands and options, or the README's library example, so code that
-only tests call is kept in `tests/` instead.
+only tests call is kept in `tests/` instead; by the same rule, every
+exception type the package exports is raised somewhere in it.
 """
 import ast
 import contextlib
@@ -377,6 +378,24 @@ def test_package_code_is_reached(tmp_path):
                             timeout=120)
     assert result.returncode == 0, result.stderr[-4000:]
     assert json.loads(result.stdout) == sorted(UNREACHED_TRACER_TARGETS)
+
+
+def test_exported_exceptions_are_raised():
+    """Every exception class that `psicert` exports appears in a `raise`
+    statement of src/psicert, so a public type that nothing raises cannot
+    stay exported."""
+    import psicert
+    exported = {name for name, value in vars(psicert).items()
+                if isinstance(value, type) and issubclass(value, BaseException)}
+    raised = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert len(exported) >= 4
+    assert sorted(exported - raised) == []
 
 
 @pytest.mark.parametrize("path", sorted(ROOT.glob("BENCH_*.json")), ids=lambda p: p.name)

@@ -10,9 +10,9 @@ from checks import (abelianize, exact_length_word, format_word, identity_endo,
                     transvection)
 from psicert.errors import GenusMismatchError
 from psicert.homology import HVector, IntMatrix
-from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
-                           compose_endos, inner_automorphism, parse_word,
-                           reduce_word, sep_twist, sep_twist_gamma)
+from psicert.words import (MAX_WORD_LETTERS, FreeEndomorphism, GroupWord, a_gen, apply_endo,
+                           b_gen, bounded_int, commutator, compose_endos, inner_automorphism,
+                           parse_word, reduce_word, sep_twist, sep_twist_gamma)
 
 
 def letters_strategy(genus=2, max_len=12):
@@ -171,6 +171,36 @@ class TestParseFormat:
         for text in ("c1", "a0", "a3", "a1^0", "a1^"):
             with pytest.raises(ValueError):
                 parse_word(text, 2)
+
+    @pytest.mark.parametrize("text", ["a\u0661", "b1^\u0662", "a1^\u00b2"])
+    def test_digits_are_ascii(self, text):
+        with pytest.raises(ValueError, match="^bad word token"):
+            parse_word(text, 2)
+
+    def test_leading_zeros_read(self):
+        assert parse_word("a01^-0003 b2^000001", 2) == parse_word("a1^-3 b2", 2)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a1^" + "9" * 5000, f"word longer than {MAX_WORD_LETTERS} letters"),
+        ("b2^-1" + "0" * 5000, f"word longer than {MAX_WORD_LETTERS} letters"),
+        ("a1^100000", f"word longer than {MAX_WORD_LETTERS} letters"),
+        ("a1^99999", f"word longer than {MAX_WORD_LETTERS} letters"),
+        ("b" + "1" * 5000, "out of range for genus 2"),
+    ], ids=["exponent-5000-digits", "negative-exponent-5001-digits", "exponent-6-digits",
+            "exponent-5-digits", "index-5000-digits"])
+    def test_long_numbers_refused_before_int(self, text, message):
+        # int() of more than 4300 digits would raise its own error
+        with pytest.raises(ValueError, match=re.escape(message)) as info:
+            parse_word(text, 2)
+        assert "set_int_max_str_digits" not in str(info.value)
+
+    @pytest.mark.parametrize("digits, top, value", [
+        ("7", 9, 7), ("0009", 9, 9), ("10", 9, 10), ("100", 9, 10), ("-00065536", 65536, -65536),
+        ("-100000", 65536, 65537), ("9" * 5000, 36, 37), ("0" * 5000 + "12", 36, 12),
+    ], ids=["7", "0009", "10", "100", "-00065536", "-100000", "5000-nines", "5000-zeros-12"])
+    def test_bounded_int(self, digits, top, value):
+        # a number with more significant digits than top reads as top + 1, unread
+        assert bounded_int(digits, top) == value
 
 
 class TestApplyEndo:
