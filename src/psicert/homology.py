@@ -18,7 +18,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import _same_genus
-from .words import bounded_int
+from .words import bounded_int, clipped
 
 GENERATOR_KINDS = ("a", "b")
 
@@ -27,10 +27,10 @@ def basis_position(name: str, genus: int) -> int:
     """0-based coordinate position of a generator name like 'b3': a or b, then ASCII digits."""
     name = name.strip()
     if name[:1] not in GENERATOR_KINDS or not (name[1:].isascii() and name[1:].isdecimal()):
-        raise ValueError(f"bad generator name {name!r}")
+        raise ValueError(f"bad generator name {clipped(name)!r}")
     j = bounded_int(name[1:], genus)
     if not 1 <= j <= genus:
-        raise ValueError(f"generator {name!r} out of range for genus {genus}")
+        raise ValueError(f"generator {clipped(name)!r} out of range for genus {genus}")
     return 2 * (j - 1) + (0 if name[0] == "a" else 1)
 
 
@@ -302,12 +302,10 @@ def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
 
 
 def symplectic_inverse(s: IntMatrix) -> IntMatrix:
-    """-J s^T J, the inverse of a symplectic s; ValueError when s is not symplectic,
-    tested as in `sp_check`."""
-    inv = _minus_j_transpose_j(s)
-    if s * inv != IntMatrix.identity(s.dimension):
+    """-J s^T J, the inverse of a symplectic s; ValueError unless `sp_check(s)`."""
+    if not sp_check(s):
         raise ValueError("matrix is not symplectic")
-    return inv
+    return _minus_j_transpose_j(s)
 
 
 def conjugate(s: IntMatrix, m: IntMatrix, inverse: IntMatrix) -> IntMatrix:

@@ -196,18 +196,29 @@ class Job:
     divide_by: int = 1
     primes: tuple[int, ...] | None = None
     # how far observed_depth is read when the level-k cochain vanishes;
-    # None stands for the default, default_truncation(k)
+    # None stands for the default of checked_truncation
     truncation: int | None = None
     contraction: ContractionSpec | None = None
 
     def __post_init__(self):
-        if self.truncation is None:
-            object.__setattr__(self, "truncation", default_truncation(self.k))
+        object.__setattr__(self, "truncation",
+                           checked_truncation(self.k, self.truncation, self.divide_by))
 
 
-def default_truncation(k: int) -> int:
-    """The truncation of a job that gives none: k+2, or 2k+2 at odd k."""
-    return 2 * k + 2 if k % 2 else k + 2
+def checked_truncation(k: int, truncation: int | None, divide_by: int) -> int:
+    """The truncation of a level-k job: the one given, or for None the default
+    k+2 (2k+2 at odd k).  JobError unless it lies in k+1..MAX_TRUNCATION and
+    divide_by is positive."""
+    if divide_by < 1:
+        raise JobError("divide_by must be a positive integer")
+    if truncation is None:
+        truncation = 2 * k + 2 if k % 2 else k + 2
+    if truncation < k + 1:
+        raise JobError(f"truncation must be at least k+1 = {k + 1}")
+    if truncation > MAX_TRUNCATION:
+        raise JobError(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION} "
+                       "(the default is k+2, or 2k+2 at odd k)")
+    return truncation
 
 
 def parse_job(obj: dict) -> Job:
@@ -234,8 +245,8 @@ def parse_job(obj: dict) -> Job:
     if not isinstance(options, dict):
         raise JobError("options must be an object")
     divide_by = _integer(options.get("divide_by", 1), "divide_by")
-    if divide_by < 1:
-        raise JobError("divide_by must be a positive integer")
+    truncation = checked_truncation(k, _integer(options["truncation"], "truncation")
+                                    if "truncation" in options else None, divide_by)
     primes = options.get("primes")
     if primes is not None:
         if not isinstance(primes, list):
@@ -246,12 +257,6 @@ def parse_job(obj: dict) -> Job:
         for p in primes:
             if not (p < 1 << 64 and _is_prime(p)):
                 raise JobError(f"primes must all be primes below 2^64, got {p}")
-    truncation = _integer(options.get("truncation", default_truncation(k)), "truncation")
-    if truncation < k + 1:
-        raise JobError(f"truncation must be at least k+1 = {k + 1}")
-    if truncation > MAX_TRUNCATION:
-        raise JobError(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION} "
-                       "(the default is k+2, or 2k+2 at odd k)")
     contraction = options.get("contraction_spec")
     if contraction is not None:
         try:

@@ -26,8 +26,7 @@ routine (`_gf_resultant`): a slot of 64-bit words per coefficient, sized
 from p alone (one word for every default scan prime), holds a lazy value
 below 2p when a step starts; a quotient step adds (p - q) x^s times the
 divisor, and one slotwise Barrett reduction per step brings every slot back
-below 2p.  Hensel lifting and recombination modulo p^a keep the list kernel,
-whose normal step (deg a = deg b + 1) `_gf_rem` takes in one pass.
+below 2p.  Hensel lifting and recombination modulo p^a keep the list kernel.
 
 Factorization pipeline (all exact, no rationals):
   1. content/primitive split and squarefree decomposition: a primitive part
@@ -267,25 +266,20 @@ def gcd_z(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
     return p if p.degree > 0 else IntPolynomial.constant(math.gcd(a.content(), b.content()))
 
 
-def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int]]:
-    """Squarefree decomposition of the primitive part; returns (factor,
-    multiplicity) pairs.
+def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int, int | None]]:
+    """Squarefree decomposition of the primitive part, as (factor,
+    multiplicity, prime) triples.
 
     A primitive part that is squarefree modulo an odd prime up to 13 not
     dividing its leading coefficient is squarefree over Z (its discriminant
-    is nonzero modulo that prime), and is returned as it is; otherwise Yun's
-    algorithm runs.  Factors are primitive with positive leading coefficient;
-    content and sign are NOT included (callers track them separately).
+    is nonzero modulo that prime), and is returned whole with that prime;
+    otherwise Yun's algorithm splits it, and its parts carry None.  Factors
+    are primitive with positive leading coefficient; content and sign are
+    NOT included (callers track them separately).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
-    return [(q, m) for q, m, _ in _squarefree_parts(p.primitive_part())]
-
-
-def _squarefree_parts(work: IntPolynomial) -> list[tuple[IntPolynomial, int, int | None]]:
-    """`squarefree_decomposition` of the primitive `work` as (factor,
-    multiplicity, prime) triples: the prime is the good-reduction prime that
-    kept `work` whole, and None for a part that Yun's algorithm split off."""
+    work = p.primitive_part()
     prime = _good_reduction_prime(work, 13)
     if prime:
         return [(work, 1, prime)]
@@ -365,23 +359,6 @@ def _gf_divmod(a, b, m):
         for j, d in enumerate(low, i - n):
             a[j] -= step * d
     return _gf_trim(q), _gf_trim([c % m for c in a[:n]])
-
-
-def _gf_rem(a, b, m):
-    """a mod b modulo m, on the inputs of `_gf_divmod`.
-
-    Euclid's normal step, deg a = deg b + 1 with deg b >= 1, takes one pass:
-    the quotient q1 x + q0 comes from the top two coefficients, and the
-    remainder a - (q1 x + q0) b from one comprehension, reduced once.  Every
-    other shape goes through `_gf_divmod`.
-    """
-    n = len(b) - 1
-    if n < 1 or len(a) != n + 2:
-        return _gf_divmod(a, b, m)[1]
-    inv = 1 if b[-1] == 1 else pow(b[-1], -1, m)
-    q1 = a[-1] * inv % m
-    q0 = (a[-2] - q1 * b[-2]) * inv % m
-    return _gf_trim([(x - q1 * y - q0 * z) % m for x, y, z in zip(a, [0] + b, b[:n])])
 
 
 def _gf_monic(a, p):
@@ -465,7 +442,7 @@ def _gf_pow_mod(base, e, modulus: _Barrett):
             c = (c & mask) + offset - ((_gf_pack(q, words) * low) & mask)
         return _gf_pack([v % p for v in _gf_unpack(c, n, words)], words)
 
-    packed = _gf_pack(_gf_rem(base, f, p) if len(base) > n else base, words)
+    packed = _gf_pack(_gf_divmod(base, f, p)[1] if len(base) > n else base, words)
     result = packed
     for bit in bin(e)[3:]:
         result = reduce(result * result)
@@ -734,9 +711,8 @@ def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: i
     Computer Algebra*, ch. 15): `_factor_tree` splits the factors into
     halves, recursively, and `_hensel_step` lifts the monic F = f / lc down
     the tree along the exponents 1 -> ... -> ceil(a/2) -> a, so each step at
-    most doubles the exponent and the last lands on a.  The step from e to
-    e' reads the inverses of the tree modulo p^(e' - e) only, so each is
-    lifted no further than the next step reads.
+    most doubles the exponent and the last lands on a.  Each step but the
+    last lifts the inverses of the tree along with the factors.
     """
     exponents = [exponent]
     while exponents[-1] > 1:
@@ -747,66 +723,58 @@ def _hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], exponent: i
     monic = [c * inverse % modulus for c in f.coeffs]
     leaves = [[g[:]] for g in factors]
     tree = _factor_tree(leaves, p)
-    steps = list(zip(exponents, exponents[1:]))
-    for i, (low, high) in enumerate(steps):
+    for low, high in zip(exponents, exponents[1:]):
         new = p ** high
-        need = p ** (steps[i + 1][1] - high) if i + 1 < len(steps) else 1
-        _hensel_step(tree, [c % new for c in monic], p ** low, new, need)
+        _hensel_step(tree, [c % new for c in monic], p ** low, new, high == exponent)
     return [leaf[0] for leaf in leaves], modulus
 
 
 def _factor_tree(nodes, p):
     """The tree over the leaves [g] in `nodes`: an inner node is
-    [product, left, right, s, held], with s * L = 1 mod (R, held) for the
-    products L and R of its two halves, held = p here.  The left half is the
-    longest run of leaves of at most half the degree."""
+    [product, left, right, s], with s * L = 1 mod (R, p) for the products L
+    and R of its two halves.  The left half is the longest run of leaves of
+    at most half the degree."""
     if len(nodes) == 1:
         return nodes[0]
     degrees = list(itertools.accumulate(len(node[0]) - 1 for node in nodes))
     half = min(max(1, sum(2 * d <= degrees[-1] for d in degrees)), len(nodes) - 1)
     left, right = _factor_tree(nodes[:half], p), _factor_tree(nodes[half:], p)
-    return [_gf_mul(left[0], right[0], p), left, right, _gf_inverse_mod(left[0], right[0], p), p]
+    return [_gf_mul(left[0], right[0], p), left, right, _gf_inverse_mod(left[0], right[0], p)]
 
 
-def _hensel_step(node, target, m, new, need):
+def _hensel_step(node, target, m, new, last):
     """Set the node to the monic `target` mod `new` and lift its halves L and
-    R from mod m to a factorization of it (m | new | m^2); then lift the
-    node's inverse s of L mod R until it holds modulo `need`, the modulus the
-    next step reads (1 after the last step).
+    R from mod m to a factorization of it (m | new | m^2); lift the node's
+    inverse s of L mod R too unless this is the `last` step.
 
-    With e = (target - L * R) / m, R moves by m * (s * e rem R), taken mod
-    new / m, and L becomes target / R.  An s that holds modulo M is lifted to
-    t = min(M^2, new) by Newton's iteration for the inverse: it moves by
-    -M * (s * u rem R), with u = (s * L - 1) / M, both taken mod t / M;
-    `node[4]` records the modulus s holds.
+    With e = (target - L * R) / m, R moves by m * (s * e rem R) and L becomes
+    target / R; s moves by -m * (s * u rem R), with u = (s * L - 1) / m
+    taken mod R (Newton iteration for the inverse).  Each correction is
+    computed mod new / m.
     """
     node[0] = target
     if len(node) == 1:
         return
-    _, left, right, s, held = node
+    _, left, right, s = node
     low, high = left[0], right[0]
     d = new // m
     err = _gf_sub(target, _gf_mul(low, high, new), new)
     assert all(c % m == 0 for c in err), "lift invariant broken"
     s_d = _gf_trim([c % d for c in s])
-    r = _gf_rem(_gf_mul(s_d, [c // m for c in err], d), [c % d for c in high], d)
+    r = _gf_divmod(_gf_mul(s_d, [c // m for c in err], d), [c % d for c in high], d)[1]
     high = [c + m * x for c, x in itertools.zip_longest(high, r, fillvalue=0)]
     low = _gf_divmod(target, high, new)[0]
-    while held % need:
-        t = min(held * held, new)
-        step = t // held  # s_d is s mod step when step == d, since d divides held
-        u = _gf_sub(_gf_rem(_gf_mul(s, low, t), high, t), [1], t)
-        s_step = s_d if step == d else _gf_trim([c % step for c in s])
-        r = _gf_rem(_gf_mul(s_step, [c // held for c in u], step), [c % step for c in high], step)
-        s, held = _gf_sub(s, [held * c for c in r], t), t
-    node[3], node[4] = s, held
-    _hensel_step(left, low, m, new, need)
-    _hensel_step(right, high, m, new, need)
+    if not last:
+        u = _gf_sub(_gf_divmod(_gf_mul(s, low, new), high, new)[1], [1], new)
+        r = _gf_divmod(_gf_mul(s_d, [c // m for c in u], d), [c % d for c in high], d)[1]
+        node[3] = _gf_sub(s, [m * c for c in r], new)
+    _hensel_step(left, low, m, new, last)
+    _hensel_step(right, high, m, new, last)
 
 
 def _gf_inverse_mod(a, mod, p):
     # extended Euclid over GF(p)[x]
-    r0, r1 = mod[:], _gf_rem(a, mod, p)
+    r0, r1 = mod[:], _gf_divmod(a, mod, p)[1]
     t0, t1 = [], [1]
     while r1:
         q, r = _gf_divmod(r0, r1, p)
@@ -973,14 +941,11 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     listed, and otherwise the first default small prime or the working
     prime (see `_zassenhaus_squarefree`).
     """
-    if p.is_zero():
-        raise ValueError("zero polynomial")
     constant = p.content()
-    primitive = p.primitive_part()
     rng = random.Random(repr(p.coeffs))
     collected: dict[IntPolynomial, int] = {}
     certificates: dict[IntPolynomial, int] = {}
-    for sqfree, mult, prime in _squarefree_parts(primitive):
+    for sqfree, mult, prime in squarefree_decomposition(p):
         for q, cert in _zassenhaus_squarefree(sqfree, rng, primes, prime):
             collected[q] = mult  # the squarefree parts are coprime
             if cert:

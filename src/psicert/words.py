@@ -146,20 +146,25 @@ def bounded_int(digits: str, top: int) -> int:
     return -int(significant) if digits.startswith("-") else int(significant)
 
 
+def clipped(text: str) -> str:
+    """text for an error message: its first 32 characters and an ellipsis when longer."""
+    return text if len(text) <= 32 else text[:32] + "\u2026"
+
+
 def parse_word(text: str, genus: int) -> GroupWord:
     letters: list[Letter] = []
     for token in text.split():
         m = _TOKEN.match(token)
         if not m:
-            raise ValueError(f"bad word token {token!r}")
+            raise ValueError(f"bad word token {clipped(token)!r}")
         kind, num, exponent = m.groups()
         j = bounded_int(num, genus)
         if not 1 <= j <= genus:
-            raise ValueError(f"generator {kind}{num} out of range for genus {genus}")
+            raise ValueError(f"generator {clipped(kind + num)} out of range for genus {genus}")
         idx = 2 * j - 1 if kind == "a" else 2 * j
         e = 1 if exponent is None else bounded_int(exponent, MAX_WORD_LETTERS)
         if e == 0:
-            raise ValueError(f"zero exponent in {token!r}")
+            raise ValueError(f"zero exponent in {clipped(token)!r}")
         if len(letters) + abs(e) > MAX_WORD_LETTERS:
             raise ValueError(f"word longer than {MAX_WORD_LETTERS} letters")
         sign = 1 if e > 0 else -1

@@ -26,7 +26,7 @@ from psicert.errors import _same_genus
 from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
 from psicert.johnson import JohnsonCochain, derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
-                             _gf_inverse_mod, _gf_monic, _gf_mul, _gf_rem, _gf_sub, _symmetric,
+                             _gf_inverse_mod, _gf_monic, _gf_mul, _gf_sub, _symmetric,
                              charpoly, even_degree_split, factor_z)
 from psicert.tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, magnus_expand
 from psicert.words import (FreeEndomorphism, GroupWord, compose_endos, generator,
@@ -455,20 +455,21 @@ def schoolbook_gf_pow_mod(base: list[int], e: int, mod: list[int], p: int) -> li
     multiply on the list kernel, as `polylab._gf_pow_mod` was before it ran on
     packed ints (oracle)."""
     result = [1]
-    base = _gf_rem(base, mod, p)
+    base = schoolbook_gf_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = _gf_rem(_gf_mul(result, base, p), mod, p)
-        base = _gf_rem(_gf_mul(base, base, p), mod, p)
+            result = schoolbook_gf_divmod(_gf_mul(result, base, p), mod, p)[1]
+        base = schoolbook_gf_divmod(_gf_mul(base, base, p), mod, p)[1]
         e >>= 1
     return result
 
 
 def list_gf_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    """Monic gcd over GF(p) by Euclid on lists, each remainder from `_gf_rem`,
-    as `polylab._gf_gcd` was before it ran on packed ints (oracle)."""
+    """Monic gcd over GF(p) by Euclid on lists, each remainder from
+    `schoolbook_gf_divmod`, as `polylab._gf_gcd` was before it ran on packed
+    ints (oracle)."""
     while b:
-        a, b = b, _gf_rem(a, b, p)
+        a, b = b, schoolbook_gf_divmod(a, b, p)[1]
     return _gf_monic(a, p)
 
 
@@ -481,7 +482,7 @@ def list_gf_resultant(a: list[int], b: list[int], p: int) -> int:
         return 0
     res = 1
     while len(b) > 1:
-        r = _gf_rem(a, b, p)
+        r = schoolbook_gf_divmod(a, b, p)[1]
         if not r:
             return 0
         m, n = len(a) - 1, len(b) - 1
@@ -506,7 +507,7 @@ def schoolbook_distinct_degree(fbar: list[int], p: int) -> list[tuple[list[int],
         if len(g) > 1:
             out.append((g, d))
             f = _gf_divmod(f, g, p)[0]
-            power = _gf_rem(power, f, p)
+            power = schoolbook_gf_divmod(power, f, p)[1]
     return out
 
 
@@ -711,7 +712,7 @@ def linear_hensel_lift(f: IntPolynomial, p: int, factors: list[list[int]], expon
         ebar = [c // modulus for c in err]
         # delta_i = E / modulus * sigma_i mod g_i has degree < deg g_i
         for g, sigma, orig in zip(lifted, sigmas, factors):
-            for i, c in enumerate(_gf_rem(_gf_mul(ebar, sigma, p), orig, p)):
+            for i, c in enumerate(schoolbook_gf_divmod(_gf_mul(ebar, sigma, p), orig, p)[1]):
                 g[i] += modulus * c
         modulus = next_modulus
     return lifted, modulus

@@ -151,7 +151,7 @@ def test_gcd_against_sympy():
 
 def assert_same_squarefree(p: IntPolynomial):
     _, factors = sympy.sqf_list(to_sympy(p).as_expr())
-    assert sorted((q.coeffs, m) for q, m in squarefree_decomposition(p)) == sorted(
+    assert sorted((q.coeffs, m) for q, m, _ in squarefree_decomposition(p)) == sorted(
         (from_sympy(q).coeffs, m) for q, m in factors), p.coeffs
 
 

@@ -203,11 +203,29 @@ class TestValidation:
         # a Job built in code without a truncation runs as its parsed document does
         doc = base_job(k=k, element={"op": "custom", "images": ["a1", "b1", "a2", "b2"]})
         job = Job(2, k, "pi1", identity_endo(2), "t")
-        assert job.truncation == jobs.default_truncation(k) == parse_job(doc).truncation
+        assert job.truncation == jobs.checked_truncation(k, None, 1) == parse_job(doc).truncation
         report = run_job(job)
         assert report.to_json() == run_job(parse_job(doc)).to_json()
         assert report.observed_depth == DepthResult(job.truncation - 1, exact=False)
         assert run_tau(job) == (report.observed_depth, report.tau)
+
+    @pytest.mark.parametrize("options, message", [
+        pytest.param({"truncation": 1}, "truncation must be at least k+1 = 3", id="floor"),
+        pytest.param({"truncation": 60}, "truncation 60 exceeds the cap 24", id="cap"),
+        pytest.param({"divide_by": 0}, "divide_by must be a positive integer", id="divide_by")])
+    def test_constructed_job_checks_its_options(self, options, message):
+        # refused as its document is, with the same message, before anything runs
+        with pytest.raises(JobError, match=f"^{re.escape(message)}"):
+            Job(2, 2, "pi1", identity_endo(2), **options)
+        with pytest.raises(JobError, match=f"^{re.escape(message)}"):
+            parse_job(base_job(options=options))
+
+    def test_truncation_refused_before_the_element(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(jobs, "_parse_pi1", lambda node, genus: calls.append(node))
+        with pytest.raises(JobError, match="truncation"):
+            parse_job(base_job(options={"truncation": 60}))
+        assert calls == []
 
     def test_default_truncation_bounds_k(self):
         # the default truncation is k+2, or 2k+2 at odd k
@@ -272,6 +290,22 @@ class TestValidation:
         with pytest.raises(JobError, match=f"^{node}: ") as info:
             parse_job(base_job(element=element))
         assert "set_int_max_str_digits" not in str(info.value)
+
+    @pytest.mark.parametrize("pipeline, element, start", [
+        ("pi1", {"op": "inner", "word": "a" + "7" * 5000}, "inner word: generator a777"),
+        ("pi1", {"op": "inner", "word": "x" * 65536}, "inner word: bad word token 'xxx"),
+        ("homology", {"conjugate": {"atom": "sep_twist", "index": 1},
+                      "transvections": ["b" + "7" * 5000]},
+         "transvection class: generator 'b777"),
+        ("homology", {"conjugate": {"atom": "sep_twist", "index": 1},
+                      "transvections": ["c" * 65536]},
+         "transvection class: bad generator name 'ccc"),
+    ], ids=["word-index-5000-digits", "word-token-65536-letters",
+            "class-index-5000-digits", "class-name-65536-letters"])
+    def test_long_tokens_clipped_in_messages(self, pipeline, element, start):
+        with pytest.raises(JobError, match=f"^{start}") as info:
+            parse_job(base_job(pipeline=pipeline, element=element))
+        assert len(str(info.value)) < 200 and "\u2026" in str(info.value)
 
     def test_bad_hvector(self):
         doc = base_job(k=1, pipeline="homology", element={
@@ -355,6 +389,23 @@ class TestWorkDoneOnce:
         })
         run_job(parse_job(doc))
         assert len(calls) == 1
+
+    def test_conjugators_checked_by_sp_check(self, monkeypatch):
+        # symplectic_inverse tests each conjugator through sp_check, once per
+        # conjugate node, at parse; evaluation checks none again
+        calls = []
+        real = homology.sp_check
+        monkeypatch.setattr(homology, "sp_check", lambda m: calls.append(m) or real(m))
+        shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+        doc = base_job(pipeline="homology", element={"conjugate": {
+            "conjugate": {"atom": "sep_twist", "index": 1}, "transvections": ["b2"]},
+            "matrix": shear})
+        job = parse_job(doc)
+        # the outer conjugator first, then the inner one
+        assert calls == [IntMatrix.from_rows(shear),
+                         times_transvection(IntMatrix.identity(4), HVector.from_name("b2", 2))]
+        run_job(job)
+        assert len(calls) == 2
 
     def test_conjugate_costs_three_products(self, monkeypatch):
         """One matrix product checks the conjugator as it is inverted at parse;

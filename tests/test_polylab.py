@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 import random
@@ -354,28 +353,6 @@ class TestHenselLift:
             assert polylab._hensel_lift(f, p, factors, a) == \
                 linear_hensel_lift(f, p, factors, a), (p, a)
 
-    def test_inverses_lifted_only_as_far_as_the_next_step_reads(self, monkeypatch):
-        # the steps 1 -> 2 -> 3 -> 5 read the inverses mod p, p and p^2, so each
-        # inner node lifts its inverse once, to p^2 (lifting it at every step
-        # but the last took it to p^3)
-        p, roots = 5, []
-        real = polylab._factor_tree
-        monkeypatch.setattr(polylab, "_factor_tree",
-                            lambda nodes, q: roots.append(real(nodes, q)) or roots[-1])
-        factors = [[1, 1], [2, 1], [3, 0, 1], [2, 0, 0, 1]]
-        f = IntPolynomial.of_coeffs(functools.reduce(lambda a, b: polylab._gf_mul(a, b, p),
-                                                     factors))
-        lifted, modulus = polylab._hensel_lift(f, p, factors, 5)
-        assert lifted == linear_hensel_lift(f, p, factors, 5)[0] and modulus == p ** 5
-        inner = [roots[-1]]
-        for node in inner:
-            _, left, right, s, held = node
-            assert held == p ** 2
-            assert polylab._gf_rem(polylab._gf_mul(s, left[0], held),
-                                   [c % held for c in right[0]], held) == [1]
-            inner += [child for child in (left, right) if len(child) > 1]
-        assert len(inner) == 3
-
     def test_one_lift_equals_the_monic_reduction(self):
         # a single factor lifts to f / lc mod p^a
         f = poly(3, 1, 4, 1, 5)
@@ -483,7 +460,7 @@ class TestKernel:
 
     @pytest.mark.parametrize("m", [2, 3, 97, 3 ** 20, 97 ** 5])
     def test_normal_step_against_schoolbook(self, m):
-        # deg a = deg b + 1 takes the one-pass remainder; b monic or with a unit
+        # Euclid's normal step, deg a = deg b + 1; b monic or with a unit
         # leading coefficient, and a = (q1 x + q0) b + r with r of full length,
         # shorter (it trims) or zero
         rng = random.Random(m + 1)
@@ -502,7 +479,7 @@ class TestKernel:
             a = polylab._gf_trim([(x + y) % m for x, y in itertools.zip_longest(
                 schoolbook_gf_mul([rng.randrange(m), unit()], b, m), r, fillvalue=0)])
             assert len(a) == len(b) + 1
-            rem = polylab._gf_rem(a, b, m)
+            rem = polylab._gf_divmod(a, b, m)[1]
             assert rem == schoolbook_gf_divmod(a, b, m)[1] == polylab._gf_trim(r)
             kinds.add("full" if len(rem) == n else "short" if rem else "empty")
         assert kinds == {"full", "short", "empty"}
@@ -668,7 +645,7 @@ class TestSquarefree:
     def test_multiplicities(self):
         p = poly_mul(poly(-1, 1), poly(-1, 1), poly(2, 1))
         decomp = squarefree_decomposition(p)
-        assert decomp == [(poly(2, 1), 1), (poly(-1, 1), 2)]
+        assert decomp == [(poly(2, 1), 1, None), (poly(-1, 1), 2, None)]
 
     def test_random_reconstruction(self):
         rng = random.Random(8)
@@ -684,7 +661,7 @@ class TestSquarefree:
             p = poly_mul(*(poly_pow(q, m) for q, m in parts))
             if p.degree < 1:
                 continue
-            rebuilt = poly_mul(*(poly_pow(q, m) for q, m in squarefree_decomposition(p)))
+            rebuilt = poly_mul(*(poly_pow(q, m) for q, m, _ in squarefree_decomposition(p)))
             assert rebuilt == p.primitive_part()
 
 
@@ -699,10 +676,11 @@ class TestSquarefree:
         calls = self.record_gcds(monkeypatch)
         rng = random.Random(20)
         dense = IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(20)] for _ in range(20)])
-        for f in (swinnerton_dyer((2, 3, 5, 7)), charpoly(dense)):
-            assert polylab._good_reduction_prime(f, 13) is not None
-            assert squarefree_decomposition(f) == [(f, 1)]
-            assert squarefree_decomposition(f.scale(-6)) == [(f, 1)]
+        # kept whole, with the prime that proved it squarefree
+        for f, prime in ((swinnerton_dyer((2, 3, 5, 7)), 11), (charpoly(dense), 3)):
+            assert polylab._good_reduction_prime(f, 13) == prime
+            assert squarefree_decomposition(f) == [(f, 1, prime)]
+            assert squarefree_decomposition(f.scale(-6)) == [(f, 1, prime)]
         assert calls == []
 
     def test_good_reduction_prime_found_once_per_part(self, monkeypatch):
@@ -723,6 +701,19 @@ class TestSquarefree:
         assert calls == [(f, 13), (f, None), (g, 13),
                          (poly(-3, 0, 1), None), (poly(-2, 0, 1), None)]
 
+    def test_factor_z_reads_squarefree_decomposition_once(self, monkeypatch):
+        # kept whole or split by Yun, each factor_z call takes its parts from
+        # one squarefree_decomposition of its input
+        calls = []
+        real = polylab.squarefree_decomposition
+        monkeypatch.setattr(polylab, "squarefree_decomposition",
+                            lambda p: calls.append(p) or real(p))
+        inputs = [swinnerton_dyer((2, 3, 5, 7)), poly(0, -30030, 1).scale(-6),
+                  poly_mul(poly(-1, 1), poly(-1, 1), poly(2, 1)), poly(5)]
+        for f in inputs:
+            factor_z(f)
+        assert calls == inputs
+
     def test_no_good_small_prime_falls_through_to_yun(self, monkeypatch):
         # 30030 = 2 * 3 * 5 * 7 * 11 * 13: modulo each prime the fast path
         # tries, x (x - 30030) reduces to x^2
@@ -730,7 +721,7 @@ class TestSquarefree:
         assert polylab._good_reduction_prime(f, 13) is None
         assert polylab._good_reduction_prime(f) == 17
         calls = self.record_gcds(monkeypatch)
-        assert squarefree_decomposition(f) == [(f, 1)]
+        assert squarefree_decomposition(f) == [(f, 1, None)]
         assert calls
 
 

@@ -250,7 +250,7 @@ def test_packed_distinct_degree_matches_schoolbook_on_polynomial_cases():
     pairs from the packed distinct-degree loop as from the schoolbook one."""
     workloads = load_bench_module("workloads")
     parts = {q for case in workloads.generate("polynomial", workloads.DEFAULT_SEED)
-             for q, _ in squarefree_decomposition(charpoly(IntMatrix.from_rows(case["input"])))}
+             for q, _, _ in squarefree_decomposition(charpoly(IntMatrix.from_rows(case["input"])))}
     assert max(q.degree for q in parts) == 60 and all(q.is_monic() for q in parts)
     for q in parts:
         for p in polylab.DEFAULT_CERT_PRIMES:
@@ -313,29 +313,21 @@ def package_functions() -> dict:
     return found
 
 
-# No route calls these, but perfbench/tracer.py wraps them and BENCHMARK.json
-# names per-layer metrics after them, so they leave only with a declared
-# retarget of the tracer.
-UNREACHED_TRACER_TARGETS = {
-    "homology.sp_check": "conjugate nodes are checked by symplectic_inverse at parse",
-    "polylab.squarefree_decomposition": "factor_z reads _squarefree_parts",
-}
-
-
 def reach_scan(directory: str) -> list[str]:
     """The package functions, by name, that none of these call: one pass of
     the seed-1 workloads, `psicert fixtures`, `certify --timings` and `tau` on
     every fixture, `certify` with each option, `charpoly` on a matrix file, a
-    job that ends in DepthError and the README's library example.  Its input
-    files go in `directory`."""
+    job that ends in DepthError, a job with a word that does not parse and
+    the README's library example.  Its input files go in `directory`."""
     workloads = load_bench_module("workloads")
     jobs = [str(path) for path in sorted((PACKAGE / "fixtures_data").glob("*/job.json"))]
-    matrix, spec, shallow = (Path(directory) / name
-                             for name in ("matrix.json", "spec.json", "shallow.json"))
+    matrix, spec, shallow, bad = (Path(directory) / name for name in
+                                  ("matrix.json", "spec.json", "shallow.json", "bad.json"))
     matrix.write_text("[[2, 1], [1, 1]]")
     spec.write_text('{"pairs": [[2, 3]], "output": 1}')
     shallow.write_text('{"schema": 1, "genus": 2, "k": 2, "pipeline": "pi1", '
                        '"element": {"op": "inner", "word": "a1"}}')
+    bad.write_text(shallow.read_text().replace('"a1"', '"c1"'))
     twist = str(PACKAGE / "fixtures_data" / "septwist-g2-i1" / "job.json")
     readme = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library use", 1)[1]
     example = readme.split("```python", 1)[1].split("```", 1)[0]
@@ -355,21 +347,23 @@ def reach_scan(directory: str) -> list[str]:
             codes += [main(["certify", "--job", twist, "--primes", "17, 3", "--truncation", "5",
                             "--contraction-spec", str(spec)]),
                       main(["charpoly", "--matrix", str(matrix)]),
-                      main(["certify", "--job", str(shallow)])]
+                      main(["certify", "--job", str(shallow)]),
+                      main(["certify", "--job", str(bad)])]
             exec(example, {})
     finally:
         sys.setprofile(None)
-    # tau refuses the two homology sums; the shallow job's depth is 1 < k
-    assert codes == [0, 0, 2, 0, 0, 0, 2] + [0] * 8 + [0, 0, 3], codes
+    # tau refuses the two homology sums; the shallow job's depth is 1 < k, and
+    # the bad job's word does not parse
+    assert codes == [0, 0, 2, 0, 0, 0, 2] + [0] * 8 + [0, 0, 3, 2], codes
     reached = {(Path(code.co_filename).resolve(), code.co_firstlineno)
                for code in seen if "psicert" in code.co_filename}
     return sorted(name for key, name in package_functions().items() if key not in reached)
 
 
 def test_package_code_is_reached(tmp_path):
-    """`reach_scan` calls every function of the package but the unreached
-    tracer targets.  It runs in a fresh interpreter, so that no cache an
-    earlier test filled (the CRT moduli, the Euclid layouts) hides a call."""
+    """`reach_scan` calls every function of the package.  It runs in a fresh
+    interpreter, so that no cache an earlier test filled (the CRT moduli, the
+    Euclid layouts) hides a call."""
     paths = [str(ROOT / "src"), str(ROOT / "tests"), os.environ.get("PYTHONPATH", "")]
     script = ("import json, test_tooling; "
               f"print(json.dumps(test_tooling.reach_scan({str(tmp_path)!r})))")
@@ -377,7 +371,7 @@ def test_package_code_is_reached(tmp_path):
                             text=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
                             timeout=120)
     assert result.returncode == 0, result.stderr[-4000:]
-    assert json.loads(result.stdout) == sorted(UNREACHED_TRACER_TARGETS)
+    assert json.loads(result.stdout) == []
 
 
 def test_exported_exceptions_are_raised():

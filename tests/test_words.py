@@ -194,6 +194,18 @@ class TestParseFormat:
             parse_word(text, 2)
         assert "set_int_max_str_digits" not in str(info.value)
 
+    @pytest.mark.parametrize("text, message", [
+        ("c1", "bad word token 'c1'"),
+        ("c" * 32, f"bad word token {'c' * 32!r}"),
+        ("c" * 65536, f"bad word token {'c' * 32 + chr(0x2026)!r}"),
+        ("b" + "1" * 5000, f"generator b{'1' * 31}{chr(0x2026)} out of range for genus 2"),
+        ("a1^" + "0" * 5000, f"zero exponent in {'a1^' + '0' * 29 + chr(0x2026)!r}"),
+    ], ids=["short", "32-letters", "65536-letters", "index-5000-digits", "exponent-5000-zeros"])
+    def test_messages_clip_long_tokens(self, text, message):
+        # a token longer than 32 characters is echoed as its first 32 and an ellipsis
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_word(text, 2)
+
     @pytest.mark.parametrize("digits, top, value", [
         ("7", 9, 7), ("0009", 9, 9), ("10", 9, 10), ("100", 9, 10), ("-00065536", 65536, -65536),
         ("-100000", 65536, 65537), ("9" * 5000, 36, 37), ("0" * 5000 + "12", 36, 12),
