@@ -14,7 +14,13 @@ invariant matrix:
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
   transvections given by homology classes.  Sums with more than one term
-  require even k, where the invariant is additive.
+  require even k, where the invariant is additive.  Each atom's cochain
+  comes from a closed form (`johnson.sep_twist_tau`, `johnson.bp_tau`,
+  `johnson.cochain_from_wedge3`), so this route builds no word and runs no
+  Magnus expansion.
+
+`parse_job` checks a document as it lowers it to a `Job`; a `Job` built in
+code is checked by its constructor, with the same messages.
 
 Both routes end identically: optional exact division of the matrix, then
 characteristic polynomial, factorization, and the factor-structure verdict.
@@ -34,7 +40,7 @@ from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
 from .homology import HVector, IntMatrix, conjugate, symplectic_inverse, times_transvection
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
-                      cochain_from_wedge3, depth_and_tau, depth_of_sum, tau_on_H)
+                      cochain_from_wedge3, depth_and_tau, depth_of_sum, sep_twist_tau)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
 from .words import (MAX_WORD_LETTERS, FreeEndomorphism, compose_endos, inner_automorphism,
                     parse_word, sep_twist)
@@ -148,8 +154,11 @@ MAX_MATRIX_BITS = 64
 # together.  Each conjugate costs three 2g x 2g products, one at parse that
 # checks and inverts the conjugator and two to conjugate.  At genus 36 on a
 # 2-core x86 VM, when a conjugate still cost four products, 31 nested
-# conjugates took 0.41 s to parse and 1.08 s to run, a sum of 15 conjugated
-# atoms 0.20 s and 0.54 s.  The fixtures reach 8 nodes.
+# conjugates took 0.41 s to parse and 1.08 s to run.  With each sep_twist
+# atom's cochain read off its closed form, the 32-node sum of the atoms at
+# indices 5..35 runs in 0.97 s (19.6 s when each atom was expanded), and a
+# sum of 15 such atoms, each conjugated by three transvections, takes 0.35 s
+# to parse and 1.24 s to run.  The fixtures reach 8 nodes.
 MAX_HOMOLOGY_NODES = 32
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
@@ -201,8 +210,24 @@ class Job:
     contraction: ContractionSpec | None = None
 
     def __post_init__(self):
+        """Refuse what parse_job refuses of a document, with its messages, so
+        that a Job built in code is checked as its document is."""
+        _check_header(self.genus, self.k, self.pipeline)
         object.__setattr__(self, "truncation",
                            checked_truncation(self.k, self.truncation, self.divide_by))
+        if self.pipeline == "pi1":
+            _check_pi1(self.element, self.genus)
+        else:
+            _check_homology(self.element, self.genus, self.k, count(1))
+
+
+def _check_header(genus: int, k: int, pipeline: str) -> None:
+    if not 1 <= genus <= MAX_GENUS:
+        raise JobError(f"genus must be in 1..{MAX_GENUS}, got {genus}")
+    if k < 1:
+        raise JobError("k must be at least 1")
+    if pipeline not in PIPELINES:
+        raise JobError(f"pipeline must be one of {PIPELINES}")
 
 
 def checked_truncation(k: int, truncation: int | None, divide_by: int) -> int:
@@ -235,12 +260,7 @@ def parse_job(obj: dict) -> Job:
         element = obj["element"]
     except KeyError as exc:
         raise JobError(f"missing required job field {exc.args[0]!r}") from None
-    if not 1 <= genus <= MAX_GENUS:
-        raise JobError(f"genus must be in 1..{MAX_GENUS}, got {genus}")
-    if k < 1:
-        raise JobError("k must be at least 1")
-    if pipeline not in PIPELINES:
-        raise JobError(f"pipeline must be one of {PIPELINES}")
+    _check_header(genus, k, pipeline)
     options = obj.get("options", {})
     if not isinstance(options, dict):
         raise JobError("options must be an object")
@@ -310,9 +330,13 @@ def _contraction_spec(obj) -> ContractionSpec:
 
 def _index(node: dict, what: str, top: int, top_name: str) -> int:
     index = _integer(node.get("index", 0), f"{what} index")
+    _check_index(index, what, top, top_name)
+    return index
+
+
+def _check_index(index: int, what: str, top: int, top_name: str) -> None:
     if not 1 <= index <= top:
         raise JobError(f"{what} index must be in 1..{top_name}, got {index}")
-    return index
 
 
 def _word(text: str, genus: int, what: str):
@@ -346,26 +370,47 @@ def _parse_pi1(node, genus: int):
         return Compose(tuple(_parse_pi1(f, genus) for f in factors))
     if op == "power":
         exponent = _integer(node.get("exponent", 0), "power exponent")
-        if not 1 <= exponent <= MAX_EXPONENT:
-            raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {exponent}")
         return Compose((_parse_pi1(node.get("base"), genus),), exponent)
     raise JobError(f"unknown pi1 op {op!r}")
+
+
+def _check_pi1(node, genus: int) -> None:
+    """The checks of a pi1 tree that its Job makes: its node types, its leaves' genus,
+    its powers' exponents."""
+    if isinstance(node, FreeEndomorphism):
+        if node.genus != genus:
+            raise JobError(f"custom node needs exactly {2 * genus} image word strings")
+        return
+    if not isinstance(node, Compose):
+        raise JobError("pi1 element nodes must be objects with an 'op' field")
+    if not node.factors:
+        raise JobError("compose node needs a nonempty 'factors' list")
+    if not 1 <= node.exponent <= MAX_EXPONENT:
+        raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {node.exponent}")
+    for f in node.factors:
+        _check_pi1(f, genus)
+
+
+def _count_node(nodes) -> None:
+    if next(nodes) > MAX_HOMOLOGY_NODES:
+        raise JobError(f"homology element has more than {MAX_HOMOLOGY_NODES} nodes "
+                       "(sums, conjugates and atoms)")
+
+
+def _check_conjugator(s: IntMatrix, genus: int) -> None:
+    if s.dimension != 2 * genus:
+        raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
 
 
 def _parse_homology(node, genus: int, k: int, nodes):
     """The node's tree; `nodes` counts the element's nodes as they are parsed, from 1."""
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
-    if next(nodes) > MAX_HOMOLOGY_NODES:
-        raise JobError(f"homology element has more than {MAX_HOMOLOGY_NODES} nodes "
-                       "(sums, conjugates and atoms)")
+    _count_node(nodes)
     if "sum" in node:
         terms = node["sum"]
         if not isinstance(terms, list) or not terms:
             raise JobError("sum node needs a nonempty list of terms")
-        if len(terms) > 1 and k % 2 == 1:
-            raise JobError("signed sums with more than one term require even k "
-                           "(the invariant is only additive at even levels)")
         parsed = []
         for t in terms:
             if (not isinstance(t, dict) or type(t.get("sign")) is not int
@@ -378,8 +423,7 @@ def _parse_homology(node, genus: int, k: int, nodes):
             raise JobError("conjugate node needs exactly one of 'matrix' or 'transvections'")
         if "matrix" in node:
             s = parse_matrix(node["matrix"], what="conjugator matrix")
-            if s.dimension != 2 * genus:
-                raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
+            _check_conjugator(s, genus)
             _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
         else:
             classes = node["transvections"]
@@ -395,8 +439,6 @@ def _parse_homology(node, genus: int, k: int, nodes):
             raise JobError("non-symplectic conjugator matrix") from None
         return Conjugate(_parse_homology(node["conjugate"], genus, k, nodes), s, inverse)
     atom = node.get("atom")
-    if atom in ("wedge3", "bounding_pair") and k != 1:
-        raise JobError(f"{atom} atoms define weight-2 data and require k = 1")
     if atom == "sep_twist":
         return Atom(atom, _index(node, "sep_twist", genus - 1, "genus-1"))
     if atom == "wedge3":
@@ -415,6 +457,38 @@ def _parse_homology(node, genus: int, k: int, nodes):
     if atom == "bounding_pair":
         return Atom(atom, _index(node, "bounding_pair", genus, "genus"))
     raise JobError(f"unknown homology node {sorted(node.keys())}")
+
+
+def _check_homology(node, genus: int, k: int, nodes) -> None:
+    """The checks of a homology tree that its Job makes: its node count and
+    types, the parity of k under a sum of several terms, each sign, conjugator
+    dimension, atom index and wedge vector genus, and k = 1 under a weight-2 atom."""
+    _count_node(nodes)
+    if isinstance(node, Sum):
+        if not node.terms:
+            raise JobError("sum node needs a nonempty list of terms")
+        if len(node.terms) > 1 and k % 2 == 1:
+            raise JobError("signed sums with more than one term require even k "
+                           "(the invariant is only additive at even levels)")
+        for sign, term in node.terms:
+            if sign not in (1, -1):
+                raise JobError("sum terms must be objects with sign +-1 and a 'term'")
+            _check_homology(term, genus, k, nodes)
+    elif isinstance(node, Conjugate):
+        _check_conjugator(node.conjugator, genus)
+        _check_homology(node.inner, genus, k, nodes)
+    elif not isinstance(node, Atom):
+        raise JobError("homology element nodes must be objects")
+    elif node.kind in ("wedge3", "bounding_pair") and k != 1:
+        raise JobError(f"{node.kind} atoms define weight-2 data and require k = 1")
+    elif node.kind == "sep_twist":
+        _check_index(node.index, "sep_twist", genus - 1, "genus-1")
+    elif node.kind == "bounding_pair":
+        _check_index(node.index, "bounding_pair", genus, "genus")
+    elif node.kind != "wedge3":
+        raise JobError(f"unknown homology atom {node.kind!r}")
+    elif any(v.genus != genus for _, vectors in node.terms for v in vectors):
+        raise JobError(f"wedge vector must have 2*genus = {2 * genus} coordinates")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +531,7 @@ def build_endomorphism(node) -> FreeEndomorphism:
 
 def _atom_cochain(atom: Atom, job: Job) -> JohnsonCochain:
     if atom.kind == "sep_twist":
-        return tau_on_H(sep_twist(job.genus, atom.index), job.k)
+        return sep_twist_tau(job.genus, atom.index, job.k)
     if atom.kind == "wedge3":
         return cochain_from_wedge3(job.genus, atom.terms)
     return bp_tau(job.genus, atom.index)

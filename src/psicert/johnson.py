@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from .errors import DepthError, GenusMismatchError, _same_genus
 from .homology import HVector, intersection
 from .tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, lie_bracket, magnus_expand
-from .words import FreeEndomorphism, generator
+from .words import FreeEndomorphism, check_sep_index, generator
 
 
 @dataclass(frozen=True)
@@ -146,6 +146,11 @@ def depth_of_sum(tau: JohnsonCochain, k: int, truncation: int, build) -> DepthRe
     return filtration_depth(build(), truncation - 1)
 
 
+def _raise_shallow(depth: int, k: int):
+    raise DepthError(f"element has filtration depth {depth} < k = {k}; the level-{k} "
+                     "invariant is undefined")
+
+
 def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
     """filtration_depth(f, truncation - 1) and tau_on_H(f, k): additive_tau over f alone.
 
@@ -156,10 +161,7 @@ def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthRe
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
 
     def declined(low, rest):
-        depth = min([low, *(len(w) for _, terms in rest for w in terms if w)]) - 1
-        raise DepthError(
-            f"element has filtration depth {depth} < k = {k}; the level-{k} "
-            "invariant is undefined")
+        _raise_shallow(min([low, *(len(w) for _, terms in rest for w in terms if w)]) - 1, k)
 
     tau = additive_tau({f: 1}, k, declined)
     return depth_of_sum(tau, k, truncation, lambda: f), tau
@@ -226,3 +228,28 @@ def bp_tau(genus: int, index: int) -> JohnsonCochain:
         b_j = HVector.basis(genus, 2 * (j - 1) + 1)
         terms.append((1, (a_j, b_j, b_i)))
     return cochain_from_wedge3(genus, terms)
+
+
+def sep_twist_tau(genus: int, index: int, k: int) -> JohnsonCochain:
+    """tau_on_H(sep_twist(genus, index), k), read off its closed form.
+
+    The twist maps a generator x of the first `index` handles to gamma x
+    gamma^-1, where gamma = [a_1,b_1]...[a_index,b_index] expands to
+    1 + omega + (degree >= 3) with omega = sum_{j <= index} [A_j, B_j], and
+    fixes the rest.  So f(x) x^-1 = [gamma, x] has depth exactly 2: the
+    cochain is zero at k = 1 and x -> [omega, X] at k = 2 (Johnson 1980;
+    Morita 1993), and k >= 3 raises DepthError.  No word is built or expanded.
+    """
+    check_sep_index(genus, index)
+    if k < 1:
+        raise ValueError("level k must be at least 1")
+    if k > 2:
+        _raise_shallow(2, k)
+    zero = TruncatedTensor(genus, {})
+    if k == 1:
+        return JohnsonCochain(genus, 2, (zero,) * (2 * genus))
+    omega = TruncatedTensor(genus, {w: c for j in range(1, 2 * index, 2)
+                                    for w, c in (((j, j + 1), 1), ((j + 1, j), -1))})
+    return JohnsonCochain(genus, 3, tuple(
+        lie_bracket(omega, TruncatedTensor(genus, {(x,): 1})) if x <= 2 * index else zero
+        for x in range(1, 2 * genus + 1)))

@@ -242,10 +242,15 @@ def sep_twist(genus: int, index: int) -> FreeEndomorphism:
     return FreeEndomorphism(genus, tuple(images))
 
 
-def sep_twist_gamma(genus: int, index: int) -> GroupWord:
-    """The based class of the standard separating curve used by sep_twist."""
+def check_sep_index(genus: int, index: int) -> None:
+    """ValueError unless `index` names a standard separating curve: 1..genus-1."""
     if not 1 <= index <= genus - 1:
         raise ValueError(f"separating-curve index must be in 1..genus-1, got {index}")
+
+
+def sep_twist_gamma(genus: int, index: int) -> GroupWord:
+    """The based class of the standard separating curve used by sep_twist."""
+    check_sep_index(genus, index)
     gamma = GroupWord.identity(genus)
     for j in range(1, index + 1):
         gamma = gamma * commutator(a_gen(genus, j), b_gen(genus, j))

@@ -1,15 +1,16 @@
 import random
 import re
+import sys
 
 import pytest
 
 from checks import identity_endo, letterwise_compose, linear_combination, transvection
-from psicert import homology, jobs, johnson
+from psicert import homology, jobs, johnson, words
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
-from psicert.jobs import (Job, canonical_json, load_job, parse_hvector, parse_job, parse_matrix,
-                          run_job, run_tau)
+from psicert.jobs import (Atom, Compose, Conjugate, Job, Sum, canonical_json, load_job,
+                          parse_hvector, parse_job, parse_matrix, run_job, run_tau)
 from psicert.johnson import DepthResult
 from psicert.polylab import IntPolynomial
 from psicert.words import MAX_WORD_LETTERS, sep_twist
@@ -219,6 +220,55 @@ class TestValidation:
             Job(2, 2, "pi1", identity_endo(2), **options)
         with pytest.raises(JobError, match=f"^{re.escape(message)}"):
             parse_job(base_job(options=options))
+
+    @pytest.mark.parametrize("genus, k, pipeline, element, node, message", [
+        pytest.param(3, 2, "magic", identity_endo(3), {"op": "sep_twist", "index": 1},
+                     "pipeline must be one of ('pi1', 'homology')", id="pipeline"),
+        pytest.param(3, 2, "pi1", Atom("sep_twist", 1), {"atom": "sep_twist", "index": 1},
+                     "pi1 element nodes must be objects with an 'op' field", id="atom-in-pi1"),
+        pytest.param(3, 2, "homology", identity_endo(3), ["sep_twist", 1],
+                     "homology element nodes must be objects", id="leaf-in-homology"),
+        pytest.param(40, 2, "pi1", identity_endo(40), {"op": "sep_twist", "index": 1},
+                     "genus must be in 1..36, got 40", id="genus-cap"),
+        pytest.param(3, 2, "pi1", identity_endo(2), {"op": "custom", "images": ["a1"] * 4},
+                     "custom node needs exactly 6 image word strings", id="leaf-genus"),
+        pytest.param(3, 2, "pi1", Compose((identity_endo(3),), 0),
+                     {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 0},
+                     "power exponent must be in 1..256, got 0", id="exponent"),
+        pytest.param(3, 2, "homology", Atom("sep_twist", 3), {"atom": "sep_twist", "index": 3},
+                     "sep_twist index must be in 1..genus-1, got 3", id="sep_twist-index"),
+        pytest.param(3, 1, "homology", Atom("bounding_pair", 0),
+                     {"atom": "bounding_pair", "index": 0},
+                     "bounding_pair index must be in 1..genus, got 0", id="bounding_pair-index"),
+        pytest.param(3, 2, "homology", Atom("bounding_pair", 2),
+                     {"atom": "bounding_pair", "index": 2},
+                     "bounding_pair atoms define weight-2 data and require k = 1", id="weight-2"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=(
+            (1, tuple(HVector.from_name(n, 2) for n in ("a1", "b1", "b2"))),)),
+                     {"atom": "wedge3",
+                      "terms": [{"coef": 1, "triple": [[0, 1, 0, 1], "a1", "b1"]}]},
+                     "wedge vector must have 2*genus = 6 coordinates", id="wedge-vector"),
+        pytest.param(3, 2, "homology", Conjugate(Atom("sep_twist", 1), IntMatrix.identity(4),
+                                                 IntMatrix.identity(4)),
+                     {"conjugate": {"atom": "sep_twist", "index": 1},
+                      "matrix": [[int(i == j) for j in range(4)] for i in range(4)]},
+                     "conjugator matrix must be 6x6", id="conjugator"),
+        pytest.param(3, 1, "homology", Sum(((1, Atom("sep_twist", 1)),) * 2),
+                     {"sum": [{"sign": 1, "term": {"atom": "sep_twist", "index": 1}}] * 2},
+                     "signed sums with more than one term require even k", id="odd-sum"),
+        pytest.param(3, 2, "homology", Sum(((2, Atom("sep_twist", 1)),)),
+                     {"sum": [{"sign": 2, "term": {"atom": "sep_twist", "index": 1}}]},
+                     "sum terms must be objects with sign +-1", id="sign"),
+        pytest.param(3, 2, "homology", Sum(((1, Atom("sep_twist", 1)),) * 32),
+                     {"sum": [{"sign": 1, "term": {"atom": "sep_twist", "index": 1}}] * 32},
+                     "homology element has more than 32 nodes", id="node-cap")])
+    def test_constructed_job_checks_its_element(self, genus, k, pipeline, element, node,
+                                                message):
+        # a Job built in code is refused as its document is, with the same message
+        with pytest.raises(JobError, match=f"^{re.escape(message)}"):
+            Job(genus, k, pipeline, element)
+        with pytest.raises(JobError, match=f"^{re.escape(message)}"):
+            parse_job(base_job(genus=genus, k=k, pipeline=pipeline, element=node))
 
     def test_truncation_refused_before_the_element(self, monkeypatch):
         calls = []
@@ -449,12 +499,34 @@ class TestWorkDoneOnce:
         ("genus5-positive", [1, 2, 3, 1, 2]), ("genus2-negative", [1, 1])])
     def test_repeated_atom_computed_once(self, monkeypatch, name, indices):
         calls = []
-        real = jobs.tau_on_H
-        monkeypatch.setattr(jobs, "tau_on_H", lambda f, k: calls.append(f) or real(f, k))
+        real = jobs.sep_twist_tau
+        monkeypatch.setattr(jobs, "sep_twist_tau",
+                            lambda genus, index, k: calls.append(index) or real(genus, index, k))
         report = run_job(load_job(bundled_dir() / name / "job.json"))
         assert len(calls) == len(set(indices))
         # every occurrence is still listed, in order
         assert [t["index"] for t in report.atom_taus] == indices
+
+    @pytest.mark.parametrize("doc", [
+        jobs.read_json(bundled_dir() / "genus5-positive" / "job.json"),
+        # shaped as the benchmark's homology-sum cases: conjugated twists at
+        # indices 1, g/2 and g-1
+        {"schema": 1, "genus": 6, "k": 2, "pipeline": "homology", "element": {"sum": [
+            {"sign": sign, "term": {"conjugate": {"atom": "sep_twist", "index": index},
+                                    "transvections": ["a1", [0, 1, 1, 0, 0, -1, 2, 0, 0, 1, 0, 0],
+                                                      "b6"]}}
+            for sign, index in ((1, 1), (-1, 3), (1, 5))]}}], ids=["genus5-positive", "sum"])
+    def test_homology_atoms_build_no_word(self, doc):
+        # a sep_twist atom's cochain is read off its closed form
+        watched = {johnson.magnus_expand.__code__, words.apply_endo.__code__}
+        calls = []
+        sys.setprofile(lambda frame, event, arg: event == "call" and frame.f_code in watched
+                       and calls.append(frame.f_code.co_name))
+        try:
+            run_job(parse_job(doc)).to_json()
+        finally:
+            sys.setprofile(None)
+        assert calls == []
 
 
 class TestPowerBuild:

@@ -357,3 +357,48 @@ class TestBoundingPair:
         assert apply_endo(h, boundary) == boundary
         assert filtration_depth(h, 2).value == 1
         assert tau_on_H(h, 1) == bp_tau(g, 2)
+
+
+def outcome(compute):
+    """What compute() returns, or the type and text of the ValueError it raises
+    (DepthError is one)."""
+    try:
+        return compute()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestSepTwistClosedForm:
+    """sep_twist_tau reads a separating twist's cochain off its closed form;
+    tau_on_H, which expands the twist's images, is the oracle, error texts
+    included."""
+
+    @pytest.mark.parametrize("genus", range(2, 13))
+    def test_matches_expansion(self, genus):
+        for index in range(genus + 1):  # 0 and genus are out of range
+            for k in range(1, 5):
+                assert (outcome(lambda: johnson.sep_twist_tau(genus, index, k))
+                        == outcome(lambda: tau_on_H(sep_twist(genus, index), k)))
+
+    # at index 35 and k >= 3 the oracle expands 70 words of up to 282 letters
+    # at truncation k+1 (12 s at k = 3) to name the depth the genus-2 to 12
+    # cases already name
+    @pytest.mark.parametrize("index, k", [(1, 1), (1, 2), (1, 3), (1, 4), (35, 1), (35, 2)])
+    def test_matches_expansion_at_genus_36(self, index, k):
+        assert (outcome(lambda: johnson.sep_twist_tau(36, index, k))
+                == outcome(lambda: tau_on_H(sep_twist(36, index), k)))
+
+    def test_depth_two(self):
+        assert johnson.sep_twist_tau(4, 2, 1) == JohnsonCochain(
+            4, 2, (TruncatedTensor(4, {}),) * 8)
+        with pytest.raises(DepthError, match=r"^element has filtration depth 2 < k = 3; "
+                                             r"the level-3 invariant is undefined$"):
+            johnson.sep_twist_tau(4, 2, 3)
+
+    def test_images(self):
+        # x -> [omega, X] on the first `index` handles, 0 on the rest
+        c = johnson.sep_twist_tau(3, 2, 2)
+        a, b = ([TruncatedTensor(3, {(s,): 1}) for s in range(start, 7, 2)] for start in (1, 2))
+        omega = linear_combination((1, lie_bracket(a[0], b[0])), (1, lie_bracket(a[1], b[1])))
+        assert c.images[:4] == tuple(lie_bracket(omega, x) for x in (a[0], b[0], a[1], b[1]))
+        assert c.images[4:] == (TruncatedTensor(3, {}),) * 2
