@@ -19,8 +19,10 @@ invariant matrix:
   `johnson.cochain_from_wedge3`), so this route builds no word and runs no
   Magnus expansion.
 
-`parse_job` checks a document as it lowers it to a `Job`; a `Job` built in
-code is checked by its constructor, with the same messages.
+`parse_job` reads a document into a tree of nodes; the `Job` constructor
+checks every rule of the format, so a `Job` built in code is refused as its
+document is, with the same messages.  The parser keeps only the JSON types,
+what building a node needs, and the caps that bound its own reading.
 
 Both routes end identically: optional exact division of the matrix, then
 characteristic polynomial, factorization, and the factor-structure verdict.
@@ -38,7 +40,8 @@ from typing import NamedTuple
 
 from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
-from .homology import HVector, IntMatrix, conjugate, symplectic_inverse, times_transvection
+from .homology import (HVector, IntMatrix, _minus_j_transpose_j, conjugate, symplectic_inverse,
+                       times_transvection)
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
                       cochain_from_wedge3, depth_and_tau, depth_of_sum, sep_twist_tau)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
@@ -150,16 +153,29 @@ MAX_CONJUGATOR_BITS = 16
 # reach 60 rows and 58-bit entries; a conjugator is 2g x 2g.
 MAX_MATRIX_DIMENSION = 2 * MAX_GENUS
 MAX_MATRIX_BITS = 64
-# A homology element may have this many nodes: sums, conjugates and atoms
-# together.  Each conjugate costs three 2g x 2g products, one at parse that
-# checks and inverts the conjugator and two to conjugate.  At genus 36 on a
-# 2-core x86 VM, when a conjugate still cost four products, 31 nested
-# conjugates took 0.41 s to parse and 1.08 s to run.  With each sep_twist
-# atom's cochain read off its closed form, the 32-node sum of the atoms at
-# indices 5..35 runs in 0.97 s (19.6 s when each atom was expanded), and a
-# sum of 15 such atoms, each conjugated by three transvections, takes 0.35 s
-# to parse and 1.24 s to run.  The fixtures reach 8 nodes.
-MAX_HOMOLOGY_NODES = 32
+# An element may have this many nodes, counted as they are read: on pi1
+# compositions, powers and leaves, on homology sums, conjugates and atoms.
+# Each pi1 leaf is built as it is read: on a 2-core x86 VM, a compose of 2,000
+# sep_twist(36,35) factors spent 12 s and 383 MiB before exit 2 without the
+# cap.  The benchmark's pi1 trees reach 5 nodes, the route tests' seeded ones 27.
+# Each conjugate costs three 2g x 2g products: one in the Job's check of the
+# conjugator and two to conjugate.  At genus 36, when a conjugate still cost
+# four products, 31 nested conjugates took 0.41 s to parse and 1.08 s to run.
+# With each sep_twist atom's cochain read off its closed form, the 32-node sum
+# of the atoms at indices 5..35 runs in 0.97 s (19.6 s when each atom was
+# expanded), and a sum of 15 such atoms, each conjugated by three
+# transvections, takes 0.35 s to parse and 1.24 s to run.  The fixtures reach
+# 8 homology nodes.
+MAX_NODES = 32
+# A wedge3 atom's cochain and its odd-level square grow with its terms, and
+# charpoly with its coefficients' size.  At genus 36, k = 1, on a 2-core x86
+# VM, with vectors of 3 nonzero coordinates as in the benchmark, 16 terms ran
+# in 0.54 s, 64 in 9.9 s (16 s with 64-bit coefficients) and 100 in 20 s;
+# 3 terms ran in 1.5 s with 1,000-bit coefficients and spent 60 s before
+# failing with 14,000-bit ones.  The benchmark reaches 16 terms with 1-bit
+# coefficients, the fixture 4 terms.
+MAX_WEDGE_TERMS = 64
+MAX_WEDGE_BITS = 64
 
 # The element tree below uses NamedTuples: a frozen dataclass takes about
 # 1 ms to create at import, a NamedTuple about 0.14 ms.
@@ -187,12 +203,10 @@ class Sum(NamedTuple):
 
 
 class Conjugate(NamedTuple):
-    """Homology node: `inner` conjugated by a symplectic matrix, with the
-    inverse that checked it."""
+    """Homology node: `inner` conjugated by a symplectic matrix."""
 
     inner: object
     conjugator: IntMatrix
-    inverse: IntMatrix
 
 
 @dataclass(frozen=True)
@@ -210,13 +224,26 @@ class Job:
     contraction: ContractionSpec | None = None
 
     def __post_init__(self):
-        """Refuse what parse_job refuses of a document, with its messages, so
-        that a Job built in code is checked as its document is."""
+        """Refuse a job that breaks a rule of the format, with the message
+        parse_job gives for its document; parse_job only reads."""
         _check_header(self.genus, self.k, self.pipeline)
         object.__setattr__(self, "truncation",
                            checked_truncation(self.k, self.truncation, self.divide_by))
+        if self.primes is not None:
+            if len(self.primes) > MAX_PRIMES:
+                raise JobError(f"primes lists {len(self.primes)} entries, cap {MAX_PRIMES}")
+            for p in self.primes:
+                if not (_integer(p, "each of primes") < 1 << 64 and _is_prime(p)):
+                    raise JobError(f"primes must all be primes below 2^64, got {p}")
+        if self.contraction is not None:
+            try:
+                level_spec(self.k, self.contraction)
+            except ValueError as exc:
+                raise JobError(str(exc)) from None
+        if self.name is not None and not isinstance(self.name, str):
+            raise JobError(f"name must be a string, got {type(self.name).__name__}")
         if self.pipeline == "pi1":
-            _check_pi1(self.element, self.genus)
+            _check_pi1(self.element, self.genus, count(1))
         else:
             _check_homology(self.element, self.genus, self.k, count(1))
 
@@ -247,7 +274,8 @@ def checked_truncation(k: int, truncation: int | None, divide_by: int) -> int:
 
 
 def parse_job(obj: dict) -> Job:
-    """Check a job document and lower its element to a tree of nodes, in one walk."""
+    """Read a job document into a `Job`, whose constructor checks it; the header
+    and truncation are checked first, since they bound what reading may build."""
     if not isinstance(obj, dict):
         raise JobError("job document must be a JSON object")
     schema = obj.get("schema")
@@ -271,22 +299,14 @@ def parse_job(obj: dict) -> Job:
     if primes is not None:
         if not isinstance(primes, list):
             raise JobError("primes must be a list of primes")
-        if len(primes) > MAX_PRIMES:
-            raise JobError(f"primes lists {len(primes)} entries, cap {MAX_PRIMES}")
-        primes = tuple(_integer(p, "each of primes") for p in primes)
-        for p in primes:
-            if not (p < 1 << 64 and _is_prime(p)):
-                raise JobError(f"primes must all be primes below 2^64, got {p}")
+        primes = tuple(primes)
     contraction = options.get("contraction_spec")
     if contraction is not None:
-        try:
-            contraction = level_spec(k, _contraction_spec(contraction))
-        except ValueError as exc:
-            raise JobError(str(exc)) from None
-    if not isinstance(obj.get("name", ""), str):
-        raise JobError(f"name must be a string, got {type(obj['name']).__name__}")
-    tree = (_parse_pi1(element, genus) if pipeline == "pi1"
-            else _parse_homology(element, genus, k, count(1)))
+        contraction = _contraction_spec(contraction)
+    if "name" in obj and obj["name"] is None:  # a job without a name leaves the field out
+        raise JobError("name must be a string, got NoneType")
+    tree = (_parse_pi1(element, genus, count(1)) if pipeline == "pi1"
+            else _parse_homology(element, genus, count(1)))
     return Job(genus, k, pipeline, tree, obj.get("name"), divide_by, primes, truncation,
                contraction)
 
@@ -328,12 +348,6 @@ def _contraction_spec(obj) -> ContractionSpec:
         raise JobError(f"bad contraction spec: {exc}") from None
 
 
-def _index(node: dict, what: str, top: int, top_name: str) -> int:
-    index = _integer(node.get("index", 0), f"{what} index")
-    _check_index(index, what, top, top_name)
-    return index
-
-
 def _check_index(index: int, what: str, top: int, top_name: str) -> None:
     if not 1 <= index <= top:
         raise JobError(f"{what} index must be in 1..{top_name}, got {index}")
@@ -346,12 +360,16 @@ def _word(text: str, genus: int, what: str):
         raise JobError(f"{what}: {exc}") from None
 
 
-def _parse_pi1(node, genus: int):
+def _parse_pi1(node, genus: int, nodes):
+    """The node's tree; `nodes` counts the element's nodes as they are read, from 1."""
     if not isinstance(node, dict) or "op" not in node:
         raise JobError("pi1 element nodes must be objects with an 'op' field")
+    _count_node(nodes, "pi1")
     op = node["op"]
     if op == "sep_twist":
-        return sep_twist(genus, _index(node, "sep_twist", genus - 1, "genus-1"))
+        index = _integer(node.get("index", 0), "sep_twist index")
+        _check_index(index, "sep_twist", genus - 1, "genus-1")  # before sep_twist builds words
+        return sep_twist(genus, index)
     if op == "inner":
         if not isinstance(node.get("word"), str):
             raise JobError("inner node needs a 'word' string")
@@ -365,18 +383,19 @@ def _parse_pi1(node, genus: int):
                                              for i, w in enumerate(images, 1)))
     if op == "compose":
         factors = node.get("factors")
-        if not isinstance(factors, list) or not factors:
+        if not isinstance(factors, list):
             raise JobError("compose node needs a nonempty 'factors' list")
-        return Compose(tuple(_parse_pi1(f, genus) for f in factors))
+        return Compose(tuple(_parse_pi1(f, genus, nodes) for f in factors))
     if op == "power":
         exponent = _integer(node.get("exponent", 0), "power exponent")
-        return Compose((_parse_pi1(node.get("base"), genus),), exponent)
+        return Compose((_parse_pi1(node.get("base"), genus, nodes),), exponent)
     raise JobError(f"unknown pi1 op {op!r}")
 
 
-def _check_pi1(node, genus: int) -> None:
-    """The checks of a pi1 tree that its Job makes: its node types, its leaves' genus,
-    its powers' exponents."""
+def _check_pi1(node, genus: int, nodes) -> None:
+    """The checks of a pi1 tree that its Job makes: its node count and types,
+    its leaves' genus, its compositions' factors and its powers' exponents."""
+    _count_node(nodes, "pi1")
     if isinstance(node, FreeEndomorphism):
         if node.genus != genus:
             raise JobError(f"custom node needs exactly {2 * genus} image word strings")
@@ -388,42 +407,38 @@ def _check_pi1(node, genus: int) -> None:
     if not 1 <= node.exponent <= MAX_EXPONENT:
         raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {node.exponent}")
     for f in node.factors:
-        _check_pi1(f, genus)
+        _check_pi1(f, genus, nodes)
 
 
-def _count_node(nodes) -> None:
-    if next(nodes) > MAX_HOMOLOGY_NODES:
-        raise JobError(f"homology element has more than {MAX_HOMOLOGY_NODES} nodes "
-                       "(sums, conjugates and atoms)")
+_NODE_KINDS = {"pi1": "compositions, powers and leaves", "homology": "sums, conjugates and atoms"}
 
 
-def _check_conjugator(s: IntMatrix, genus: int) -> None:
-    if s.dimension != 2 * genus:
-        raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
+def _count_node(nodes, pipeline: str) -> None:
+    if next(nodes) > MAX_NODES:
+        raise JobError(f"{pipeline} element has more than {MAX_NODES} nodes "
+                       f"({_NODE_KINDS[pipeline]})")
 
 
-def _parse_homology(node, genus: int, k: int, nodes):
-    """The node's tree; `nodes` counts the element's nodes as they are parsed, from 1."""
+def _parse_homology(node, genus: int, nodes):
+    """The node's tree; `nodes` counts the element's nodes as they are read, from 1."""
     if not isinstance(node, dict):
         raise JobError("homology element nodes must be objects")
-    _count_node(nodes)
+    _count_node(nodes, "homology")
     if "sum" in node:
         terms = node["sum"]
-        if not isinstance(terms, list) or not terms:
+        if not isinstance(terms, list):
             raise JobError("sum node needs a nonempty list of terms")
         parsed = []
         for t in terms:
-            if (not isinstance(t, dict) or type(t.get("sign")) is not int
-                    or t["sign"] not in (1, -1) or "term" not in t):
+            if not isinstance(t, dict) or "term" not in t:
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
-            parsed.append((t["sign"], _parse_homology(t["term"], genus, k, nodes)))
+            parsed.append((t.get("sign"), _parse_homology(t["term"], genus, nodes)))
         return Sum(tuple(parsed))
     if "conjugate" in node:
         if ("matrix" in node) == ("transvections" in node):
             raise JobError("conjugate node needs exactly one of 'matrix' or 'transvections'")
         if "matrix" in node:
             s = parse_matrix(node["matrix"], what="conjugator matrix")
-            _check_conjugator(s, genus)
             _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
         else:
             classes = node["transvections"]
@@ -433,37 +448,35 @@ def _parse_homology(node, genus: int, k: int, nodes):
             for v in classes:
                 s = times_transvection(s, parse_hvector(v, genus, what="transvection class"))
                 _check_entry_bits(s, MAX_CONJUGATOR_BITS, "conjugator")
-        try:
-            inverse = symplectic_inverse(s)
-        except ValueError:
-            raise JobError("non-symplectic conjugator matrix") from None
-        return Conjugate(_parse_homology(node["conjugate"], genus, k, nodes), s, inverse)
+        return Conjugate(_parse_homology(node["conjugate"], genus, nodes), s)
     atom = node.get("atom")
-    if atom == "sep_twist":
-        return Atom(atom, _index(node, "sep_twist", genus - 1, "genus-1"))
+    if atom in ("sep_twist", "bounding_pair"):
+        return Atom(atom, _integer(node.get("index", 0), f"{atom} index"))
     if atom == "wedge3":
         terms = node.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise JobError("wedge3 node needs a nonempty 'terms' list")
+        if not isinstance(terms, list) or not 1 <= len(terms) <= MAX_WEDGE_TERMS:
+            raise JobError(f"wedge3 node needs a 'terms' list of 1..{MAX_WEDGE_TERMS} terms")
         parsed = []
         for t in terms:
             if not isinstance(t, dict) or "coef" not in t or "triple" not in t:
                 raise JobError("wedge terms must be objects with 'coef' and 'triple'")
+            coef = _integer(t["coef"], "wedge coef")
+            if coef.bit_length() > MAX_WEDGE_BITS:
+                raise JobError(f"wedge coef reaches {coef.bit_length()} bits, cap {MAX_WEDGE_BITS}")
             if not isinstance(t["triple"], list) or len(t["triple"]) != 3:
                 raise JobError("wedge triple must list exactly three vectors")
-            vectors = tuple(parse_hvector(v, genus, what="wedge vector") for v in t["triple"])
-            parsed.append((_integer(t["coef"], "wedge coef"), vectors))
+            parsed.append((coef, tuple(parse_hvector(v, genus, what="wedge vector")
+                                       for v in t["triple"])))
         return Atom(atom, terms=tuple(parsed))
-    if atom == "bounding_pair":
-        return Atom(atom, _index(node, "bounding_pair", genus, "genus"))
     raise JobError(f"unknown homology node {sorted(node.keys())}")
 
 
 def _check_homology(node, genus: int, k: int, nodes) -> None:
     """The checks of a homology tree that its Job makes: its node count and
-    types, the parity of k under a sum of several terms, each sign, conjugator
-    dimension, atom index and wedge vector genus, and k = 1 under a weight-2 atom."""
-    _count_node(nodes)
+    types, the parity of k under a sum of several terms, each sign, each
+    conjugator's dimension and symplecticity, atom index and wedge vector
+    genus, and k = 1 under a weight-2 atom."""
+    _count_node(nodes, "homology")
     if isinstance(node, Sum):
         if not node.terms:
             raise JobError("sum node needs a nonempty list of terms")
@@ -471,11 +484,16 @@ def _check_homology(node, genus: int, k: int, nodes) -> None:
             raise JobError("signed sums with more than one term require even k "
                            "(the invariant is only additive at even levels)")
         for sign, term in node.terms:
-            if sign not in (1, -1):
+            if type(sign) is not int or sign not in (1, -1):
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
             _check_homology(term, genus, k, nodes)
     elif isinstance(node, Conjugate):
-        _check_conjugator(node.conjugator, genus)
+        if node.conjugator.dimension != 2 * genus:
+            raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
+        try:
+            symplectic_inverse(node.conjugator)
+        except ValueError:
+            raise JobError("non-symplectic conjugator matrix") from None
         _check_homology(node.inner, genus, k, nodes)
     elif not isinstance(node, Atom):
         raise JobError("homology element nodes must be objects")
@@ -548,7 +566,7 @@ def _eval_homology(node, job: Job, atom_taus: list, done: dict) -> IntMatrix:
         return sum(terms[1:], terms[0])
     if isinstance(node, Conjugate):
         return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done),
-                         node.inverse)
+                         _minus_j_transpose_j(node.conjugator))
     if node not in done:
         c = _atom_cochain(node, job)
         index = {} if node.index is None else {"index": node.index}

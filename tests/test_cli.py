@@ -185,6 +185,18 @@ def hostile_documents() -> dict[str, str]:
         "homology-33-nodes": dict(twist, pipeline="homology", element={"sum": [
             {"sign": 1, "term": {"conjugate": {"atom": "sep_twist", "index": 1},
                                  "transvections": ["a1"]}}] * 16}),
+        # refused by the node cap before the 32nd factor is built; without it
+        # parse_job built all 2,000 twists (12 s, 383 MiB, 2-core x86 VM)
+        "pi1-2000-factors": dict(twist, genus=36, element={"op": "compose", "factors": [
+            {"op": "sep_twist", "index": 35}] * 2000}),
+        # refused by the term cap before a term is read; at genus 36, 100 terms
+        # over classes with 3 nonzero coordinates ran for 20 s (2-core x86 VM)
+        "wedge3-200-terms": dict(twist, genus=36, k=1, pipeline="homology", element={
+            "atom": "wedge3", "terms": [{"coef": 1, "triple": ["a1", "b1", "a2"]}] * 200}),
+        # refused by the coefficient cap; 3 terms with 14,000-bit coefficients
+        # ran for 60 s at genus 36 before failing (2-core x86 VM)
+        "wedge3-14000-bit-coef": dict(twist, genus=36, k=1, pipeline="homology", element={
+            "atom": "wedge3", "terms": [{"coef": 1 << 13999, "triple": ["a1", "b1", "a2"]}]}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

@@ -6,6 +6,7 @@ import pytest
 
 from checks import identity_endo, letterwise_compose, linear_combination, transvection
 from psicert import homology, jobs, johnson, words
+from psicert.contract import ContractionSpec
 from psicert.errors import DepthError, JobError
 from psicert.homology import HVector, IntMatrix, times_transvection
 from psicert.fixtures import bundled_dir
@@ -27,6 +28,10 @@ def base_job(**over):
     }
     doc.update(over)
     return doc
+
+
+# diag(2, 1, 1, 1, 1, 1) scales <a1, b1> by 2
+NON_SYMPLECTIC = [[2 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
 
 
 def psi_of(report):
@@ -173,6 +178,53 @@ class TestValidation:
         parse_job(doc(jobs.MAX_TRANSVECTIONS))
         assert len(calls) == jobs.MAX_TRANSVECTIONS
 
+    def test_pi1_nodes_capped_before_building(self, monkeypatch):
+        calls = []
+        real = jobs.sep_twist
+        monkeypatch.setattr(jobs, "sep_twist", lambda g, i: calls.append(i) or real(g, i))
+
+        def doc(count):
+            return base_job(element={"op": "compose", "factors": [
+                {"op": "sep_twist", "index": 1}] * count})
+
+        # the compose node and 31 factors are read; the 33rd node is refused unbuilt
+        for count in (jobs.MAX_NODES, 2000):
+            calls.clear()
+            with pytest.raises(JobError, match="^pi1 element has more than 32 nodes"):
+                parse_job(doc(count))
+            assert len(calls) == jobs.MAX_NODES - 1
+        calls.clear()
+        parse_job(doc(jobs.MAX_NODES - 1))
+        assert len(calls) == jobs.MAX_NODES - 1
+
+    def test_wedge_atoms_capped_before_reading(self, monkeypatch):
+        calls = []
+        real = jobs.parse_hvector
+        monkeypatch.setattr(jobs, "parse_hvector",
+                            lambda v, genus, what: calls.append(v) or real(v, genus, what=what))
+
+        def doc(*coefs):
+            return base_job(k=1, pipeline="homology", element={"atom": "wedge3", "terms": [
+                {"coef": c, "triple": ["a1", "b1", "b2"]} for c in coefs]})
+
+        # the term count is checked before any term is read
+        message = f"wedge3 node needs a 'terms' list of 1..{jobs.MAX_WEDGE_TERMS} terms"
+        for count in (0, jobs.MAX_WEDGE_TERMS + 1, 10**5):
+            with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
+                parse_job(doc(*[1] * count))
+        assert calls == []
+        parse_job(doc(*[1] * jobs.MAX_WEDGE_TERMS))
+        assert len(calls) == 3 * jobs.MAX_WEDGE_TERMS
+        # each coefficient before its term's vectors
+        top = 1 << jobs.MAX_WEDGE_BITS
+        assert [c for c, _ in parse_job(doc(top - 1, 1 - top)).element.terms] == [top - 1, 1 - top]
+        calls.clear()
+        for coef in (top, -top, 1 << 14000):
+            with pytest.raises(JobError, match=f"^wedge coef reaches {coef.bit_length()} bits, "
+                                               f"cap {jobs.MAX_WEDGE_BITS}$"):
+                parse_job(doc(1, coef))
+        assert len(calls) == 3 * 3
+
     def test_conjugator_entries_capped(self, monkeypatch):
         calls = []
         real = jobs.times_transvection
@@ -210,16 +262,31 @@ class TestValidation:
         assert report.observed_depth == DepthResult(job.truncation - 1, exact=False)
         assert run_tau(job) == (report.observed_depth, report.tau)
 
-    @pytest.mark.parametrize("options, message", [
-        pytest.param({"truncation": 1}, "truncation must be at least k+1 = 3", id="floor"),
-        pytest.param({"truncation": 60}, "truncation 60 exceeds the cap 24", id="cap"),
-        pytest.param({"divide_by": 0}, "divide_by must be a positive integer", id="divide_by")])
-    def test_constructed_job_checks_its_options(self, options, message):
+    @pytest.mark.parametrize("fields, document, message", [
+        pytest.param({"truncation": 1}, {"options": {"truncation": 1}},
+                     "truncation must be at least k+1 = 3", id="floor"),
+        pytest.param({"truncation": 60}, {"options": {"truncation": 60}},
+                     "truncation 60 exceeds the cap 24", id="cap"),
+        pytest.param({"divide_by": 0}, {"options": {"divide_by": 0}},
+                     "divide_by must be a positive integer", id="divide_by"),
+        pytest.param({"primes": (4,)}, {"options": {"primes": [4]}},
+                     "primes must all be primes below 2^64, got 4", id="composite"),
+        pytest.param({"primes": (2**70,)}, {"options": {"primes": [2**70]}},
+                     f"primes must all be primes below 2^64, got {2**70}", id="prime-2^70"),
+        pytest.param({"primes": (13,) * 65}, {"options": {"primes": [13] * 65}},
+                     "primes lists 65 entries, cap 64", id="primes-cap"),
+        pytest.param({"primes": (True,)}, {"options": {"primes": [True]}},
+                     "each of primes must be an integer, got bool", id="prime-bool"),
+        pytest.param({"contraction": ContractionSpec(((1, 2), (3, 4)), 5)},
+                     {"options": {"contraction_spec": {"pairs": [[1, 2], [3, 4]], "output": 5}}},
+                     "contraction spec arity 5 does not match degree 3", id="arity"),
+        pytest.param({"name": 5}, {"name": 5}, "name must be a string, got int", id="name")])
+    def test_constructed_job_checks_its_options(self, fields, document, message):
         # refused as its document is, with the same message, before anything runs
         with pytest.raises(JobError, match=f"^{re.escape(message)}"):
-            Job(2, 2, "pi1", identity_endo(2), **options)
+            Job(2, 2, "pi1", identity_endo(2), **fields)
         with pytest.raises(JobError, match=f"^{re.escape(message)}"):
-            parse_job(base_job(options=options))
+            parse_job(base_job(**document))
 
     @pytest.mark.parametrize("genus, k, pipeline, element, node, message", [
         pytest.param(3, 2, "magic", identity_endo(3), {"op": "sep_twist", "index": 1},
@@ -248,11 +315,25 @@ class TestValidation:
                      {"atom": "wedge3",
                       "terms": [{"coef": 1, "triple": [[0, 1, 0, 1], "a1", "b1"]}]},
                      "wedge vector must have 2*genus = 6 coordinates", id="wedge-vector"),
-        pytest.param(3, 2, "homology", Conjugate(Atom("sep_twist", 1), IntMatrix.identity(4),
-                                                 IntMatrix.identity(4)),
+        pytest.param(3, 2, "homology", Conjugate(Atom("sep_twist", 1), IntMatrix.identity(4)),
                      {"conjugate": {"atom": "sep_twist", "index": 1},
                       "matrix": [[int(i == j) for j in range(4)] for i in range(4)]},
                      "conjugator matrix must be 6x6", id="conjugator"),
+        pytest.param(3, 2, "homology", Conjugate(Atom("sep_twist", 1), IntMatrix.from_rows(
+            NON_SYMPLECTIC)), {"conjugate": {"atom": "sep_twist", "index": 1},
+                               "matrix": NON_SYMPLECTIC},
+                     "non-symplectic conjugator matrix", id="non-symplectic"),
+        pytest.param(3, 2, "pi1", Compose(()), {"op": "compose", "factors": []},
+                     "compose node needs a nonempty 'factors' list", id="empty-compose"),
+        pytest.param(3, 2, "homology", Sum(()), {"sum": []},
+                     "sum node needs a nonempty list of terms", id="empty-sum"),
+        pytest.param(3, 2, "homology", Sum(((True, Atom("sep_twist", 1)),)),
+                     {"sum": [{"sign": True, "term": {"atom": "sep_twist", "index": 1}}]},
+                     "sum terms must be objects with sign +-1", id="sign-bool"),
+        pytest.param(3, 2, "pi1", Compose((identity_endo(3),) * 32),
+                     {"op": "compose", "factors": [{"op": "sep_twist", "index": 1}] * 32},
+                     "pi1 element has more than 32 nodes (compositions, powers and leaves)",
+                     id="pi1-node-cap"),
         pytest.param(3, 1, "homology", Sum(((1, Atom("sep_twist", 1)),) * 2),
                      {"sum": [{"sign": 1, "term": {"atom": "sep_twist", "index": 1}}] * 2},
                      "signed sums with more than one term require even k", id="odd-sum"),

@@ -3,7 +3,8 @@
 The traced benchmark wraps psicert functions by name, so a simplification
 that deletes or renames a traced function fails here, before
 `perfbench/run.py --trace 1` fails on it.  The job caps of `parse_job` must
-admit every job document the workload generator writes.  The reports of
+admit every job document the workload generator writes, and every fixture job,
+ladder rung and seeded route tree of the tests.  The reports of
 every job case and of the polynomial cases up to 40 rows must hash to the
 recorded seed-1 digests, so that a byte change in a report fails here and
 not only in a benchmark run.  The benchmark modules and `digests.json` are
@@ -47,7 +48,8 @@ from checks import (berkowitz_char_coeffs, linear_hensel_lift, list_gf_gcd, list
 from psicert.homology import IntMatrix, char_coeffs
 from psicert import johnson, polylab
 from psicert.cli import main
-from psicert.jobs import canonical_json, parse_job, run_job
+from psicert.fixtures import bundled_dir
+from psicert.jobs import canonical_json, parse_job, read_json, run_job
 from psicert.johnson import DepthResult
 from psicert.polylab import charpoly, criterion, squarefree_decomposition
 
@@ -95,6 +97,18 @@ def test_caps_admit_every_benchmark_job(seed):
     assert jobs
     for case in jobs:
         parse_job(case["input"])
+
+
+def test_caps_admit_every_repo_job():
+    """Every fixture job, every ladder rung and every seeded route tree parses."""
+    from ladder import rung, rungs
+    from test_pi1_routes import job_doc, seeded_cases
+    documents = [read_json(path) for path in sorted(bundled_dir().glob("*/job.json"))]
+    documents += [rung(genus, k)[0] for genus, k in rungs()]
+    documents += [job_doc(*case.values[:4]) for case in seeded_cases()]
+    assert len(documents) == 7 + 21 + 60
+    for doc in documents:
+        parse_job(doc)
 
 
 def test_report_digests_pinned():
