@@ -22,6 +22,7 @@ from .fixtures import verify_fixtures
 from .jobs import (Job, SCHEMA_VERSION, canonical_json, load_job, parse_matrix, read_json,
                    run_job, run_tau)
 from .polylab import charpoly
+from .words import clipped
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -54,7 +55,7 @@ def _parse_primes(text: str) -> list[int]:
         try:
             primes.append(int(entry))
         except ValueError:
-            raise JobError(f"--primes: {entry.strip()!r} is not an integer") from None
+            raise JobError(f"--primes: {clipped(entry.strip())!r} is not an integer") from None
     return primes
 
 

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 
-from .errors import _same_genus
 from .words import bounded_int, clipped
 
 GENERATOR_KINDS = ("a", "b")
@@ -63,13 +62,11 @@ def symbol_intersection(p: int, q: int) -> int:
     return q - p if (p + 1) // 2 == (q + 1) // 2 else 0
 
 
-def intersection(u: HVector, v: HVector) -> int:
-    """Algebraic intersection number, bilinear with <a_i, b_i> = 1."""
-    _same_genus(u, v)
-    total = 0
-    for j in range(u.genus):
-        total += u.coords[2 * j] * v.coords[2 * j + 1] - u.coords[2 * j + 1] * v.coords[2 * j]
-    return total
+def pairing(v: HVector) -> list[int]:
+    """The row (<v, e_p>)_p of intersection numbers with the basis vectors,
+    bilinear with <a_i, b_i> = 1."""
+    c = v.coords
+    return [x for j in range(0, len(c), 2) for x in (-c[j + 1], c[j])]
 
 
 @dataclass(frozen=True)
@@ -295,21 +292,13 @@ def times_transvection(s: IntMatrix, beta: HVector) -> IntMatrix:
     product is s e_p + <beta, e_p> (s beta)."""
     if s.dimension != 2 * beta.genus:
         raise ValueError(f"dimension {s.dimension} vs genus {beta.genus}")
-    v = beta.coords
-    pairing = [x for j in range(0, len(v), 2) for x in (-v[j + 1], v[j])]  # <beta, e_p>
-    return IntMatrix(tuple(tuple(x + w * c for x, c in zip(row, pairing))
-                           for row, w in zip(s.rows, s.apply(v))))
+    row = pairing(beta)
+    return IntMatrix(tuple(tuple(x + w * c for x, c in zip(r, row))
+                           for r, w in zip(s.rows, s.apply(beta.coords))))
 
 
-def symplectic_inverse(s: IntMatrix) -> IntMatrix:
-    """-J s^T J, the inverse of a symplectic s; ValueError unless `sp_check(s)`."""
-    if not sp_check(s):
-        raise ValueError("matrix is not symplectic")
-    return _minus_j_transpose_j(s)
-
-
-def conjugate(s: IntMatrix, m: IntMatrix, inverse: IntMatrix) -> IntMatrix:
-    """s m s^{-1} for a symplectic s, with s^{-1} the `inverse` that
-    symplectic_inverse(s) formed."""
+def conjugate(s: IntMatrix, m: IntMatrix) -> IntMatrix:
+    """s m s^{-1} for a symplectic s, with s^{-1} = -J s^T J read off by index:
+    two products."""
     s._same_dim(m)
-    return s * m * inverse
+    return s * m * _minus_j_transpose_j(s)

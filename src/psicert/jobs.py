@@ -22,7 +22,10 @@ invariant matrix:
 `parse_job` reads a document into a tree of nodes; the `Job` constructor
 checks every rule of the format, so a `Job` built in code is refused as its
 document is, with the same messages.  The parser keeps only the JSON types,
-what building a node needs, and the caps that bound its own reading.
+what building a node needs, and the caps that bound its own reading.  The
+`Job` checks the types again, and the caps on the values it holds (nodes,
+`wedge3` terms and coefficients, conjugator entries), through the functions
+the parser calls, so each rule and cap is written once.
 
 Both routes end identically: optional exact division of the matrix, then
 characteristic polynomial, factorization, and the factor-structure verdict.
@@ -40,13 +43,12 @@ from typing import NamedTuple
 
 from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
-from .homology import (HVector, IntMatrix, _minus_j_transpose_j, conjugate, symplectic_inverse,
-                       times_transvection)
+from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
 from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
                       cochain_from_wedge3, depth_and_tau, depth_of_sum, sep_twist_tau)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
-from .words import (MAX_WORD_LETTERS, FreeEndomorphism, compose_endos, inner_automorphism,
-                    parse_word, sep_twist)
+from .words import (MAX_WORD_LETTERS, FreeEndomorphism, clipped, compose_endos,
+                    inner_automorphism, parse_word, sep_twist)
 
 SCHEMA_VERSION = 1
 PIPELINES = ("pi1", "homology")
@@ -226,15 +228,20 @@ class Job:
     def __post_init__(self):
         """Refuse a job that breaks a rule of the format, with the message
         parse_job gives for its document; parse_job only reads."""
-        _check_header(self.genus, self.k, self.pipeline)
-        object.__setattr__(self, "truncation",
-                           checked_truncation(self.k, self.truncation, self.divide_by))
+        _check_header(_integer(self.genus, "genus"), _integer(self.k, "k"), self.pipeline)
+        divide_by = _integer(self.divide_by, "divide_by")
+        truncation = None if self.truncation is None else _integer(self.truncation, "truncation")
+        object.__setattr__(self, "truncation", checked_truncation(self.k, truncation, divide_by))
+        if self.contraction is not None:  # its types where the parser reads them, its arity later
+            for slot in (s for pair in self.contraction.pairs for s in pair):
+                _integer(slot, "contraction slot")
+            _integer(self.contraction.output, "contraction output")
         if self.primes is not None:
             if len(self.primes) > MAX_PRIMES:
                 raise JobError(f"primes lists {len(self.primes)} entries, cap {MAX_PRIMES}")
             for p in self.primes:
                 if not (_integer(p, "each of primes") < 1 << 64 and _is_prime(p)):
-                    raise JobError(f"primes must all be primes below 2^64, got {p}")
+                    raise JobError(f"primes must all be primes below 2^64, got {clipped(p)}")
         if self.contraction is not None:
             try:
                 level_spec(self.k, self.contraction)
@@ -250,7 +257,7 @@ class Job:
 
 def _check_header(genus: int, k: int, pipeline: str) -> None:
     if not 1 <= genus <= MAX_GENUS:
-        raise JobError(f"genus must be in 1..{MAX_GENUS}, got {genus}")
+        raise JobError(f"genus must be in 1..{MAX_GENUS}, got {clipped(genus)}")
     if k < 1:
         raise JobError("k must be at least 1")
     if pipeline not in PIPELINES:
@@ -268,7 +275,7 @@ def checked_truncation(k: int, truncation: int | None, divide_by: int) -> int:
     if truncation < k + 1:
         raise JobError(f"truncation must be at least k+1 = {k + 1}")
     if truncation > MAX_TRUNCATION:
-        raise JobError(f"truncation {truncation} exceeds the cap {MAX_TRUNCATION} "
+        raise JobError(f"truncation {clipped(truncation)} exceeds the cap {MAX_TRUNCATION} "
                        "(the default is k+2, or 2k+2 at odd k)")
     return truncation
 
@@ -317,7 +324,7 @@ def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long integer
             raise JobError(f"invalid JSON in {path}: {exc}") from None
 
 
@@ -350,7 +357,7 @@ def _contraction_spec(obj) -> ContractionSpec:
 
 def _check_index(index: int, what: str, top: int, top_name: str) -> None:
     if not 1 <= index <= top:
-        raise JobError(f"{what} index must be in 1..{top_name}, got {index}")
+        raise JobError(f"{what} index must be in 1..{top_name}, got {clipped(index)}")
 
 
 def _word(text: str, genus: int, what: str):
@@ -404,8 +411,8 @@ def _check_pi1(node, genus: int, nodes) -> None:
         raise JobError("pi1 element nodes must be objects with an 'op' field")
     if not node.factors:
         raise JobError("compose node needs a nonempty 'factors' list")
-    if not 1 <= node.exponent <= MAX_EXPONENT:
-        raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {node.exponent}")
+    if not 1 <= _integer(node.exponent, "power exponent") <= MAX_EXPONENT:
+        raise JobError(f"power exponent must be in 1..{MAX_EXPONENT}, got {clipped(node.exponent)}")
     for f in node.factors:
         _check_pi1(f, genus, nodes)
 
@@ -454,15 +461,12 @@ def _parse_homology(node, genus: int, nodes):
         return Atom(atom, _integer(node.get("index", 0), f"{atom} index"))
     if atom == "wedge3":
         terms = node.get("terms")
-        if not isinstance(terms, list) or not 1 <= len(terms) <= MAX_WEDGE_TERMS:
-            raise JobError(f"wedge3 node needs a 'terms' list of 1..{MAX_WEDGE_TERMS} terms")
+        _check_wedge_count(terms)
         parsed = []
         for t in terms:
             if not isinstance(t, dict) or "coef" not in t or "triple" not in t:
                 raise JobError("wedge terms must be objects with 'coef' and 'triple'")
-            coef = _integer(t["coef"], "wedge coef")
-            if coef.bit_length() > MAX_WEDGE_BITS:
-                raise JobError(f"wedge coef reaches {coef.bit_length()} bits, cap {MAX_WEDGE_BITS}")
+            coef = _check_wedge_coef(t["coef"])
             if not isinstance(t["triple"], list) or len(t["triple"]) != 3:
                 raise JobError("wedge triple must list exactly three vectors")
             parsed.append((coef, tuple(parse_hvector(v, genus, what="wedge vector")
@@ -474,8 +478,8 @@ def _parse_homology(node, genus: int, nodes):
 def _check_homology(node, genus: int, k: int, nodes) -> None:
     """The checks of a homology tree that its Job makes: its node count and
     types, the parity of k under a sum of several terms, each sign, each
-    conjugator's dimension and symplecticity, atom index and wedge vector
-    genus, and k = 1 under a weight-2 atom."""
+    conjugator's entry sizes, dimension and symplecticity, and each atom's
+    (`_check_atom`)."""
     _count_node(nodes, "homology")
     if isinstance(node, Sum):
         if not node.terms:
@@ -488,25 +492,51 @@ def _check_homology(node, genus: int, k: int, nodes) -> None:
                 raise JobError("sum terms must be objects with sign +-1 and a 'term'")
             _check_homology(term, genus, k, nodes)
     elif isinstance(node, Conjugate):
+        # the cap of a read matrix, then the conjugator's own, as the parser checks them
+        _check_entry_bits(node.conjugator, MAX_MATRIX_BITS, "conjugator matrix")
+        _check_entry_bits(node.conjugator, MAX_CONJUGATOR_BITS, "conjugator")
         if node.conjugator.dimension != 2 * genus:
             raise JobError(f"conjugator matrix must be {2 * genus}x{2 * genus}")
-        try:
-            symplectic_inverse(node.conjugator)
-        except ValueError:
-            raise JobError("non-symplectic conjugator matrix") from None
+        if not sp_check(node.conjugator):
+            raise JobError("non-symplectic conjugator matrix")
         _check_homology(node.inner, genus, k, nodes)
     elif not isinstance(node, Atom):
         raise JobError("homology element nodes must be objects")
-    elif node.kind in ("wedge3", "bounding_pair") and k != 1:
-        raise JobError(f"{node.kind} atoms define weight-2 data and require k = 1")
-    elif node.kind == "sep_twist":
-        _check_index(node.index, "sep_twist", genus - 1, "genus-1")
-    elif node.kind == "bounding_pair":
-        _check_index(node.index, "bounding_pair", genus, "genus")
-    elif node.kind != "wedge3":
-        raise JobError(f"unknown homology atom {node.kind!r}")
-    elif any(v.genus != genus for _, vectors in node.terms for v in vectors):
+    else:
+        _check_atom(node, genus, k)
+
+
+def _check_atom(atom: Atom, genus: int, k: int) -> None:
+    """The checks of an atom: first those the parser makes as it reads (the
+    index type, the term count, each coefficient's type and size), then its
+    index range or vectors' genus, and k = 1 under a weight-2 atom."""
+    if atom.kind in ("sep_twist", "bounding_pair"):
+        _integer(atom.index, f"{atom.kind} index")
+    elif atom.kind == "wedge3":
+        _check_wedge_count(atom.terms)
+        for coef, _ in atom.terms:
+            _check_wedge_coef(coef)
+    else:
+        raise JobError(f"unknown homology atom {atom.kind!r}")
+    if atom.kind != "sep_twist" and k != 1:
+        raise JobError(f"{atom.kind} atoms define weight-2 data and require k = 1")
+    if atom.kind == "sep_twist":
+        _check_index(atom.index, "sep_twist", genus - 1, "genus-1")
+    elif atom.kind == "bounding_pair":
+        _check_index(atom.index, "bounding_pair", genus, "genus")
+    elif any(v.genus != genus for _, vectors in atom.terms for v in vectors):
         raise JobError(f"wedge vector must have 2*genus = {2 * genus} coordinates")
+
+
+def _check_wedge_count(terms) -> None:
+    if not isinstance(terms, (list, tuple)) or not 1 <= len(terms) <= MAX_WEDGE_TERMS:
+        raise JobError(f"wedge3 node needs a 'terms' list of 1..{MAX_WEDGE_TERMS} terms")
+
+
+def _check_wedge_coef(coef) -> int:
+    if _integer(coef, "wedge coef").bit_length() > MAX_WEDGE_BITS:
+        raise JobError(f"wedge coef reaches {coef.bit_length()} bits, cap {MAX_WEDGE_BITS}")
+    return coef
 
 
 # ---------------------------------------------------------------------------
@@ -565,8 +595,7 @@ def _eval_homology(node, job: Job, atom_taus: list, done: dict) -> IntMatrix:
         terms = [sign * _eval_homology(term, job, atom_taus, done) for sign, term in node.terms]
         return sum(terms[1:], terms[0])
     if isinstance(node, Conjugate):
-        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done),
-                         _minus_j_transpose_j(node.conjugator))
+        return conjugate(node.conjugator, _eval_homology(node.inner, job, atom_taus, done))
     if node not in done:
         c = _atom_cochain(node, job)
         index = {} if node.index is None else {"index": node.index}

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DepthError, GenusMismatchError, _same_genus
-from .homology import HVector, intersection
+from .homology import HVector, pairing
 from .tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, lie_bracket, magnus_expand
 from .words import FreeEndomorphism, check_sep_index, generator
 
@@ -194,7 +194,7 @@ WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
 
 def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
     """Weight-2 cochain of a sum of coefficient-weighted wedge triples."""
-    # (vector, coefficient, bracket): the image of x sums coef * <vector, x> * bracket
+    # (pairing row, coefficient, bracket): the image of e_p sums coef * <vector, e_p> * bracket
     parts = []
     for coeff, (u, v, w) in terms:
         for vec in (u, v, w):
@@ -202,12 +202,11 @@ def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
                 raise GenusMismatchError("wedge vector has wrong genus")
         tu, tv, tw = (TruncatedTensor(genus, {(p + 1,): c for p, c in enumerate(vec.coords) if c})
                       for vec in (u, v, w))
-        parts += [(u, coeff, lie_bracket(tv, tw)), (v, coeff, lie_bracket(tw, tu)),
-                  (w, coeff, lie_bracket(tu, tv))]
+        brackets = (lie_bracket(tv, tw), lie_bracket(tw, tu), lie_bracket(tu, tv))
+        parts += [(pairing(vec), coeff, b) for vec, b in zip((u, v, w), brackets)]
     images = []
     for p in range(2 * genus):
-        x = HVector.basis(genus, p)
-        scaled = ((coeff * intersection(vec, x), bracket) for vec, coeff, bracket in parts)
+        scaled = ((coeff * row[p], bracket) for row, coeff, bracket in parts)
         images.append(TruncatedTensor(genus, _sum_terms(
             (w, k * c) for k, bracket in scaled if k for w, c in bracket.terms.items())))
     return JohnsonCochain(genus, 2, tuple(images))

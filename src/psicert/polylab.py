@@ -77,7 +77,6 @@ import random
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import ClassVar
 
 from .homology import IntMatrix, char_coeffs
 
@@ -795,7 +794,7 @@ def _symmetric(c: int, modulus: int) -> int:
 
 def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes, p: int | None = None):
     """Irreducible factors of a primitive squarefree f (deg >= 1, lc > 0),
-    each paired with the Certificate it found for it or None.
+    each paired with its certificate prime or None.
 
     Reducibility is decided first: f is factored modulo its good-reduction
     prime, lifted and recombined, and only then is each irreducible factor
@@ -813,7 +812,7 @@ def _zassenhaus_squarefree(f: IntPolynomial, rng: random.Random, primes, p: int 
     fbar = _gf_monic(_gf_from_int_poly(f, p), p)
     modular = _factor_mod_p(fbar, p, rng)
     if len(modular) == 1:
-        fallback = Certificate(p) if primes is None else None
+        fallback = p if primes is None else None
         return [(f, find_certificate(f, primes) or fallback)]
     exponent = _mignotte_exponent(f, p)
     lifted, modulus = _hensel_lift(f, p, modular, exponent)
@@ -948,8 +947,8 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
     for sqfree, mult, prime in squarefree_decomposition(p):
         for q, cert in _zassenhaus_squarefree(sqfree, rng, primes, prime):
             collected[q] = mult  # the squarefree parts are coprime
-            if cert:
-                certificates[q] = cert.prime
+            if cert is not None:
+                certificates[q] = cert
     factors = tuple(sorted(collected.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs)))
     return Factorization(constant, factors, certificates)
 
@@ -958,16 +957,7 @@ def factor_z(p: IntPolynomial, primes=None) -> Factorization:
 # verdicts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Certificate:
-    prime: int
-    method: ClassVar[str] = CERTIFICATE_METHOD
-
-    def to_json_obj(self) -> dict:
-        return {"prime": self.prime, "method": self.method}
-
-
-def find_certificate(q: IntPolynomial, primes=None) -> Certificate | None:
+def find_certificate(q: IntPolynomial, primes=None) -> int | None:
     """First distinct prime of `primes` (default DEFAULT_CERT_PRIMES), not
     dividing the leading coefficient, modulo which q is irreducible."""
     if q.degree < 1:
@@ -976,7 +966,7 @@ def find_certificate(q: IntPolynomial, primes=None) -> Certificate | None:
         if q.leading % prime == 0:
             continue
         if irreducible_mod_p(q, prime):
-            return Certificate(prime)
+            return prime
     return None
 
 
@@ -1001,13 +991,14 @@ class CriterionReport:
     factors: tuple[tuple[IntPolynomial, int], ...]
     verdict: str
     reasons: dict
-    certificates: tuple  # Certificate | None, aligned with factors
+    certificates: tuple  # certificate prime or None, aligned with factors
 
     def to_json_obj(self) -> dict:
         return {
             "charpoly": self.charpoly.to_json_obj(),
             "factors": [{"poly": q.to_json_obj(), "multiplicity": m,
-                         "certificate": (c.to_json_obj() if c else None)}
+                         "certificate": None if c is None
+                         else {"prime": c, "method": CERTIFICATE_METHOD}}
                         for (q, m), c in zip(self.factors, self.certificates)],
             "verdict": self.verdict,
             "reasons": self.reasons,
@@ -1038,6 +1029,5 @@ def criterion(p: IntPolynomial, primes=None) -> CriterionReport:
         "two_odd_irreducible_factors": two_odd,
         "nontrivial_reading": "proper two-part factorizations only",
     }
-    certs = tuple(Certificate(fz.certificates[q]) if q in fz.certificates else None
-                  for q, _ in fz.factors)
+    certs = tuple(fz.certificates.get(q) for q, _ in fz.factors)
     return CriterionReport(p, fz.factors, verdict, reasons, certs)

@@ -146,9 +146,16 @@ def bounded_int(digits: str, top: int) -> int:
     return -int(significant) if digits.startswith("-") else int(significant)
 
 
-def clipped(text: str) -> str:
-    """text for an error message: its first 32 characters and an ellipsis when longer."""
-    return text if len(text) <= 32 else text[:32] + "\u2026"
+def clipped(value: str | int) -> str:
+    """A text, or an integer's digits, for an error message: its first 32
+    characters and an ellipsis when longer.  An integer with more digits than
+    str() converts is shown by its bit length."""
+    if isinstance(value, int):
+        try:
+            value = str(value)
+        except ValueError:
+            return f"an integer of {value.bit_length()} bits"
+    return value if len(value) <= 32 else value[:32] + "\u2026"
 
 
 def parse_word(text: str, genus: int) -> GroupWord:
@@ -218,11 +225,17 @@ def compose_endos(f: FreeEndomorphism, g: FreeEndomorphism) -> FreeEndomorphism:
     return FreeEndomorphism(f.genus, tuple(apply_endo(f, img) for img in g.images))
 
 
+def _conjugating(u: GroupWord, n: int) -> FreeEndomorphism:
+    """x -> u x u^-1 on the first n generators, fixing the rest."""
+    ui = u.inverse()
+    return FreeEndomorphism(u.genus, tuple(
+        u * generator(u.genus, i) * ui if i <= n else generator(u.genus, i)
+        for i in range(1, 2 * u.genus + 1)))
+
+
 def inner_automorphism(w: GroupWord) -> FreeEndomorphism:
     """x -> w x w^-1 on every generator."""
-    wi = w.inverse()
-    images = tuple(w * generator(w.genus, i) * wi for i in range(1, 2 * w.genus + 1))
-    return FreeEndomorphism(w.genus, images)
+    return _conjugating(w, 2 * w.genus)
 
 
 def sep_twist(genus: int, index: int) -> FreeEndomorphism:
@@ -232,14 +245,7 @@ def sep_twist(genus: int, index: int) -> FreeEndomorphism:
     twist conjugates a_j, b_j by gamma for j <= index and fixes the rest.
     index = genus would be boundary-parallel and is rejected.
     """
-    gamma = sep_twist_gamma(genus, index)
-    gamma_inv = gamma.inverse()
-    images = []
-    for i in range(1, 2 * genus + 1):
-        j = (i + 1) // 2
-        g = generator(genus, i)
-        images.append(gamma * g * gamma_inv if j <= index else g)
-    return FreeEndomorphism(genus, tuple(images))
+    return _conjugating(sep_twist_gamma(genus, index), 2 * index)
 
 
 def check_sep_index(genus: int, index: int) -> None:

@@ -6,8 +6,10 @@ oracles that no pipeline stage uses: the text form of a word, the tensor
 product, linear combinations of tensors and of cochains, graded parts, the
 integer-polynomial product and power, the identity endomorphism, the
 letter-by-letter image of a word and power of an endomorphism, the
-abelianization of an endomorphism, the transvection matrix (the reference
-for `homology.times_transvection`), the determinant, the word-by-word
+abelianization of an endomorphism, the intersection number (the reference
+for `homology.pairing`), the transvection matrix (the reference for
+`homology.times_transvection`), the symplectic inverse by products with J
+(the reference for `homology.conjugate`), the determinant, the word-by-word
 Dynkin map, the tensor pairing, theta, omega0, the diagonal action,
 cyclotomic and Swinnerton-Dyer polynomials, the product of a factorization,
 the Berkowitz characteristic polynomial, the schoolbook GF(p) product,
@@ -23,7 +25,7 @@ from operator import mul
 
 from psicert.contract import psi_matrix
 from psicert.errors import _same_genus
-from psicert.homology import HVector, IntMatrix, char_coeffs, intersection
+from psicert.homology import HVector, IntMatrix, char_coeffs, symbol_intersection
 from psicert.johnson import JohnsonCochain, derivation_apply, tau_on_H
 from psicert.polylab import (Factorization, IntPolynomial, _gf_divmod, _gf_from_int_poly,
                              _gf_inverse_mod, _gf_monic, _gf_mul, _gf_sub, _symmetric,
@@ -109,6 +111,28 @@ def abelianize(f: FreeEndomorphism) -> IntMatrix:
             col[idx - 1] += sign
         cols.append(tuple(col))
     return IntMatrix.from_columns(cols)
+
+
+def intersection(u: HVector, v: HVector) -> int:
+    """Algebraic intersection number, bilinear with <a_i, b_i> = 1."""
+    _same_genus(u, v)
+    total = 0
+    for j in range(u.genus):
+        total += u.coords[2 * j] * v.coords[2 * j + 1] - u.coords[2 * j + 1] * v.coords[2 * j]
+    return total
+
+
+def symplectic_inverse(s: IntMatrix) -> IntMatrix:
+    """J^-1 s^T J = -J s^T J by two matrix products, J the matrix of the
+    intersection form; ValueError unless it inverts s, that is unless s is
+    symplectic."""
+    n = s.dimension
+    j = IntMatrix.from_rows([[symbol_intersection(p, q) for q in range(1, n + 1)]
+                             for p in range(1, n + 1)])
+    inverse = -1 * (j * IntMatrix(tuple(zip(*s.rows))) * j)
+    if s * inverse != IntMatrix.identity(n):
+        raise ValueError("matrix is not symplectic")
+    return inverse
 
 
 def transvection(beta: HVector) -> IntMatrix:

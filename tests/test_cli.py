@@ -73,6 +73,19 @@ class TestCertify:
         assert capsys.readouterr().err == (f"error: invalid JSON in {broken}: 'utf-8' codec "
                                            "can't decode byte 0xff in position 0: invalid start byte\n")
 
+    @pytest.mark.parametrize("flag", ["--job", "--contraction-spec", "--matrix"])
+    def test_over_long_integer_names_the_file(self, tmp_path, capsys, flag):
+        # json reads an integer of more than 4,300 digits as a ValueError
+        broken = tmp_path / "long.json"
+        broken.write_text("[" + "7" * 5000 + "]")
+        args = {"--job": ["certify", "--job", str(broken)],
+                "--contraction-spec": ["certify", "--job", write_job(tmp_path, twist_job()),
+                                       "--contraction-spec", str(broken)],
+                "--matrix": ["charpoly", "--matrix", str(broken)]}[flag]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON in {broken}: Exceeds the limit (4300 digits)")
+
     def test_missing_file_exit_code(self, tmp_path):
         assert main(["certify", "--job", str(tmp_path / "absent.json")]) == 2
 
@@ -127,6 +140,19 @@ class TestCertify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --primes: {entry} is not an integer\n"
+
+    @pytest.mark.parametrize("primes, document, message", [
+        pytest.param("x" * 4000, None, "--primes: '" + "x" * 32 + "\u2026' is not an integer",
+                     id="flag-not-an-integer"),
+        pytest.param("9" * 4000, None, "primes must all be primes below 2^64, got "
+                     + "9" * 32 + "\u2026", id="flag-4000-digits"),
+        pytest.param(None, [int("9" * 4000)], "primes must all be primes below 2^64, got "
+                     + "9" * 32 + "\u2026", id="document-4000-digits")])
+    def test_long_primes_entries_clipped(self, tmp_path, capsys, primes, document, message):
+        doc = twist_job() if document is None else dict(twist_job(), options={"primes": document})
+        args = ["certify", "--job", write_job(tmp_path, doc)]
+        assert main(args + ([] if primes is None else ["--primes", primes])) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def hostile_documents() -> dict[str, str]:

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from checks import berkowitz_char_coeffs, determinant, transvection
+from checks import (berkowitz_char_coeffs, determinant, intersection, symplectic_inverse,
+                    transvection)
 from psicert import homology
 from psicert.errors import GenusMismatchError
-from psicert.homology import (HVector, IntMatrix, basis_position, char_coeffs, conjugate,
-                              intersection, sp_check, symbol_intersection, symplectic_inverse)
+from psicert.homology import (HVector, IntMatrix, basis_position, char_coeffs, conjugate, pairing,
+                              sp_check, symbol_intersection)
 
 # the 10x10 symplectic conjugator used by the bundled genus-5 example
 REFERENCE_CONJUGATOR = [
@@ -87,6 +88,14 @@ class TestIntersection:
         u_kw = hv(2, *(x + k * y for x, y in zip(a, c)))
         assert intersection(u_kw, v) == intersection(u, v) + k * intersection(w, v)
 
+    @pytest.mark.parametrize("genus", range(1, 37))
+    def test_pairing_row(self, genus):
+        rng = random.Random(genus)
+        for _ in range(4):
+            v = HVector(genus, tuple(rng.randint(-9, 9) for _ in range(2 * genus)))
+            assert pairing(v) == [intersection(v, HVector.basis(genus, p))
+                                  for p in range(2 * genus)]
+
 
 class TestTransvection:
     def test_basic(self):
@@ -158,18 +167,18 @@ class TestInverse:
 class TestConjugate:
     def test_identity_conjugator(self):
         m = IntMatrix.from_rows([[3, 0, 0, 0], [0, 3, 0, 0], [0] * 4, [0] * 4])
-        assert conjugate(IntMatrix.identity(4), m, IntMatrix.identity(4)) == m
+        assert conjugate(IntMatrix.identity(4), m) == m
 
     def test_identity_operand(self):
         s = transvection(HVector.from_name("a1", 2))
-        assert conjugate(s, IntMatrix.identity(4), symplectic_inverse(s)) == IntMatrix.identity(4)
+        assert conjugate(s, IntMatrix.identity(4)) == IntMatrix.identity(4)
 
     def test_worked_subtrahend(self):
         # conjugating diag(3,3,0,0) by the two listed transvections yields the
         # subtrahend of the bundled genus-2 example
         s = transvection(hv(2, 1, 0, 1, 0)) * transvection(hv(2, 0, -1, 0, 1))
         m = IntMatrix.from_rows([[3, 0, 0, 0], [0, 3, 0, 0], [0] * 4, [0] * 4])
-        got = conjugate(s, m, symplectic_inverse(s))
+        got = conjugate(s, m)
         assert got == IntMatrix.from_rows([
             [6, 0, -3, -3], [0, 6, -3, 3], [3, 3, -3, 0], [3, -3, 0, -3]])
 
@@ -182,7 +191,18 @@ class TestConjugate:
             for _ in range(3):
                 beta = HVector(2, tuple(rng.randrange(-2, 3) for _ in range(n)))
                 s = s * transvection(beta)
-            assert char_coeffs(conjugate(s, m, symplectic_inverse(s))) == char_coeffs(m)
+            assert char_coeffs(conjugate(s, m)) == char_coeffs(m)
+
+    @pytest.mark.parametrize("genus", [1, 2, 3, 5, 8])
+    def test_matches_products_with_the_inverse(self, genus):
+        rng = random.Random(genus)
+        n = 2 * genus
+        for _ in range(5):
+            m = IntMatrix.from_rows([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
+            s = IntMatrix.identity(n)
+            for _ in range(3):
+                s = s * transvection(HVector(genus, tuple(rng.randint(-2, 2) for _ in range(n))))
+            assert conjugate(s, m) == s * m * symplectic_inverse(s)
 
 
 class TestCharCoeffsBasics:

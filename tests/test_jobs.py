@@ -1,6 +1,7 @@
 import random
 import re
 import sys
+import time
 
 import pytest
 
@@ -32,6 +33,12 @@ def base_job(**over):
 
 # diag(2, 1, 1, 1, 1, 1) scales <a1, b1> by 2
 NON_SYMPLECTIC = [[2 if i == j == 0 else int(i == j) for j in range(6)] for i in range(6)]
+WEDGE_TRIPLE = tuple(HVector.from_name(n, 3) for n in ("a1", "b1", "a2"))
+
+
+def shear(entry):
+    """A symplectic 4 x 4 matrix: a1 -> a1, b1 -> b1 + entry a1."""
+    return [[1, entry, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def psi_of(report):
@@ -231,9 +238,6 @@ class TestValidation:
         monkeypatch.setattr(jobs, "times_transvection", lambda s, v: calls.append(v) or real(s, v))
         top = 1 << jobs.MAX_CONJUGATOR_BITS
 
-        def shear(entry):  # symplectic: a1 -> a1, b1 -> b1 + entry a1
-            return [[1, entry, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
-
         def doc(**conjugator):
             return base_job(pipeline="homology", element={
                 "conjugate": {"atom": "sep_twist", "index": 1}, **conjugator})
@@ -280,7 +284,20 @@ class TestValidation:
         pytest.param({"contraction": ContractionSpec(((1, 2), (3, 4)), 5)},
                      {"options": {"contraction_spec": {"pairs": [[1, 2], [3, 4]], "output": 5}}},
                      "contraction spec arity 5 does not match degree 3", id="arity"),
-        pytest.param({"name": 5}, {"name": 5}, "name must be a string, got int", id="name")])
+        pytest.param({"name": 5}, {"name": 5}, "name must be a string, got int", id="name"),
+        pytest.param({"truncation": 5.5}, {"options": {"truncation": 5.5}},
+                     "truncation must be an integer, got float", id="truncation-float"),
+        pytest.param({"divide_by": 1.5}, {"options": {"divide_by": 1.5}},
+                     "divide_by must be an integer, got float", id="divide_by-float"),
+        pytest.param({"contraction": ContractionSpec(((True, 2),), 3)},
+                     {"options": {"contraction_spec": {"pairs": [[True, 2]], "output": 3}}},
+                     "contraction slot must be an integer, got bool", id="slot-bool"),
+        pytest.param({"contraction": ContractionSpec(((1, 2),), 3.0)},
+                     {"options": {"contraction_spec": {"pairs": [[1, 2]], "output": 3.0}}},
+                     "contraction output must be an integer, got float", id="output-float"),
+        pytest.param({"primes": (int("9" * 4000),)}, {"options": {"primes": [int("9" * 4000)]}},
+                     "primes must all be primes below 2^64, got " + "9" * 32 + "\u2026",
+                     id="prime-4000-digits")])
     def test_constructed_job_checks_its_options(self, fields, document, message):
         # refused as its document is, with the same message, before anything runs
         with pytest.raises(JobError, match=f"^{re.escape(message)}"):
@@ -342,7 +359,48 @@ class TestValidation:
                      "sum terms must be objects with sign +-1", id="sign"),
         pytest.param(3, 2, "homology", Sum(((1, Atom("sep_twist", 1)),) * 32),
                      {"sum": [{"sign": 1, "term": {"atom": "sep_twist", "index": 1}}] * 32},
-                     "homology element has more than 32 nodes", id="node-cap")])
+                     "homology element has more than 32 nodes", id="node-cap"),
+        pytest.param(True, 2, "pi1", identity_endo(1), {"op": "sep_twist", "index": 1},
+                     "genus must be an integer, got bool", id="genus-bool"),
+        pytest.param(10**5000, 2, "pi1", identity_endo(2), {"op": "sep_twist", "index": 1},
+                     "genus must be in 1..36, got an integer of 16610 bits",
+                     id="genus-5001-digits"),
+        pytest.param(3, 2.0, "pi1", identity_endo(3), {"op": "sep_twist", "index": 1},
+                     "k must be an integer, got float", id="k-float"),
+        pytest.param(3, 2, "pi1", Compose((identity_endo(3),), 2.0),
+                     {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 2.0},
+                     "power exponent must be an integer, got float", id="exponent-float"),
+        pytest.param(3, 2, "pi1", Compose((identity_endo(3),), -10**40),
+                     {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": -10**40},
+                     "power exponent must be in 1..256, got -1" + "0" * 30 + "\u2026",
+                     id="exponent-41-digits"),
+        pytest.param(3, 2, "homology", Atom("sep_twist", True),
+                     {"atom": "sep_twist", "index": True},
+                     "sep_twist index must be an integer, got bool", id="sep_twist-index-bool"),
+        pytest.param(3, 1, "homology", Atom("bounding_pair", True),
+                     {"atom": "bounding_pair", "index": True},
+                     "bounding_pair index must be an integer, got bool",
+                     id="bounding_pair-index-bool"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=((True, WEDGE_TRIPLE),)),
+                     {"atom": "wedge3", "terms": [{"coef": True, "triple": ["a1", "b1", "a2"]}]},
+                     "wedge coef must be an integer, got bool", id="wedge-coef-bool"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=()), {"atom": "wedge3", "terms": []},
+                     "wedge3 node needs a 'terms' list of 1..64 terms", id="wedge3-no-terms"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=((1, WEDGE_TRIPLE),) * 65),
+                     {"atom": "wedge3", "terms": [{"coef": 1, "triple": ["a1", "b1", "a2"]}] * 65},
+                     "wedge3 node needs a 'terms' list of 1..64 terms", id="wedge3-65-terms"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=((1 << 14000, WEDGE_TRIPLE),) * 3),
+                     {"atom": "wedge3",
+                      "terms": [{"coef": 1 << 14000, "triple": ["a1", "b1", "a2"]}] * 3},
+                     "wedge coef reaches 14001 bits, cap 64", id="wedge3-14000-bit-coef"),
+        pytest.param(2, 2, "homology",
+                     Conjugate(Atom("sep_twist", 1), IntMatrix.from_rows(shear(1 << 300))),
+                     {"conjugate": {"atom": "sep_twist", "index": 1}, "matrix": shear(1 << 300)},
+                     "conjugator matrix entries reach 301 bits, cap 64", id="conjugator-301-bits"),
+        pytest.param(2, 2, "homology",
+                     Conjugate(Atom("sep_twist", 1), IntMatrix.from_rows(shear(1 << 16))),
+                     {"conjugate": {"atom": "sep_twist", "index": 1}, "matrix": shear(1 << 16)},
+                     "conjugator entries reach 17 bits, cap 16", id="conjugator-17-bits")])
     def test_constructed_job_checks_its_element(self, genus, k, pipeline, element, node,
                                                 message):
         # a Job built in code is refused as its document is, with the same message
@@ -350,6 +408,15 @@ class TestValidation:
             Job(genus, k, pipeline, element)
         with pytest.raises(JobError, match=f"^{re.escape(message)}"):
             parse_job(base_job(genus=genus, k=k, pipeline=pipeline, element=node))
+
+    def test_constructed_wedge3_refused_at_once(self):
+        # without the cap on a Job, run_job spent 1.18 s on 3 such terms at genus 2
+        # before a bare ValueError (2-core x86 VM)
+        element = Atom("wedge3", terms=((1 << 14000, WEDGE_TRIPLE),) * 3)
+        start = time.perf_counter()
+        with pytest.raises(JobError, match="^wedge coef reaches 14001 bits, cap 64$"):
+            Job(3, 1, "homology", element)
+        assert time.perf_counter() - start < 0.1
 
     def test_truncation_refused_before_the_element(self, monkeypatch):
         calls = []
@@ -507,26 +574,13 @@ class TestTransvectionUpdate:
 
 
 class TestWorkDoneOnce:
-    def test_conjugator_checked_once(self, monkeypatch):
-        # the parse-time inverse is the one check; evaluation reuses it
-        calls = []
-        real = homology.symplectic_inverse
-        for module in (jobs, homology):
-            monkeypatch.setattr(module, "symplectic_inverse",
-                                lambda m: calls.append(m) or real(m))
-        doc = base_job(pipeline="homology", element={
-            "conjugate": {"atom": "sep_twist", "index": 1},
-            "matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
-        })
-        run_job(parse_job(doc))
-        assert len(calls) == 1
-
     def test_conjugators_checked_by_sp_check(self, monkeypatch):
-        # symplectic_inverse tests each conjugator through sp_check, once per
-        # conjugate node, at parse; evaluation checks none again
+        # the Job tests each conjugator through sp_check, once per conjugate
+        # node, at parse; evaluation checks none again
         calls = []
-        real = homology.sp_check
-        monkeypatch.setattr(homology, "sp_check", lambda m: calls.append(m) or real(m))
+        real = jobs.sp_check
+        for module in (jobs, homology):
+            monkeypatch.setattr(module, "sp_check", lambda m: calls.append(m) or real(m))
         shear = [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
         doc = base_job(pipeline="homology", element={"conjugate": {
             "conjugate": {"atom": "sep_twist", "index": 1}, "transvections": ["b2"]},
@@ -539,8 +593,8 @@ class TestWorkDoneOnce:
         assert len(calls) == 2
 
     def test_conjugate_costs_three_products(self, monkeypatch):
-        """One matrix product checks the conjugator as it is inverted at parse;
-        at evaluation two conjugate, by the inverse the node keeps."""
+        """One matrix product checks the conjugator at parse; at evaluation two
+        conjugate, by the inverse read off by index."""
         products = []
         real = IntMatrix.__mul__
         monkeypatch.setattr(IntMatrix, "__mul__", lambda a, b: (

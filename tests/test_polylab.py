@@ -13,7 +13,7 @@ from checks import (check_charpoly_oracle, check_criterion_closed_form,
 from psicert import polylab
 from psicert.homology import HVector, IntMatrix
 from psicert.jobs import MAX_MATRIX_DIMENSION
-from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE, Certificate,
+from psicert.polylab import (CERTIFIED, DEFAULT_CERT_PRIMES, INCONCLUSIVE,
                              IntPolynomial, _is_prime, charpoly, criterion, factor_z,
                              find_certificate, irreducible_mod_p, squarefree_decomposition)
 
@@ -160,7 +160,7 @@ class TestFactorZ:
             if find_certificate(f) is not None:
                 inputs.append(f)
         for f in inputs:
-            assert factor_z(f).certificates == {f: find_certificate(f).prime}
+            assert factor_z(f).certificates == {f: find_certificate(f)}
 
     def test_non_monic_recombination(self):
         # g(2x) and g(3x) for g = x^4 - 10x^2 + 1: irreducible, and reducible
@@ -247,7 +247,7 @@ class TestFactorOrder:
         for q, _ in fz.factors:
             cert = find_certificate(q, primes)
             if cert is not None:
-                expected[q] = cert.prime
+                expected[q] = cert
         assert fz.certificates == expected
         assert during == sorted(tested, key=repr)
 
@@ -273,7 +273,7 @@ class TestFactorOrder:
         f = poly_mul(cyclotomic(5), cyclotomic(8), swinnerton_dyer((2, 3, 5)))
         results = {tuple(polylab._zassenhaus_squarefree(f, random.Random(seed), None))
                    for seed in range(8)}
-        assert results == {((cyclotomic(5), Certificate(2)), (cyclotomic(8), None),
+        assert results == {((cyclotomic(5), 2), (cyclotomic(8), None),
                             (swinnerton_dyer((2, 3, 5)), None))}
 
 
@@ -881,13 +881,14 @@ class TestCriterion:
 
     def test_certificate_selection(self):
         rep = criterion(poly_mul(QUINTIC, QUINTIC), primes=[17])
-        assert rep.certificates[0].prime == 17
-        assert rep.certificates[0].method == "distinct-degree-gcd"
+        assert rep.certificates[0] == 17
+        assert rep.to_json_obj()["factors"][0]["certificate"] == {
+            "prime": 17, "method": "distinct-degree-gcd"}
 
     def test_certifying_job_prime_ends_the_scan(self, monkeypatch):
         tested = record_tests(monkeypatch)
         rep = criterion(poly_mul(QUINTIC, QUINTIC), primes=[17])
-        assert rep.certificates[0].prime == 17
+        assert rep.certificates[0] == 17
         assert tested == [(QUINTIC, 17)]
 
     def test_job_primes_scanned_first(self, monkeypatch):
@@ -953,8 +954,7 @@ class TestCertificateRule:
                 assert {r for _, r in tested} <= set(primes), p
             if p.is_monic():
                 rep = criterion(p, primes)
-                assert rep.certificates == tuple(
-                    None if oracle[q] is None else Certificate(oracle[q]) for q, _ in rep.factors)
+                assert rep.certificates == tuple(oracle[q] for q, _ in rep.factors)
 
     def test_repeated_listed_prime_tested_once(self, monkeypatch):
         tested = record_tests(monkeypatch)
