@@ -574,6 +574,19 @@ class TestTransvectionUpdate:
 
 
 class TestWorkDoneOnce:
+    def test_conjugator_checked_once(self, monkeypatch):
+        # the parse-time sp_check is the one check; evaluation reuses it
+        calls = []
+        real = jobs.sp_check
+        for module in (jobs, homology):
+            monkeypatch.setattr(module, "sp_check", lambda m: calls.append(m) or real(m))
+        doc = base_job(pipeline="homology", element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "matrix": [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        })
+        run_job(parse_job(doc))
+        assert len(calls) == 1
+
     def test_conjugators_checked_by_sp_check(self, monkeypatch):
         # the Job tests each conjugator through sp_check, once per conjugate
         # node, at parse; evaluation checks none again
