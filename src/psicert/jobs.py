@@ -24,7 +24,7 @@ checks every rule of the format, so a `Job` built in code is refused as its
 document is, with the same messages.  The parser keeps only the JSON types,
 what building a node needs, and the caps that bound its own reading.  The
 `Job` checks the types again, and the caps on the values it holds (nodes,
-`wedge3` terms and coefficients, conjugator entries), through the functions
+`wedge3` terms, coefficients and coordinates, conjugator entries), through the functions
 the parser calls, so each rule and cap is written once.
 
 Both routes end identically: optional exact division of the matrix, then
@@ -175,7 +175,10 @@ MAX_NODES = 32
 # in 0.54 s, 64 in 9.9 s (16 s with 64-bit coefficients) and 100 in 20 s;
 # 3 terms ran in 1.5 s with 1,000-bit coefficients and spent 60 s before
 # failing with 14,000-bit ones.  The benchmark reaches 16 terms with 1-bit
-# coefficients, the fixture 4 terms.
+# coefficients, the fixture 4 terms.  The bit cap holds for each vector
+# coordinate too: a 1-term atom at genus 2 with 1,001-digit coordinates ran
+# 0.87 s, and with 4,001-digit ones its cochain could not be written as
+# decimal text.  Both caps bound the slot width of the packed odd-level square.
 MAX_WEDGE_TERMS = 64
 MAX_WEDGE_BITS = 64
 
@@ -508,12 +511,14 @@ def _check_homology(node, genus: int, k: int, nodes) -> None:
 
 def _check_atom(atom: Atom, genus: int, k: int) -> None:
     """The checks of an atom: first those the parser makes as it reads (the
-    index type, the term count, each coefficient's type and size), then its
-    index range or vectors' genus, and k = 1 under a weight-2 atom."""
+    index type, the term count, each coefficient's type and size), then k = 1
+    under a weight-2 atom, and its index range or its vectors' genus and
+    coordinate sizes.  A wedge3 atom built in code must hold tuples."""
     if atom.kind in ("sep_twist", "bounding_pair"):
         _integer(atom.index, f"{atom.kind} index")
     elif atom.kind == "wedge3":
         _check_wedge_count(atom.terms)
+        _check_wedge_shape(atom.terms)
         for coef, _ in atom.terms:
             _check_wedge_coef(coef)
     else:
@@ -524,13 +529,29 @@ def _check_atom(atom: Atom, genus: int, k: int) -> None:
         _check_index(atom.index, "sep_twist", genus - 1, "genus-1")
     elif atom.kind == "bounding_pair":
         _check_index(atom.index, "bounding_pair", genus, "genus")
-    elif any(v.genus != genus for _, vectors in atom.terms for v in vectors):
-        raise JobError(f"wedge vector must have 2*genus = {2 * genus} coordinates")
+    else:
+        vectors = [v for _, triple in atom.terms for v in triple]
+        if any(v.genus != genus for v in vectors):
+            raise JobError(f"wedge vector must have 2*genus = {2 * genus} coordinates")
+        for x in (x for v in vectors for x in v.coords):
+            if _integer(x, "wedge vector coordinate").bit_length() > MAX_WEDGE_BITS:
+                raise JobError(f"wedge vector coordinate reaches {x.bit_length()} bits, "
+                               f"cap {MAX_WEDGE_BITS}")
 
 
 def _check_wedge_count(terms) -> None:
     if not isinstance(terms, (list, tuple)) or not 1 <= len(terms) <= MAX_WEDGE_TERMS:
         raise JobError(f"wedge3 node needs a 'terms' list of 1..{MAX_WEDGE_TERMS} terms")
+
+
+def _check_wedge_shape(terms) -> None:
+    """Tuples throughout, as the parser builds them, so that the atom hashes."""
+    if not isinstance(terms, tuple) or not all(
+            isinstance(t, tuple) and len(t) == 2 and isinstance(t[1], tuple) and len(t[1]) == 3
+            and all(isinstance(v, HVector) and isinstance(v.coords, tuple) for v in t[1])
+            for t in terms):
+        raise JobError("wedge3 terms must be a tuple of (coef, (u, v, w)) tuples, "
+                       "each vector an HVector with a tuple of coordinates")
 
 
 def _check_wedge_coef(coef) -> int:

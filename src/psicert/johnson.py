@@ -17,6 +17,17 @@ vanishing one at truncation k+1 bounds it below by k, and only otherwise is
 the composite built and expanded at the truncation (`depth_of_sum`).
 `depth_and_tau` is this rule over one endomorphism.
 
+A cochain's 2g images mostly share their words, so the two steps that run
+once per image run once per pack of consecutive nonzero images instead
+(`tensors.pack`, at most PACK_BITS bits per coefficient).  The cochain's
+constructor runs the Dynkin test on each pack, with slots for (2^(m-1) + m)
+times the largest l1 norm of an image of weight m, which bounds every
+coefficient of D(t) - m t; `tau_squared` applies the derivation to each pack
+and unpacks the result, with slots for weight * max|coefficient| times that
+norm, which bounds every coefficient of the derivation of an image.  So no
+slot overflows, a packed coefficient is zero exactly when each image's is,
+and every image is still checked.
+
 Weight-2 cochains can also be built directly from trivector data: the class
 u ^ v ^ w acts by x -> <u,x>[v,w] + <v,x>[w,u] + <w,x>[u,v], extended
 linearly (the sign and scale of this identification are pinned by the
@@ -28,7 +39,8 @@ from dataclasses import dataclass
 
 from .errors import DepthError, GenusMismatchError, _same_genus
 from .homology import HVector, pairing
-from .tensors import TruncatedTensor, _sum_terms, dynkin_is_lie, lie_bracket, magnus_expand
+from .tensors import (PACK_BITS, TruncatedTensor, _bracket_terms, _sum_terms, dynkin_is_lie,
+                      lie_bracket, magnus_expand, pack, slot_width, unpack)
 from .words import FreeEndomorphism, check_sep_index, generator
 
 
@@ -50,7 +62,11 @@ class JohnsonCochain:
                 raise GenusMismatchError("image tensor has wrong genus")
             if not img.is_homogeneous(self.weight):
                 raise ValueError(f"image not homogeneous of degree {self.weight}")
-            if not dynkin_is_lie(img):
+        # each coefficient of D(t) - m t is at most (2^(m-1) + m) |t|_1
+        m = self.weight
+        width = slot_width((2 ** (m - 1) + m) * _max_l1(self.images))
+        for _, packed in _packs(self.images, width):
+            if not dynkin_is_lie(packed):
                 raise ValueError("image fails the Lie-membership check")
 
     def is_zero(self) -> bool:
@@ -59,6 +75,21 @@ class JohnsonCochain:
     def to_json_obj(self) -> dict:
         return {"weight": self.weight,
                 "images": [img.to_json_obj() for img in self.images]}
+
+
+def _max_l1(images) -> int:
+    """The largest l1 norm (sum of absolute coefficients) of the images."""
+    return max((sum(map(abs, img.terms.values())) for img in images), default=0)
+
+
+def _packs(images, width: int):
+    """(indices, pack) for each run of consecutive nonzero images, as many per
+    run as PACK_BITS holds at this slot width, and at least one."""
+    nonzero = [i for i, img in enumerate(images) if img.terms]
+    per = max(1, PACK_BITS // width)
+    for start in range(0, len(nonzero), per):
+        run = nonzero[start:start + per]
+        yield run, pack([images[i] for i in run], width)
 
 
 @dataclass(frozen=True)
@@ -174,19 +205,30 @@ def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:
     raising the degree by weight - 1 per replacement.
     """
     _same_genus(c, t)
-    def replaced():
-        for word, coeff in t.terms.items():
-            for j, s in enumerate(word):
-                head, tail = word[:j], word[j + 1:]
-                for cw, cc in c.images[s - 1].terms.items():
-                    yield head + cw + tail, coeff * cc
-    return TruncatedTensor(t.genus, _sum_terms(replaced()))
+    images, out = [img.terms.items() for img in c.images], {}
+    for word, coeff in t.terms.items():
+        for j, s in enumerate(word):
+            head, tail = word[:j], word[j + 1:]
+            for cw, cc in images[s - 1]:
+                w = head + cw + tail
+                out[w] = out.get(w, 0) + coeff * cc
+    return TruncatedTensor(t.genus, {w: v for w, v in out.items() if v})
 
 
 def tau_squared(c: JohnsonCochain) -> JohnsonCochain:
-    """The derivation applied to the cochain's own images: weight k+1 -> 2k+1."""
-    return JohnsonCochain(c.genus, 2 * c.weight - 1,
-                          tuple(derivation_apply(c, img) for img in c.images))
+    """The derivation applied to the cochain's own images: weight k+1 -> 2k+1.
+
+    The derivation runs once per pack of nonzero images.  Each coefficient
+    of D(t) is at most weight * max|coefficient of c| * |t|_1, which sets
+    the slot width.
+    """
+    top = max((max(map(abs, img.terms.values()), default=0) for img in c.images), default=0)
+    width = slot_width(c.weight * top * _max_l1(c.images))
+    images = list(c.images)  # a zero image stays zero
+    for run, packed in _packs(c.images, width):
+        for i, img in zip(run, unpack(derivation_apply(c, packed), len(run), width)):
+            images[i] = img
+    return JohnsonCochain(c.genus, 2 * c.weight - 1, tuple(images))
 
 
 WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
@@ -200,15 +242,14 @@ def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
         for vec in (u, v, w):
             if vec.genus != genus:
                 raise GenusMismatchError("wedge vector has wrong genus")
-        tu, tv, tw = (TruncatedTensor(genus, {(p + 1,): c for p, c in enumerate(vec.coords) if c})
-                      for vec in (u, v, w))
-        brackets = (lie_bracket(tv, tw), lie_bracket(tw, tu), lie_bracket(tu, tv))
+        tu, tv, tw = ({(p + 1,): c for p, c in enumerate(vec.coords) if c} for vec in (u, v, w))
+        brackets = (_bracket_terms(tv, tw), _bracket_terms(tw, tu), _bracket_terms(tu, tv))
         parts += [(pairing(vec), coeff, b) for vec, b in zip((u, v, w), brackets)]
     images = []
     for p in range(2 * genus):
         scaled = ((coeff * row[p], bracket) for row, coeff, bracket in parts)
         images.append(TruncatedTensor(genus, _sum_terms(
-            (w, k * c) for k, bracket in scaled if k for w, c in bracket.terms.items())))
+            (w, k * c) for k, bracket in scaled if k for w, c in bracket.items())))
     return JohnsonCochain(genus, 2, tuple(images))
 
 

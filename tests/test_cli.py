@@ -223,6 +223,10 @@ def hostile_documents() -> dict[str, str]:
         # ran for 60 s at genus 36 before failing (2-core x86 VM)
         "wedge3-14000-bit-coef": dict(twist, genus=36, k=1, pipeline="homology", element={
             "atom": "wedge3", "terms": [{"coef": 1 << 13999, "triple": ["a1", "b1", "a2"]}]}),
+        # refused by the coordinate cap; the cochain could not be written as text
+        "wedge3-4001-digit-coordinates": dict(twist, genus=2, k=1, pipeline="homology", element={
+            "atom": "wedge3", "terms": [{"coef": 1, "triple": [
+                [10**4000, 0, 0, 0], [0, 10**4000, 0, 0], "a2"]}]}),
     }
     texts = {name: json.dumps(doc) for name, doc in docs.items()}
     deep = json.dumps(twist["element"])

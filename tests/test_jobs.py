@@ -393,6 +393,19 @@ class TestValidation:
                      {"atom": "wedge3",
                       "terms": [{"coef": 1 << 14000, "triple": ["a1", "b1", "a2"]}] * 3},
                      "wedge coef reaches 14001 bits, cap 64", id="wedge3-14000-bit-coef"),
+        pytest.param(3, 1, "homology", Atom("wedge3", terms=(
+            (1, (HVector(3, (0, -1 << 64, 0, 0, 0, 0)),) + WEDGE_TRIPLE[1:]),)),
+                     {"atom": "wedge3",
+                      "terms": [{"coef": 1, "triple": [[0, -1 << 64, 0, 0, 0, 0], "b1", "a2"]}]},
+                     "wedge vector coordinate reaches 65 bits, cap 64", id="wedge-coordinate-65-bits"),
+        # at the parent the cochain of this atom could not be written as text
+        pytest.param(2, 1, "homology", Atom("wedge3", terms=(
+            (1, (HVector(2, (10**4000, 0, 0, 0)), HVector(2, (0, 10**4000, 0, 0)),
+                 HVector.from_name("a2", 2))),)),
+                     {"atom": "wedge3", "terms": [{"coef": 1, "triple": [
+                         ["1" + "0" * 4000, 0, 0, 0], [0, "1" + "0" * 4000, 0, 0], "a2"]}]},
+                     "wedge vector coordinate reaches 13288 bits, cap 64",
+                     id="wedge-coordinate-4001-digits"),
         pytest.param(2, 2, "homology",
                      Conjugate(Atom("sep_twist", 1), IntMatrix.from_rows(shear(1 << 300))),
                      {"conjugate": {"atom": "sep_twist", "index": 1}, "matrix": shear(1 << 300)},
@@ -417,6 +430,30 @@ class TestValidation:
         with pytest.raises(JobError, match="^wedge coef reaches 14001 bits, cap 64$"):
             Job(3, 1, "homology", element)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("terms", [
+        pytest.param([(1, WEDGE_TRIPLE)], id="terms-list"),
+        pytest.param(([1, WEDGE_TRIPLE],), id="term-list"),
+        pytest.param(((1, list(WEDGE_TRIPLE)),), id="triple-list"),
+        pytest.param(((1, WEDGE_TRIPLE[:2]),), id="two-vectors"),
+        pytest.param(((1, ("a1", "b1", "a2")),), id="names"),
+        pytest.param(((1, (HVector(3, [1, 0, 0, 0, 0, 0]),) + WEDGE_TRIPLE[1:]),),
+                     id="coordinates-list")])
+    def test_constructed_wedge3_holds_tuples(self, terms):
+        # a list in the atom made run_job end in "TypeError: unhashable type: 'list'"
+        message = ("wedge3 terms must be a tuple of (coef, (u, v, w)) tuples, "
+                   "each vector an HVector with a tuple of coordinates")
+        with pytest.raises(JobError, match=f"^{re.escape(message)}$"):
+            Job(3, 1, "homology", Atom("wedge3", terms=terms))
+
+    def test_wedge_coordinates_at_the_cap_run(self):
+        top = (1 << 64) - 1
+        vectors = (HVector(3, (top, 0, 0, 0, 0, -top)),) + WEDGE_TRIPLE[1:]
+        job = Job(3, 1, "homology", Atom("wedge3", terms=((1, vectors),)), name="t")
+        doc = {"atom": "wedge3", "terms": [{"coef": 1, "triple": [[top, 0, 0, 0, 0, -top],
+                                                                  "b1", "a2"]}]}
+        parsed = parse_job(base_job(genus=3, k=1, pipeline="homology", element=doc))
+        assert run_job(job).to_json() == run_job(parsed).to_json()
 
     def test_truncation_refused_before_the_element(self, monkeypatch):
         calls = []

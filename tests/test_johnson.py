@@ -7,13 +7,16 @@ from hypothesis import strategies as st
 from checks import (check_derivation_leibniz, check_tau_additivity, check_tau_images_are_lie,
                     exact_length_word, graded_part, identity_endo, linear_combination,
                     random_tensor)
+from ladder import rung, rungs
+from test_tensors import random_bracket
+from test_tooling import load_bench_module
 from psicert import johnson
 from psicert.errors import DepthError
 from psicert.homology import HVector
 from psicert.jobs import parse_job, run_job
 from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
                              derivation_apply, filtration_depth, tau_on_H, tau_squared)
-from psicert.tensors import TruncatedTensor, lie_bracket, magnus_expand
+from psicert.tensors import PACK_BITS, TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand
 from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
                            compose_endos, generator, inner_automorphism,
                            parse_word, reduce_word, sep_twist, sep_twist_gamma)
@@ -402,3 +405,119 @@ class TestSepTwistClosedForm:
         omega = linear_combination((1, lie_bracket(a[0], b[0])), (1, lie_bracket(a[1], b[1])))
         assert c.images[:4] == tuple(lie_bracket(omega, x) for x in (a[0], b[0], a[1], b[1]))
         assert c.images[4:] == (TruncatedTensor(3, {}),) * 2
+
+
+def random_lie_cochain(rng, genus, weight, scale=3):
+    """A cochain of seeded Lie images: sums of nested brackets with signed
+    coefficients up to `scale` in absolute value, about one image in six zero."""
+    images = []
+    for _ in range(2 * genus):
+        parts = [(rng.choice((-1, 1)) * rng.randrange(1, scale + 1),
+                  random_bracket(rng, genus, weight)[1]) for _ in range(rng.randrange(3))]
+        images.append(linear_combination((1, TruncatedTensor(genus, {})), *parts))
+    return images
+
+
+def nudged(img, rng, delta, weight):
+    """img with one coefficient changed by delta: of a word it holds, or of a new one."""
+    terms = dict(img.terms)
+    word = rng.choice(list(terms)) if terms and rng.random() < 0.8 else tuple(
+        rng.randrange(1, 2 * img.genus + 1) for _ in range(weight))
+    terms[word] = terms.get(word, 0) + delta
+    return TruncatedTensor(img.genus, {w: c for w, c in terms.items() if c})
+
+
+def lie_check_outcome(genus, weight, images):
+    try:
+        JohnsonCochain(genus, weight, tuple(images))
+    except ValueError as exc:
+        assert str(exc) == "image fails the Lie-membership check"
+        return False
+    return True
+
+
+class TestPackedLieCheck:
+    """The cochain checks its images in packs of up to PACK_BITS bits per
+    coefficient; the verdict must be that of dynkin_is_lie on each image."""
+
+    def test_agrees_with_each_image(self, monkeypatch):
+        rng = random.Random(0x5041434B)
+        calls = []
+        real = johnson.dynkin_is_lie
+        monkeypatch.setattr(johnson, "dynkin_is_lie", lambda t: calls.append(t) or real(t))
+        packed = 0
+        for genus in range(2, 6):
+            for weight in range(2, 8):
+                for _ in range(3):
+                    images = random_lie_cochain(rng, genus, weight)
+                    if rng.random() < 0.5:  # a word added to one image
+                        x = rng.randrange(len(images))
+                        images[x] = nudged(images[x], rng, rng.choice((-2, -1, 1, 2)), weight)
+                    expected = all(dynkin_is_lie(img) for img in images)
+                    calls.clear()
+                    assert lie_check_outcome(genus, weight, images) == expected
+                    nonzero = sum(1 for img in images if not img.is_zero())
+                    packed += expected and len(calls) < nonzero
+        assert packed > 20  # most cochains share packs
+
+    @pytest.mark.parametrize("scale", [1, 1 << 20, 1 << 62, (1 << 64) - 1],
+                             ids=["1", "2^20", "2^62", "2^64-1"])
+    def test_unit_change_to_any_image_fails(self, scale):
+        # signed coefficients borrow between slots; 2^64 - 1 is the largest wedge coefficient
+        rng = random.Random(scale)
+        for genus, weight in ((2, 2), (3, 3), (2, 5), (4, 2)):
+            images = random_lie_cochain(rng, genus, weight, scale)
+            assert lie_check_outcome(genus, weight, images)
+            for x in range(len(images)):
+                for delta in (1, -1):
+                    changed = images[:x] + [nudged(images[x], rng, delta, weight)] + images[x + 1:]
+                    assert not lie_check_outcome(genus, weight, changed)
+
+    def test_wedge_coefficients_at_the_cap(self):
+        # a wedge3 cochain with 64-bit coefficients of both signs, and its square
+        rng = random.Random(0x57454447)
+        genus = 3
+        vectors = [HVector(genus, tuple(rng.choice((-1, 0, 0, 1)) for _ in range(2 * genus)))
+                   for _ in range(12)]
+        terms = [(rng.choice((-1, 1)) * ((1 << 64) - 1 - rng.randrange(3)), tuple(vectors[i:i + 3]))
+                 for i in range(0, 12, 3)]
+        c = cochain_from_wedge3(genus, terms)
+        for cochain in (c, tau_squared(c)):
+            images = list(cochain.images)
+            for x in (x for x, img in enumerate(images) if not img.is_zero()):
+                for delta in (1, -1):
+                    changed = images[:x] + [nudged(images[x], rng, delta, cochain.weight)] + images[x + 1:]
+                    assert not lie_check_outcome(genus, cochain.weight, changed)
+
+
+def test_slot_widths_follow_the_bounds(monkeypatch):
+    # no seeded input comes near either bound, so they are pinned here: the Lie
+    # check's slots hold (2^(m-1) + m) max|t|_1, the derivation's weight *
+    # max|coefficient| * max|t|_1
+    widths = []
+    real = johnson.pack
+    monkeypatch.setattr(johnson, "pack", lambda ts, width: widths.append(width) or real(ts, width))
+    c = cochain_from_wedge3(3, [(5, tuple(HVector.from_name(n, 3) for n in ("a1", "b1", "a2"))),
+                                (-2, tuple(HVector.from_name(n, 3) for n in ("b1", "a3", "b3")))])
+    l1 = max(sum(map(abs, img.terms.values())) for img in c.images)
+    top = max(abs(v) for img in c.images for v in img.terms.values())
+    assert widths == [(4 * l1).bit_length() + 1]
+    widths.clear()
+    sq = tau_squared(c)
+    sq_l1 = max(sum(map(abs, img.terms.values())) for img in sq.images)
+    assert widths == [(2 * top * l1).bit_length() + 1, (7 * sq_l1).bit_length() + 1]
+
+
+def test_packed_tau_squared_matches_each_image(monkeypatch):
+    # every cochain the seed-1 odd-level jobs square, and the ladder's up to k = 5
+    from psicert import contract
+    workloads = load_bench_module("workloads")
+    squared = []
+    real = contract.tau_squared
+    monkeypatch.setattr(contract, "tau_squared", lambda c: squared.append(c) or real(c))
+    for case in workloads.generate("odd-level", workloads.DEFAULT_SEED):
+        run_job(parse_job(case["input"]))
+    assert len(squared) == 36
+    squared += [run_job(parse_job(rung(genus, k)[0])).tau for genus, k in rungs(5)]
+    for c in squared:
+        assert real(c).images == tuple(derivation_apply(c, img) for img in c.images)

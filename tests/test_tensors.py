@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from checks import (check_magnus_multiplicativity, graded_part, left_normed_dynkin,
                     linear_combination, random_tensor, random_word, tensor_fault, tensor_mul)
 from psicert.errors import GenusMismatchError
-from psicert.tensors import TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand
+from psicert.tensors import (TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand, pack,
+                             slot_width, unpack)
 from psicert.words import a_gen, b_gen, commutator
 
 
@@ -261,6 +262,68 @@ class TestDynkin:
             word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(weight))
             plus = linear_combination((1, bracket), (1, TruncatedTensor(genus, {word: 1})))
             assert not dynkin_is_lie(plus)
+
+
+class TestPacking:
+    def test_round_trip(self):
+        # signed coefficients up to the bound, zeros in any slot, the top slot included
+        rng = random.Random(0x534C4F54)
+        for _ in range(300):
+            genus, degree = rng.randrange(1, 4), rng.randrange(1, 4)
+            bound = rng.choice((1, 2, 7, 1 << 20, (1 << 64) - 1))
+            tensors = [random_tensor(rng, genus, degree, terms=rng.randrange(4), coeff_bound=bound)
+                       for _ in range(rng.randrange(1, 9))]
+            # random_tensor may sum a word twice, so the bound is read off the tensors
+            width = slot_width(max((abs(c) for t in tensors for c in t.terms.values()), default=0))
+            packed = pack(tensors, width)
+            assert 0 not in packed.terms.values()
+            assert unpack(packed, len(tensors), width) == tensors
+
+    @pytest.mark.parametrize("bound, width", [(0, 1), (1, 2), (2, 3), (3, 3), (4, 4),
+                                              ((1 << 64) - 1, 65)])
+    def test_slot_width(self, bound, width):
+        # every value of absolute value at most `bound` is a balanced digit
+        assert slot_width(bound) == width
+        assert -(1 << (width - 1)) <= -bound and bound < 1 << (width - 1)
+
+    def test_extremes_of_a_slot(self):
+        # -2^(b-1) and 2^(b-1) - 1 in neighbouring slots borrow and carry across them
+        width = 5
+        low, high = -(1 << (width - 1)), (1 << (width - 1)) - 1
+        for values in ((low, high, low), (high, low, high), (low, low, 1), (0, low, 0)):
+            tensors = [TruncatedTensor(1, {(1,): v} if v else {}) for v in values]
+            assert unpack(pack(tensors, width), 3, width) == tensors
+
+    def test_dynkin_on_a_pack_is_each_tensors(self):
+        # with slots for (2^(m-1) + m) |t|_1, a pack passes iff each tensor does
+        rng = random.Random(0x50444B4E)
+        for _ in range(120):
+            genus, degree = rng.randrange(1, 5), rng.randrange(2, 7)
+            tensors = []
+            for _ in range(rng.randrange(1, 6)):
+                t = linear_combination((rng.randrange(-3, 4), random_bracket(rng, genus, degree)[1]),
+                                       (rng.randrange(-3, 4), random_bracket(rng, genus, degree)[1]))
+                if rng.random() < 0.3:
+                    word = tuple(rng.randrange(1, 2 * genus + 1) for _ in range(degree))
+                    t = linear_combination((1, t), (rng.choice((-1, 1)),
+                                                    TruncatedTensor(genus, {word: 1})))
+                tensors.append(t)
+            tensors = [t for t in tensors if not t.is_zero()]
+            if not tensors:
+                continue
+            l1 = max(sum(map(abs, t.terms.values())) for t in tensors)
+            packed = pack(tensors, slot_width((2 ** (degree - 1) + degree) * l1))
+            assert dynkin_is_lie(packed) == all(map(dynkin_is_lie, tensors))
+
+    def test_letters_up_to_the_byte(self):
+        # the Lie check codes each letter in one byte: symbols up to 2g = 254
+        for genus in (36, 127):
+            n = 2 * genus
+            t = lie_bracket(lie_bracket(sym(genus, n), sym(genus, n - 1)), sym(genus, 1))
+            assert dynkin_is_lie(t)
+            assert not dynkin_is_lie(linear_combination((1, t), (1, TruncatedTensor(genus, {(n, n, 1): 1}))))
+        with pytest.raises(ValueError, match="genus must be at most 127"):
+            dynkin_is_lie(TruncatedTensor(128, {(1, 2): 1}))
 
 
 def random_bracket(rng, genus, weight):
