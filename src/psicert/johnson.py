@@ -22,11 +22,16 @@ once per image run once per pack of consecutive nonzero images instead
 (`tensors.pack`, at most PACK_BITS bits per coefficient).  The cochain's
 constructor runs the Dynkin test on each pack, with slots for (2^(m-1) + m)
 times the largest l1 norm of an image of weight m, which bounds every
-coefficient of D(t) - m t; `tau_squared` applies the derivation to each pack
-and unpacks the result, with slots for weight * max|coefficient| times that
-norm, which bounds every coefficient of the derivation of an image.  So no
-slot overflows, a packed coefficient is zero exactly when each image's is,
-and every image is still checked.
+coefficient of D(t) - m t.  `tau_squared` applies the derivation to each
+pack, and a squared image is checked where it is made: the Dynkin test runs
+on each derived pack before it is unpacked, and the result is built without
+the constructor's own Lie check, which would pack the same images again.
+One slot width serves both steps: the derivation of an image x has l1 norm
+at most weight * |c(x)|_1 * max_s |c(s)|_1 <= weight * l1^2, for l1 the
+largest l1 norm of an image of c, so (2^(m-1) + m) * weight * l1^2 bounds
+every coefficient of the derived image and of its D(t) - m t, where
+m = 2 weight - 1.  So no slot overflows, a packed coefficient is zero
+exactly when each image's is, and every image is still checked once.
 
 Weight-2 cochains can also be built directly from trivector data: the class
 u ^ v ^ w acts by x -> <u,x>[v,w] + <v,x>[w,u] + <w,x>[u,v], extended
@@ -53,6 +58,24 @@ class JohnsonCochain:
     images: tuple[TruncatedTensor, ...]
 
     def __post_init__(self):
+        self._check_shape()
+        # each coefficient of D(t) - m t is at most (2^(m-1) + m) |t|_1
+        m = self.weight
+        width = slot_width((2 ** (m - 1) + m) * _max_l1(self.images))
+        for _, packed in _packs(self.images, width):
+            _check_lie(packed)
+
+    @classmethod
+    def _lie_checked(cls, genus: int, weight: int, images: tuple) -> "JohnsonCochain":
+        """The cochain of images whose caller has just run the Lie check on
+        them: every other check of the constructor runs."""
+        self = object.__new__(cls)
+        for name, value in (("genus", genus), ("weight", weight), ("images", images)):
+            object.__setattr__(self, name, value)
+        self._check_shape()
+        return self
+
+    def _check_shape(self):
         if self.weight < 1:
             raise ValueError("weight must be positive")
         if len(self.images) != 2 * self.genus:
@@ -62,12 +85,6 @@ class JohnsonCochain:
                 raise GenusMismatchError("image tensor has wrong genus")
             if not img.is_homogeneous(self.weight):
                 raise ValueError(f"image not homogeneous of degree {self.weight}")
-        # each coefficient of D(t) - m t is at most (2^(m-1) + m) |t|_1
-        m = self.weight
-        width = slot_width((2 ** (m - 1) + m) * _max_l1(self.images))
-        for _, packed in _packs(self.images, width):
-            if not dynkin_is_lie(packed):
-                raise ValueError("image fails the Lie-membership check")
 
     def is_zero(self) -> bool:
         return all(img.is_zero() for img in self.images)
@@ -80,6 +97,11 @@ class JohnsonCochain:
 def _max_l1(images) -> int:
     """The largest l1 norm (sum of absolute coefficients) of the images."""
     return max((sum(map(abs, img.terms.values())) for img in images), default=0)
+
+
+def _check_lie(packed: TruncatedTensor):
+    if not dynkin_is_lie(packed):
+        raise ValueError("image fails the Lie-membership check")
 
 
 def _packs(images, width: int):
@@ -218,17 +240,23 @@ def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:
 def tau_squared(c: JohnsonCochain) -> JohnsonCochain:
     """The derivation applied to the cochain's own images: weight k+1 -> 2k+1.
 
-    The derivation runs once per pack of nonzero images.  Each coefficient
-    of D(t) is at most weight * max|coefficient of c| * |t|_1, which sets
-    the slot width.
+    The derivation runs once per pack of nonzero images, with one slot
+    width for it and for the Lie check of its result: a derived image, of
+    weight m = 2 weight - 1, has l1 norm at most weight * l1^2, for l1 the
+    largest l1 norm of an image of c, and each coefficient of its D(t) - m t
+    is at most (2^(m-1) + m) times that.  Each derived pack is Lie-checked before it is unpacked, so a
+    squared image is checked where it is made, once, and the result skips
+    the constructor's own check.
     """
-    top = max((max(map(abs, img.terms.values()), default=0) for img in c.images), default=0)
-    width = slot_width(c.weight * top * _max_l1(c.images))
+    m, l1 = 2 * c.weight - 1, _max_l1(c.images)
+    width = slot_width((2 ** (m - 1) + m) * c.weight * l1 * l1)
     images = list(c.images)  # a zero image stays zero
     for run, packed in _packs(c.images, width):
-        for i, img in zip(run, unpack(derivation_apply(c, packed), len(run), width)):
+        derived = derivation_apply(c, packed)
+        _check_lie(derived)
+        for i, img in zip(run, unpack(derived, len(run), width)):
             images[i] = img
-    return JohnsonCochain(c.genus, 2 * c.weight - 1, tuple(images))
+    return JohnsonCochain._lie_checked(c.genus, m, tuple(images))
 
 
 WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
@@ -236,21 +264,22 @@ WedgeTerm = tuple[int, tuple[HVector, HVector, HVector]]
 
 def cochain_from_wedge3(genus: int, terms) -> JohnsonCochain:
     """Weight-2 cochain of a sum of coefficient-weighted wedge triples."""
-    # (pairing row, coefficient, bracket): the image of e_p sums coef * <vector, e_p> * bracket
-    parts = []
+    # the image of e_p sums coef * <vector, e_p> * bracket over the nonzero pairings
+    sums = [{} for _ in range(2 * genus)]
     for coeff, (u, v, w) in terms:
         for vec in (u, v, w):
             if vec.genus != genus:
                 raise GenusMismatchError("wedge vector has wrong genus")
         tu, tv, tw = ({(p + 1,): c for p, c in enumerate(vec.coords) if c} for vec in (u, v, w))
         brackets = (_bracket_terms(tv, tw), _bracket_terms(tw, tu), _bracket_terms(tu, tv))
-        parts += [(pairing(vec), coeff, b) for vec, b in zip((u, v, w), brackets)]
-    images = []
-    for p in range(2 * genus):
-        scaled = ((coeff * row[p], bracket) for row, coeff, bracket in parts)
-        images.append(TruncatedTensor(genus, _sum_terms(
-            (w, k * c) for k, bracket in scaled if k for w, c in bracket.items())))
-    return JohnsonCochain(genus, 2, tuple(images))
+        for vec, bracket in zip((u, v, w), brackets):
+            for p, r in enumerate(pairing(vec)):
+                if r:
+                    out, k = sums[p], coeff * r
+                    for word, c in bracket.items():
+                        out[word] = out.get(word, 0) + k * c
+    return JohnsonCochain(genus, 2, tuple(
+        TruncatedTensor(genus, {w: c for w, c in out.items() if c}) for out in sums))
 
 
 def bp_tau(genus: int, index: int) -> JohnsonCochain:

@@ -29,10 +29,13 @@ divisor, and one slotwise Barrett reduction per step brings every slot back
 below 2p.  Hensel lifting and recombination modulo p^a keep the list kernel.
 
 Factorization pipeline (all exact, no rationals):
-  1. content/primitive split and squarefree decomposition: a primitive part
-     squarefree modulo an odd prime up to 13 not dividing its leading
-     coefficient is squarefree over Z and is kept whole; otherwise Yun's
-     algorithm splits it;
+  1. content/primitive split and squarefree decomposition: a factor x^v
+     with v >= 2 is read off the low coefficients and joins the part of
+     multiplicity v of the rest, so x^(2g), the characteristic polynomial of
+     a nilpotent psi, needs no gcd; a primitive part (or rest) squarefree
+     modulo an odd prime up to 13 not dividing its leading coefficient is
+     squarefree over Z and is kept whole; otherwise Yun's algorithm splits
+     it;
   2. each squarefree part is factored: Cantor-Zassenhaus factorization
      modulo the first odd prime with good reduction (for a part kept
      whole, the one step 1 found), quadratic multifactor Hensel lifting
@@ -269,16 +272,34 @@ def squarefree_decomposition(p: IntPolynomial) -> list[tuple[IntPolynomial, int,
     """Squarefree decomposition of the primitive part, as (factor,
     multiplicity, prime) triples.
 
-    A primitive part that is squarefree modulo an odd prime up to 13 not
-    dividing its leading coefficient is squarefree over Z (its discriminant
-    is nonzero modulo that prime), and is returned whole with that prime;
-    otherwise Yun's algorithm splits it, and its parts carry None.  Factors
-    are primitive with positive leading coefficient; content and sign are
-    NOT included (callers track them separately).
+    When x^v divides the primitive part with v >= 2, the rest is decomposed
+    alone and x joins its part of multiplicity v, or is that part; the
+    grouping is Yun's on the whole.  A primitive part (or rest) that is
+    squarefree modulo an odd prime up to 13 not dividing its leading
+    coefficient is squarefree over Z (its discriminant is nonzero modulo
+    that prime), and is returned whole with that prime; otherwise Yun's
+    algorithm splits it, and its parts carry None.  Parts come in ascending
+    multiplicity.  Factors are primitive with positive leading coefficient;
+    content and sign are NOT included (callers track them separately).
     """
     if p.is_zero():
         raise ValueError("zero polynomial")
     work = p.primitive_part()
+    v = next(i for i, c in enumerate(work.coeffs) if c)
+    if v < 2:
+        return _squarefree_parts(work)
+    # x^v is read off the low coefficients: the rest is split alone, and x
+    # joins its part of multiplicity v (multiplicities are distinct)
+    rest = IntPolynomial(work.coeffs[v:])
+    parts = {mult: (q, prime)
+             for q, mult, prime in (_squarefree_parts(rest) if rest.degree > 0 else ())}
+    q = parts.get(v, (IntPolynomial((1,)), None))[0]
+    parts[v] = (IntPolynomial((0,) + q.coeffs), None)
+    return [(q, mult, prime) for mult, (q, prime) in sorted(parts.items())]
+
+
+def _squarefree_parts(work: IntPolynomial) -> list[tuple[IntPolynomial, int, int | None]]:
+    """`squarefree_decomposition` of a primitive `work`, with no read-off of x^v."""
     prime = _good_reduction_prime(work, 13)
     if prime:
         return [(work, 1, prime)]

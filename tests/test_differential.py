@@ -14,6 +14,7 @@ import pytest
 from checks import poly_mul, poly_pow
 from psicert import polylab
 from psicert.homology import IntMatrix, char_coeffs
+from psicert.jobs import parse_job, run_job
 from psicert.polylab import IntPolynomial, factor_z, gcd_z, squarefree_decomposition
 
 sympy = pytest.importorskip("sympy")
@@ -170,6 +171,42 @@ def test_squarefree_fast_path_against_sympy():
     for p in inputs:
         assert_same_squarefree(p)
         assert_same_squarefree(p.scale(-6))
+
+
+def linear(a: int, b: int) -> IntPolynomial:
+    return IntPolynomial.of_coeffs([b, a])  # a x + b
+
+
+@pytest.mark.parametrize("v", [2, 3, 16])
+def test_squarefree_reads_off_x_power(v):
+    # x^v (v >= 2) is read off the low coefficients and the rest decomposed
+    # alone; x must join the rest's part of multiplicity v, or stand alone,
+    # as in sympy's grouping, and the parts must come in ascending
+    # multiplicity, the order in which factor_z factors them
+    x_v = IntPolynomial.of_coeffs([0] * v + [1])
+    squarefree = poly_mul(IntPolynomial.of_coeffs([1, 1, 1]), linear(2, -3))
+    # parts of multiplicity 1, v - 1 (when above 1), v and v + 1
+    shared = poly_mul(linear(1, 5), poly_pow(linear(1, -2), v - 1),
+                      poly_pow(IntPolynomial.of_coeffs([-2, 0, 1]), v), poly_pow(linear(3, 1), v + 1))
+    for p in (x_v, poly_mul(x_v, squarefree), poly_mul(x_v, shared)):
+        for q in (p, p.scale(-6), p.scale(35)):
+            assert_same_squarefree(q)
+            mults = [m for _, m, _ in squarefree_decomposition(q)]
+            assert mults == sorted(mults) and v in mults
+
+
+def test_nilpotent_charpoly_makes_no_gcd(monkeypatch):
+    # bounding-pair/8/8 at k = 1 has a nilpotent psi: its charpoly x^16 is
+    # read off at once, so Yun's algorithm and its gcds never run
+    calls = []
+    real = polylab.gcd_z
+    monkeypatch.setattr(polylab, "gcd_z", lambda a, b: calls.append(a) or real(a, b))
+    report = run_job(parse_job({"schema": 1, "name": "bounding-pair-8-8", "genus": 8, "k": 1,
+                                "pipeline": "homology",
+                                "element": {"atom": "bounding_pair", "index": 8}}))
+    assert report.result.charpoly == IntPolynomial.of_coeffs([0] * 16 + [1])
+    assert [(q.coeffs, m) for q, m in report.result.factors] == [((0, 1), 16)]
+    assert calls == []
 
 
 def test_squarefree_against_sympy():

@@ -11,7 +11,7 @@ from ladder import rung, rungs
 from test_tensors import random_bracket
 from test_tooling import load_bench_module
 from psicert import johnson
-from psicert.errors import DepthError
+from psicert.errors import DepthError, GenusMismatchError
 from psicert.homology import HVector
 from psicert.jobs import parse_job, run_job
 from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
@@ -492,20 +492,73 @@ class TestPackedLieCheck:
 
 def test_slot_widths_follow_the_bounds(monkeypatch):
     # no seeded input comes near either bound, so they are pinned here: the Lie
-    # check's slots hold (2^(m-1) + m) max|t|_1, the derivation's weight *
-    # max|coefficient| * max|t|_1
+    # check's slots hold (2^(m-1) + m) max|t|_1; tau_squared packs once, with
+    # one width for the derivation and the Lie check of its result
     widths = []
     real = johnson.pack
     monkeypatch.setattr(johnson, "pack", lambda ts, width: widths.append(width) or real(ts, width))
     c = cochain_from_wedge3(3, [(5, tuple(HVector.from_name(n, 3) for n in ("a1", "b1", "a2"))),
                                 (-2, tuple(HVector.from_name(n, 3) for n in ("b1", "a3", "b3")))])
     l1 = max(sum(map(abs, img.terms.values())) for img in c.images)
-    top = max(abs(v) for img in c.images for v in img.terms.values())
     assert widths == [(4 * l1).bit_length() + 1]
     widths.clear()
-    sq = tau_squared(c)
-    sq_l1 = max(sum(map(abs, img.terms.values())) for img in sq.images)
-    assert widths == [(2 * top * l1).bit_length() + 1, (7 * sq_l1).bit_length() + 1]
+    tau_squared(c)
+    # |D_c(c(x))|_1 <= weight * |c(x)|_1 * max_s |c(s)|_1 <= 2 l1^2 bounds each
+    # derived coefficient (weight * max|coefficient| * l1 is smaller), and 7 times
+    # it each coefficient of D(t) - 3t on the derived image t
+    assert widths == [(7 * 2 * l1 * l1).bit_length() + 1]
+
+
+class TestSquaredCheckedWhereMade:
+    """tau_squared Lie-checks each derived pack before unpacking it, and
+    builds its result without the constructor's own (second) check."""
+
+    def test_one_check_per_derivation_pack(self, monkeypatch):
+        rng = random.Random(0x53514348)
+        derived, checked = [], []
+        real_apply, real_dynkin = johnson.derivation_apply, johnson.dynkin_is_lie
+        monkeypatch.setattr(johnson, "derivation_apply",
+                            lambda c, t: derived.append(real_apply(c, t)) or derived[-1])
+        monkeypatch.setattr(johnson, "dynkin_is_lie", lambda t: checked.append(t) or real_dynkin(t))
+        cochains = [bp_tau(8, 8), bp_tau(4, 3)]
+        cochains += [JohnsonCochain(genus, weight, tuple(random_lie_cochain(rng, genus, weight)))
+                     for genus in (2, 3, 4) for weight in (2, 3)]
+        shared = 0
+        for c in cochains:
+            derived.clear()
+            checked.clear()
+            tau_squared(c)
+            assert [id(t) for t in checked] == [id(t) for t in derived]
+            nonzero = sum(1 for img in c.images if not img.is_zero())
+            shared += len(derived) < nonzero
+        assert shared >= 4  # most cochains share packs
+
+    def test_unchecked_non_lie_images_fail_when_squared(self):
+        # x1 -> x1 x1 is not Lie, and the public constructor refuses it; its
+        # derivation sends x1 x1 to 2 x1 x1 x1, whose Dynkin image is 0, not 3 times it
+        images = (TruncatedTensor(2, {(1, 1): 1}),) + (TruncatedTensor(2, {}),) * 3
+        with pytest.raises(ValueError, match="image fails the Lie-membership check"):
+            JohnsonCochain(2, 2, images)
+        c = JohnsonCochain._lie_checked(2, 2, images)
+        with pytest.raises(ValueError, match="image fails the Lie-membership check"):
+            tau_squared(c)
+        # a non-Lie image packed with Lie ones fails too
+        rng = random.Random(0x4E4F4C49)
+        lie = random_lie_cochain(rng, 3, 2)
+        lie[0] = TruncatedTensor(3, {(1, 1): 1})
+        with pytest.raises(ValueError, match="image fails the Lie-membership check"):
+            tau_squared(JohnsonCochain._lie_checked(3, 2, tuple(lie)))
+
+    def test_private_constructor_keeps_the_other_checks(self):
+        zero = TruncatedTensor(2, {})
+        with pytest.raises(ValueError, match="need one image per basis vector"):
+            JohnsonCochain._lie_checked(2, 3, (zero,) * 3)
+        with pytest.raises(ValueError, match="not homogeneous of degree 3"):
+            JohnsonCochain._lie_checked(2, 3, (TruncatedTensor(2, {(1, 2): 1}),) + (zero,) * 3)
+        with pytest.raises(ValueError, match="weight must be positive"):
+            JohnsonCochain._lie_checked(2, 0, (zero,) * 4)
+        with pytest.raises(GenusMismatchError, match="wrong genus"):
+            JohnsonCochain._lie_checked(2, 3, (TruncatedTensor(3, {}),) + (zero,) * 3)
 
 
 def test_packed_tau_squared_matches_each_image(monkeypatch):

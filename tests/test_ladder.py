@@ -19,12 +19,13 @@ from psicert.tensors import TruncatedTensor, dynkin_is_lie, lie_bracket
 # (genus, k) -> (tensor validations, terms handed to the Dynkin test, terms
 # Magnus expansions return) in one run_job.  The Dynkin test and the
 # derivation take a cochain's images in packs, so each pack adds a validation
-# and the Dynkin test counts a word that several images share once.
+# and the Dynkin test counts a word that several images share once.  A
+# squared image is checked on its derivation's pack, never packed again.
 WORK = {
     (2, 2): (9, 12, 18), (3, 2): (13, 19, 27), (4, 2): (17, 28, 40),
-    (2, 3): (16, 693, 32), (3, 3): (22, 1221, 50), (4, 3): (28, 1726, 68),
+    (2, 3): (15, 693, 32), (3, 3): (21, 1221, 50), (4, 3): (27, 1726, 68),
     (2, 4): (9, 48, 52), (3, 4): (13, 77, 83), (4, 4): (17, 112, 120),
-    (2, 5): (16, 8037, 88), (3, 5): (22, 27814, 180), (4, 5): (29, 33591, 226),
+    (2, 5): (15, 8037, 88), (3, 5): (21, 27814, 180), (4, 5): (29, 33591, 226),
 }
 
 
