@@ -7,12 +7,12 @@ is the degree-(k+1) graded part of the Magnus expansion of f(x) x^{-1}.
 The cochain extends uniquely to a derivation of the tensor algebra, which
 is how the squared invariant (needed at odd levels) is computed.  Only
 `magnus_expand` bounds degrees, at the truncation its caller passes: k+1
-for a cochain, the job truncation for a depth read.
+for a cochain, the job truncation for a depth read, k for a DepthError's.
 
 On J(k), the endomorphisms of depth at least k, the cochain is additive
 (Johnson 1980; Morita 1993).  `additive_tau` sums it over the factors of a
-composite, each expanded once per generator at degree k+1, and declines at
-the first term of lower degree.  A nonzero sum fixes the depth at k, a
+composite, each expanded once per generator at degree k+1, and returns None
+at the first term of lower degree.  A nonzero sum fixes the depth at k, a
 vanishing one at truncation k+1 bounds it below by k, and only otherwise is
 the composite built and expanded at the truncation (`depth_of_sum`).
 `depth_and_tau` is this rule over one endomorphism.
@@ -165,22 +165,19 @@ def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
     return depth_and_tau(f, k, k + 1)[1]
 
 
-def additive_tau(counts: dict, k: int, declined=lambda low, rest: None) -> JohnsonCochain | None:
+def additive_tau(counts: dict, k: int) -> JohnsonCochain | None:
     """The level-k cochain of a composite, summed over `counts`, each factor's multiplicity.
 
-    The generators are expanded shortest image first.  At the first nonzero
-    term of degree low <= k, declined(low, rest) is returned, `rest` yielding
-    that factor's remaining (basis index, terms) pairs.
+    The generators are expanded shortest image first, and None is returned
+    at the first whose expansion has a nonzero term of degree at most k.
     """
     weight, summands = k + 1, []
     for f, times in counts.items():
         images = [None] * len(f.images)
-        rest = ((i, _expansion(f, i, weight).terms)
-                for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])))
-        for i, terms in rest:
-            low = min(map(len, filter(None, terms)), default=weight)
-            if low <= k:
-                return declined(low, rest)
+        for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])):
+            terms = _expansion(f, i, weight).terms
+            if min(map(len, filter(None, terms)), default=weight) <= k:
+                return None
             images[i] = terms
         summands.append((times, images))
     genus = next(iter(counts)).genus
@@ -207,16 +204,14 @@ def _raise_shallow(depth: int, k: int):
 def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
     """filtration_depth(f, truncation - 1) and tau_on_H(f, k): additive_tau over f alone.
 
-    DepthError if the depth is below k; its exact value is read off the
-    declined expansion and those of the generators not yet expanded.
+    DepthError if the depth is below k, with the exact value filtration_depth
+    reads at truncation k, whose expansions hold every term of degree <= k.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
-
-    def declined(low, rest):
-        _raise_shallow(min([low, *(len(w) for _, terms in rest for w in terms if w)]) - 1, k)
-
-    tau = additive_tau({f: 1}, k, declined)
+    tau = additive_tau({f: 1}, k)
+    if tau is None:
+        _raise_shallow(filtration_depth(f, k - 1).value, k)
     return depth_of_sum(tau, k, truncation, lambda: f), tau
 
 

@@ -18,8 +18,10 @@ Membership of a homogeneous tensor t in that embedded layer is certified by
 the Dynkin map, D(x) = x and D(u s) = [D(u), s] for a word u and a letter s,
 which multiplies a degree-m Lie element by m.  `dynkin_is_lie` adds D(t)
 into the residual -m*t, one last-letter group at a time (depth first), and
-tests that nothing is left; it builds no tensor for D(t).  Term dicts are
-built by `_sum_terms`, which drops the cancelled words once, at the end.
+tests that nothing is left; it builds no tensor for D(t).  `_sum_terms`
+builds the term dicts of `_bracket_terms` and `johnson.additive_tau`, and
+drops cancelled words once, at the end; `magnus_expand`, `pack`, `unpack`,
+`_add_dynkin` and `johnson.derivation_apply` build their own.
 
 Linear maps such as D and a derivation can run on several tensors at once
 by Kronecker substitution: `pack` joins tensors t_0, t_1, ... into one whose

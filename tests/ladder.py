@@ -10,10 +10,13 @@ Y is the generator's class, negated for an inverse letter.  No rung's
 cochain vanishes, so every rung has depth exactly k and expands only at k+1.
 
 The benchmark stops at k = 3; the ladder follows the level axis beyond it.
+`shallow(doc)` is a rung's document at level k+1, which its depth k is too
+shallow for: it ends in DepthError, with the depth read at truncation k+1.
 `counting()` counts the work a run does by deterministic measures (tensor
 validations, the terms handed to the Dynkin test, the terms Magnus
 expansions return), which `test_ladder.py` pins.  Run as a script, it prints
-a timing table of the rungs:
+a timing table of the rungs, each run at level k and then at k+1 (the
+`shallow_s` and `shallow_magnus` columns):
 
     PYTHONPATH=src python tests/ladder.py [--max-k 8] [--repeat 3]
 """
@@ -21,10 +24,12 @@ from __future__ import annotations
 
 import argparse
 import random
+import time
 from contextlib import contextmanager
 
 from checks import format_word
 from psicert import johnson
+from psicert.errors import DepthError
 from psicert.jobs import parse_job, run_job
 from psicert.tensors import TruncatedTensor
 from psicert.words import commutator, generator
@@ -56,6 +61,11 @@ def rung(genus: int, k: int, seed: int = SEED) -> tuple[dict, list]:
     doc = {"schema": 1, "name": f"ladder/{genus}/{k}", "genus": genus, "k": k,
            "pipeline": "pi1", "element": {"op": "custom", "images": images}}
     return doc, tails
+
+
+def shallow(doc: dict) -> dict:
+    """The rung's document at level k+1."""
+    return dict(doc, k=doc["k"] + 1)
 
 
 def rungs(max_k: int = LEVELS[-1]):
@@ -93,6 +103,16 @@ def counting():
         johnson.dynkin_is_lie, johnson.magnus_expand = real_dynkin, real_magnus
 
 
+def timed_shallow(doc: dict) -> float:
+    """Seconds to run the rung's document at level k+1, which must end in DepthError."""
+    start = time.perf_counter()
+    try:
+        run_job(parse_job(shallow(doc)))
+    except DepthError:
+        return time.perf_counter() - start
+    raise SystemExit(f"{doc['name']} at level k+1 did not end in DepthError")
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--max-k", type=int, default=LEVELS[-1], help="highest level run")
@@ -100,7 +120,8 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     stages = ("tau_s", "psi_s", "charpoly_s", "criterion_s", "total_s")
     print(f"{'genus':>5} {'k':>2} {'letters':>7} " + " ".join(f"{s:>11}" for s in stages)
-          + f" {'validations':>11} {'dynkin':>9} {'magnus':>9}")
+          + f" {'validations':>11} {'dynkin':>9} {'magnus':>9} {'shallow_s':>9}"
+          f" {'shallow_magnus':>14}")
     for genus, k in rungs(args.max_k):
         doc = rung(genus, k)[0]
         best = None
@@ -109,10 +130,14 @@ def main(argv=None) -> None:
             best = timings if best is None else {s: min(best[s], timings[s]) for s in stages}
         with counting() as counts:
             run_job(parse_job(doc))
+        shallow_s = min(timed_shallow(doc) for _ in range(args.repeat))
+        with counting() as shallow_counts:
+            timed_shallow(doc)
         letters = max(len(image.split()) for image in doc["element"]["images"])
         print(f"{genus:>5} {k:>2} {letters:>7} " + " ".join(f"{best[s]:>11.4f}" for s in stages)
               + f" {counts['validations']:>11} {counts['dynkin_terms']:>9}"
-              f" {counts['magnus_terms']:>9}")
+              f" {counts['magnus_terms']:>9} {shallow_s:>9.4f}"
+              f" {shallow_counts['magnus_terms']:>14}")
 
 
 if __name__ == "__main__":

@@ -457,7 +457,7 @@ class TestValidation:
 
     def test_truncation_refused_before_the_element(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(jobs, "_parse_pi1", lambda node, genus: calls.append(node))
+        monkeypatch.setattr(jobs, "_parse_pi1", lambda *args: calls.append(args))
         with pytest.raises(JobError, match="truncation"):
             parse_job(base_job(options={"truncation": 60}))
         assert calls == []

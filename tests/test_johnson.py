@@ -215,12 +215,15 @@ class TestLazyExpansion:
         assert calls == [k + 1] * (2 * genus)
 
     def test_hostile_document_never_expands_past_k_plus_one(self, monkeypatch):
-        # a long inner factor: expanding its images at truncation 8 ran for minutes
+        # a long inner factor: expanding its images at truncation 8 ran for minutes;
+        # after the first expansion, at k+1, the depth is read at truncation k
         genus, k, truncation = 3, 2, 8
+        calls = []
         real = johnson.magnus_expand
 
         def guarded(w, t):
             assert t <= k + 1, f"magnus_expand called at truncation {t}"
+            calls.append(t)
             return real(w, t)
 
         monkeypatch.setattr(johnson, "magnus_expand", guarded)
@@ -228,6 +231,7 @@ class TestLazyExpansion:
                           inner_automorphism(exact_length_word(random.Random(1), genus, 60)))
         with pytest.raises(DepthError, match="depth 1 < k = 2"):
             depth_and_tau(f, k, truncation)
+        assert calls == [k + 1] + [k] * (2 * genus)
 
 
 class TestDerivation:

@@ -6,11 +6,16 @@ contraction of that cochain at even k, or of its square through the
 derivation at odd k; every cochain image and every squared image must pass
 the Dynkin test.  The work each run does is pinned by deterministic counts,
 never by wall time.
+
+Each rung's document is also run at level k+1, where its depth k is too
+shallow: it must end in DepthError naming that depth, and the terms its
+Magnus expansions return are pinned too.
 """
 import pytest
 
-from ladder import counting, rung, rungs
+from ladder import counting, rung, rungs, shallow
 from psicert.contract import level_spec, phi_contract
+from psicert.errors import DepthError
 from psicert.homology import IntMatrix
 from psicert.jobs import parse_job, run_job
 from psicert.johnson import DepthResult, derivation_apply
@@ -29,6 +34,15 @@ WORK = {
 }
 
 
+# (genus, k) -> terms Magnus expansions return when the rung's document runs
+# at level k+1: each generator is expanded at truncation k+2 until the first
+# holds a term of degree at most k+1, then every generator at truncation k+1
+SHALLOW_MAGNUS = {
+    (2, 2): 52, (3, 2): 51, (4, 2): 78, (2, 3): 114, (3, 3): 90, (4, 3): 146,
+    (2, 4): 188, (3, 4): 193, (4, 4): 270, (2, 5): 248, (3, 5): 598, (4, 5): 438,
+}
+
+
 def bracket_of(genus, letters):
     """[[...[Y_1, Y_2], ...], Y_m] for letters (index, sign), Y = sign times the class."""
     out = None
@@ -39,7 +53,7 @@ def bracket_of(genus, letters):
 
 
 def test_rungs_cover_every_genus_and_level():
-    assert sorted(WORK) == sorted(rungs(5))
+    assert sorted(WORK) == sorted(SHALLOW_MAGNUS) == sorted(rungs(5))
     assert len(rungs()) == 21
 
 
@@ -59,3 +73,11 @@ def test_rung_matches_oracles(genus, k):
     contracted = tau.images if k % 2 == 0 else squared
     assert report.psi == IntMatrix.from_columns([phi_contract(img, spec).coords
                                                  for img in contracted])
+
+
+@pytest.mark.parametrize("genus, k", rungs(5), ids=lambda v: str(v))
+def test_shallow_rung_reads_its_depth(genus, k):
+    doc = rung(genus, k)[0]
+    with counting() as counts, pytest.raises(DepthError, match=f"depth {k} < k = {k + 1};"):
+        run_job(parse_job(shallow(doc)))
+    assert counts["magnus_terms"] == SHALLOW_MAGNUS[genus, k]

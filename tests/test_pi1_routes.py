@@ -263,10 +263,12 @@ def test_vanishing_sum_at_k_plus_one_builds_nothing(monkeypatch):
     assert made == [(2, 0), (2, 0), (2, 8), (2, 10)]
 
 
-def test_depth_error_expands_each_generator_once_per_pass(monkeypatch):
+def test_depth_error_reads_the_composite_depth_at_truncation_k(monkeypatch):
     """T_1 after inner(w), |w| = 20, at k=2: the twist leaf is expanded once per
-    generator and the inner leaf declines after one expansion; the composite
-    is then expanded once per generator, and its exact depth read off those."""
+    generator and the inner leaf stops after one expansion at k+1; the built
+    composite stops after one expansion at k+1 too, on its shortest generator
+    (104 letters), and filtration_depth then reads its exact depth at
+    truncation k, expanding each generator once, in basis order."""
     genus, k = 3, 2
     w = exact_length_word(random.Random(20), genus, 20)
     made = record_expansions(monkeypatch)
@@ -274,10 +276,12 @@ def test_depth_error_expands_each_generator_once_per_pass(monkeypatch):
         run_job(parse_job(job_doc(genus, k, compose(T, {"op": "inner", "word": format_word(w)}),
                                   4)))
 
-    def letters(f):
-        return sorted((k + 1, len(x * generator(genus, i + 1, -1))) for i, x in enumerate(f.images))
+    def letters(f, truncation):
+        return [(truncation, len(x * generator(genus, i + 1, -1))) for i, x in enumerate(f.images)]
 
     twist, inner = sep_twist(genus, 1), inner_automorphism(w)
-    assert made[:2 * genus] == letters(twist)
-    assert made[2 * genus] == min(letters(inner))
-    assert sorted(made[2 * genus + 1:]) == letters(compose_endos(twist, inner))
+    composite = compose_endos(twist, inner)
+    assert made[:2 * genus] == sorted(letters(twist, k + 1))
+    assert made[2 * genus] == min(letters(inner, k + 1))
+    assert made[2 * genus + 1] == min(letters(composite, k + 1))
+    assert made[2 * genus + 2:] == letters(composite, k)
