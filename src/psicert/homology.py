@@ -135,7 +135,7 @@ class IntMatrix:
             for x in r:
                 q, rem = divmod(x, d)
                 if rem:
-                    raise ValueError(f"entry {x} not divisible by {d}")
+                    raise ValueError(f"entry {clipped(x)} not divisible by {clipped(d)}")
                 row.append(q)
             out.append(tuple(row))
         return IntMatrix(tuple(out))

@@ -5,11 +5,12 @@ invariant matrix:
 
 * ``pi1``: the element is an expression tree of free-group endomorphisms
   (built-in separating twists, inner automorphisms, user-supplied custom
-  endomorphisms, compositions, positive powers).  Its depth and level-k
-  cochain come from `johnson.additive_tau` over the leaves, each counted
-  as often as the tree composes it.  When the tree counts more than
-  MAX_EXPONENT leaves, or a leaf has depth below k, the element is built
-  and counted as one leaf.  The cochain is then contracted.
+  endomorphisms, compositions, positive powers).  `johnson.depth_and_tau`
+  reads its depth and level-k cochain from the leaves, each counted as
+  often as the tree composes it, and builds the element when a leaf has
+  depth below k.  When the tree counts more than MAX_EXPONENT leaves, the
+  element is built first and counted as its only leaf.  The cochain is
+  then contracted.
 * ``homology``: the element is a signed sum of invariant-matrix atoms
   (separating-twist index, weight-2 wedge data, bounding-pair index), with
   optional conjugation by an explicit symplectic matrix or by a product of
@@ -44,8 +45,8 @@ from typing import NamedTuple
 from .contract import ContractionSpec, level_spec, psi_matrix
 from .errors import JobError
 from .homology import HVector, IntMatrix, conjugate, sp_check, times_transvection
-from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, additive_tau, bp_tau,
-                      cochain_from_wedge3, depth_and_tau, depth_of_sum, sep_twist_tau)
+from .johnson import (DepthResult, JohnsonCochain, WedgeTerm, bp_tau, cochain_from_wedge3,
+                      depth_and_tau, sep_twist_tau)
 from .polylab import CriterionReport, _is_prime, charpoly, criterion
 from .words import (MAX_WORD_LETTERS, FreeEndomorphism, clipped, compose_endos,
                     inner_automorphism, parse_word, sep_twist)
@@ -75,7 +76,7 @@ def _entry(value) -> int:
         return _integer(value, "entry")
     if value.isascii() and value.removeprefix("-").isdecimal():
         return int(value)
-    raise ValueError(f"{value!r} is not a decimal string")
+    raise ValueError(f"{clipped(value)!r} is not a decimal string")
 
 
 def parse_matrix(obj, *, what: str = "matrix") -> IntMatrix:
@@ -290,7 +291,8 @@ def parse_job(obj: dict) -> Job:
         raise JobError("job document must be a JSON object")
     schema = obj.get("schema")
     if type(schema) is not int or schema != SCHEMA_VERSION:
-        raise JobError(f"unsupported schema version {schema!r} (expected {SCHEMA_VERSION})")
+        raise JobError(f"unsupported schema version {clipped(repr(schema))} "
+                       f"(expected {SCHEMA_VERSION})")
     try:
         genus = _integer(obj["genus"], "genus")
         k = _integer(obj["k"], "k")
@@ -399,7 +401,7 @@ def _parse_pi1(node, genus: int, nodes):
     if op == "power":
         exponent = _integer(node.get("exponent", 0), "power exponent")
         return Compose((_parse_pi1(node.get("base"), genus, nodes),), exponent)
-    raise JobError(f"unknown pi1 op {op!r}")
+    raise JobError(f"unknown pi1 op {clipped(repr(op))}")
 
 
 def _check_pi1(node, genus: int, nodes) -> None:
@@ -475,7 +477,7 @@ def _parse_homology(node, genus: int, nodes):
             parsed.append((coef, tuple(parse_hvector(v, genus, what="wedge vector")
                                        for v in t["triple"])))
         return Atom(atom, terms=tuple(parsed))
-    raise JobError(f"unknown homology node {sorted(node.keys())}")
+    raise JobError(f"unknown homology node {clipped(str(sorted(node.keys())))}")
 
 
 def _check_homology(node, genus: int, k: int, nodes) -> None:
@@ -522,7 +524,7 @@ def _check_atom(atom: Atom, genus: int, k: int) -> None:
         for coef, _ in atom.terms:
             _check_wedge_coef(coef)
     else:
-        raise JobError(f"unknown homology atom {atom.kind!r}")
+        raise JobError(f"unknown homology atom {clipped(repr(atom.kind))}")
     if atom.kind != "sep_twist" and k != 1:
         raise JobError(f"{atom.kind} atoms define weight-2 data and require k = 1")
     if atom.kind == "sep_twist":
@@ -686,17 +688,16 @@ def _leaf_counts(node, times: int, counts: dict) -> None:
 def _pi1_cochain(job: Job) -> tuple[DepthResult, JohnsonCochain]:
     """The depth and the level-k cochain of the pi1 element, summed over its leaves when it can be.
 
-    When the tree counts more than MAX_EXPONENT leaves, or has a leaf of
-    depth below k, the element is built and summed as one leaf.
+    When the tree counts more than MAX_EXPONENT leaves, the element is built
+    and counted as its only leaf.
     """
     counts: dict = {}
     _leaf_counts(job.element, 1, counts)
-    if sum(counts.values()) <= MAX_EXPONENT:
-        tau = additive_tau(counts, job.k)
-        if tau is not None:
-            return depth_of_sum(tau, job.k, job.truncation,
-                                lambda: build_endomorphism(job.element)), tau
-    return depth_and_tau(build_endomorphism(job.element), job.k, job.truncation)
+    element = job.element
+    if sum(counts.values()) > MAX_EXPONENT:
+        element = build_endomorphism(element)
+        counts = {element: 1}
+    return depth_and_tau(counts, job.k, job.truncation, lambda: build_endomorphism(element))
 
 
 def run_tau(job: Job):

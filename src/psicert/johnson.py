@@ -5,17 +5,17 @@ the map x -> f(x) x^{-1} induces a homomorphism from H to the degree-(k+1)
 layer of the free Lie algebra; computationally, the image of a basis vector
 is the degree-(k+1) graded part of the Magnus expansion of f(x) x^{-1}.
 The cochain extends uniquely to a derivation of the tensor algebra, which
-is how the squared invariant (needed at odd levels) is computed.  Only
-`magnus_expand` bounds degrees, at the truncation its caller passes: k+1
-for a cochain, the job truncation for a depth read, k for a DepthError's.
+is how the squared invariant (needed at odd levels) is computed.
 
 On J(k), the endomorphisms of depth at least k, the cochain is additive
-(Johnson 1980; Morita 1993).  `additive_tau` sums it over the factors of a
-composite, each expanded once per generator at degree k+1, and returns None
-at the first term of lower degree.  A nonzero sum fixes the depth at k, a
-vanishing one at truncation k+1 bounds it below by k, and only otherwise is
-the composite built and expanded at the truncation (`depth_of_sum`).
-`depth_and_tau` is this rule over one endomorphism.
+(Johnson 1980; Morita 1993).  `depth_and_tau` is the one depth rule:
+`additive_tau` sums the cochain over the factors of a composite, each
+generator expanded once at truncation k+1, and stops at the first generator
+with a term of degree d <= k.  A nonzero sum fixes the depth at k, and a
+vanishing one bounds it below by k at truncation k+1; only otherwise is the
+composite built and its depth read at the job truncation.  A sum that stops
+is taken again over the built composite, whose exact depth then comes from
+the generators it has not expanded, at truncation d - 1.
 
 A cochain's 2g images mostly share their words, so the two steps that run
 once per image run once per pack of consecutive nonzero images instead
@@ -128,18 +128,11 @@ class DepthResult:
         return str(self.value) if self.exact else f">= {self.value}"
 
 
-def _expansion(f: FreeEndomorphism, i: int, truncation: int) -> TruncatedTensor:
-    """M(f(x) x^{-1}) at `truncation` for the generator x of basis index i (from 0);
-    its empty-word coefficient is always 1."""
-    return magnus_expand(f.images[i] * generator(f.genus, i + 1, -1), truncation)
-
-
-def _depth(expansions: list[TruncatedTensor], max_k: int) -> DepthResult:
-    """Depth read off expansions whose lowest positive degrees are exact up to max_k + 1."""
-    low = min((len(w) for e in expansions for w in e.terms if w), default=None)
-    if low is None:
-        return DepthResult(max_k, exact=False)
-    return DepthResult(low - 1, exact=True)
+def _expansion(f: FreeEndomorphism, i: int, truncation: int) -> tuple[dict, int]:
+    """The terms of M(f(x) x^{-1}) at `truncation` for the generator x of basis index i
+    (from 0), and their lowest positive degree, truncation + 1 if there is none."""
+    terms = magnus_expand(f.images[i] * generator(f.genus, i + 1, -1), truncation).terms
+    return terms, min(map(len, filter(None, terms)), default=truncation + 1)
 
 
 def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
@@ -150,7 +143,8 @@ def filtration_depth(f: FreeEndomorphism, max_k: int) -> DepthResult:
     """
     if max_k < 0:
         raise ValueError("max_k must be nonnegative")
-    return _depth([_expansion(f, i, max_k + 1) for i in range(len(f.images))], max_k)
+    low = min(_expansion(f, i, max_k + 1)[1] for i in range(len(f.images)))
+    return DepthResult(min(low, max_k + 1) - 1, exact=low <= max_k + 1)
 
 
 def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
@@ -162,23 +156,24 @@ def tau_on_H(f: FreeEndomorphism, k: int) -> JohnsonCochain:
     """
     if k < 1:
         raise ValueError("level k must be at least 1")
-    return depth_and_tau(f, k, k + 1)[1]
+    return depth_and_tau({f: 1}, k, k + 1, lambda: f)[1]
 
 
-def additive_tau(counts: dict, k: int) -> JohnsonCochain | None:
+def additive_tau(counts: dict, k: int) -> JohnsonCochain | tuple:
     """The level-k cochain of a composite, summed over `counts`, each factor's multiplicity.
 
-    The generators are expanded shortest image first, and None is returned
-    at the first whose expansion has a nonzero term of degree at most k.
+    The generators are expanded shortest image first.  At the first whose
+    expansion has a nonzero term of degree d <= k, the sum stops, and
+    (that factor, the basis indices of its generators not yet expanded, d)
+    is returned instead.
     """
     weight, summands = k + 1, []
     for f, times in counts.items():
         images = [None] * len(f.images)
         for i in sorted(range(len(f.images)), key=lambda i: len(f.images[i])):
-            terms = _expansion(f, i, weight).terms
-            if min(map(len, filter(None, terms)), default=weight) <= k:
-                return None
-            images[i] = terms
+            images[i], low = _expansion(f, i, weight)
+            if low <= k:
+                return f, [j for j, terms in enumerate(images) if terms is None], low
         summands.append((times, images))
     genus = next(iter(counts)).genus
     return JohnsonCochain(genus, weight, tuple(
@@ -187,32 +182,34 @@ def additive_tau(counts: dict, k: int) -> JohnsonCochain | None:
         for i in range(2 * genus)))
 
 
-def depth_of_sum(tau: JohnsonCochain, k: int, truncation: int, build) -> DepthResult:
-    """Depth of the element build() returns, whose level-k cochain additive_tau summed to `tau`."""
-    if not tau.is_zero():
-        return DepthResult(k, exact=True)
-    if truncation == k + 1:
-        return DepthResult(k, exact=False)
-    return filtration_depth(build(), truncation - 1)
-
-
 def _raise_shallow(depth: int, k: int):
     raise DepthError(f"element has filtration depth {depth} < k = {k}; the level-{k} "
                      "invariant is undefined")
 
 
-def depth_and_tau(f: FreeEndomorphism, k: int, truncation: int) -> tuple[DepthResult, JohnsonCochain]:
-    """filtration_depth(f, truncation - 1) and tau_on_H(f, k): additive_tau over f alone.
+def depth_and_tau(counts: dict, k: int, truncation: int,
+                  build) -> tuple[DepthResult, JohnsonCochain]:
+    """filtration_depth(f, truncation - 1) and tau_on_H(f, k) for f = build(), the
+    composite of the factors `counts` counts, by the rule of the module docstring.
 
-    DepthError if the depth is below k, with the exact value filtration_depth
-    reads at truncation k, whose expansions hold every term of degree <= k.
+    DepthError if the depth is below k, with its exact value: the generator
+    that stopped the sum has lowest degree d, those before it none below k+1,
+    so the expansions of the rest at truncation d - 1 read it.
     """
     if truncation < k + 1:
         raise ValueError(f"truncation must be at least k+1 = {k + 1}")
-    tau = additive_tau({f: 1}, k)
-    if tau is None:
-        _raise_shallow(filtration_depth(f, k - 1).value, k)
-    return depth_of_sum(tau, k, truncation, lambda: f), tau
+    tau = additive_tau(counts, k)
+    if isinstance(tau, tuple) and list(counts.values()) != [1]:
+        f = build()
+        build, tau = (lambda: f), additive_tau({f: 1}, k)
+    if isinstance(tau, tuple):  # a term of degree below d shows at truncation d - 1
+        f, rest, d = tau
+        _raise_shallow(min([d] + [_expansion(f, i, d - 1)[1] for i in rest if d > 1]) - 1, k)
+    if not tau.is_zero():
+        return DepthResult(k, exact=True), tau
+    if truncation == k + 1:
+        return DepthResult(k, exact=False), tau
+    return filtration_depth(build(), truncation - 1), tau
 
 
 def derivation_apply(c: JohnsonCochain, t: TruncatedTensor) -> TruncatedTensor:

@@ -11,7 +11,8 @@ cochain vanishes, so every rung has depth exactly k and expands only at k+1.
 
 The benchmark stops at k = 3; the ladder follows the level axis beyond it.
 `shallow(doc)` is a rung's document at level k+1, which its depth k is too
-shallow for: it ends in DepthError, with the depth read at truncation k+1.
+shallow for: it ends in DepthError after one expansion at truncation k+2,
+with the depth read from the other generators at truncation k.
 `counting()` counts the work a run does by deterministic measures (tensor
 validations, the terms handed to the Dynkin test, the terms Magnus
 expansions return), which `test_ladder.py` pins.  Run as a script, it prints

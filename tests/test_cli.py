@@ -282,6 +282,34 @@ def test_oversized_document_exits_2(tmp_path, capsys, name, command):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def echoing_documents() -> dict[str, tuple[str, object]]:
+    """(command, document) pairs whose error message echoes a document value."""
+    twist, long = twist_job(), "x" * 100_000
+    homology = dict(twist, pipeline="homology")
+    return {
+        "divide-by-4226-digits": ("certify", dict(twist, options={"divide_by": int("7" * 4226)})),
+        "matrix-entry": ("certify", dict(homology, element={
+            "conjugate": {"atom": "sep_twist", "index": 1},
+            "matrix": [[long, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]})),
+        "transvection-class": ("certify", dict(homology, element={
+            "conjugate": {"atom": "sep_twist", "index": 1}, "transvections": [[long, 0, 0, 0]]})),
+        "charpoly-matrix-entry": ("charpoly", [[long]]),
+        "pi1-op": ("certify", dict(twist, element={"op": long})),
+        "schema": ("certify", dict(twist, schema=long)),
+        "homology-node-key": ("certify", dict(homology, element={long: 1})),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(echoing_documents()))
+def test_echoed_values_are_clipped(tmp_path, capsys, name):
+    command, doc = echoing_documents()[name]
+    flag = "--matrix" if command == "charpoly" else "--job"
+    assert main([command, flag, write_job(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert len(err) < 200, err[:300]
+
+
 class TestTau:
     def test_pi1(self, tmp_path, capsys):
         job = write_job(tmp_path, twist_job())

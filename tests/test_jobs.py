@@ -494,7 +494,8 @@ class TestValidation:
         t20 = {"op": "power", "base": {"op": "sep_twist", "index": 1}, "exponent": 20}
         job = parse_job(base_job(element={"op": "compose", "factors": [t20, t20]}))
         additive = run_job(job).to_json()
-        monkeypatch.setattr(jobs, "additive_tau", lambda counts, k: None)
+        # a cap of 0 leaves sends every tree to the word route
+        monkeypatch.setattr(jobs, "MAX_EXPONENT", 0)
         assert run_job(job).to_json() == additive
 
     def test_power_admission_boundary(self):

@@ -14,8 +14,9 @@ from psicert import johnson
 from psicert.errors import DepthError, GenusMismatchError
 from psicert.homology import HVector
 from psicert.jobs import parse_job, run_job
-from psicert.johnson import (JohnsonCochain, _depth, bp_tau, cochain_from_wedge3, depth_and_tau,
-                             derivation_apply, filtration_depth, tau_on_H, tau_squared)
+from psicert.johnson import (DepthResult, JohnsonCochain, bp_tau, cochain_from_wedge3,
+                             depth_and_tau, derivation_apply, filtration_depth, tau_on_H,
+                             tau_squared)
 from psicert.tensors import PACK_BITS, TruncatedTensor, dynkin_is_lie, lie_bracket, magnus_expand
 from psicert.words import (FreeEndomorphism, GroupWord, a_gen, apply_endo, b_gen, commutator,
                            compose_endos, generator, inner_automorphism,
@@ -95,6 +96,11 @@ class TestTauOnH:
         check_tau_images_are_lie()
 
 
+def depth_and_tau_of(f, k, truncation):
+    """depth_and_tau over f alone."""
+    return depth_and_tau({f: 1}, k, truncation, lambda: f)
+
+
 class TestDepthAndTau:
     @pytest.mark.parametrize("k,truncation", [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 8)])
     def test_matches_separate_routines(self, k, truncation):
@@ -105,17 +111,17 @@ class TestDepthAndTau:
             depth = filtration_depth(f, truncation - 1)
             if depth.value < k:
                 with pytest.raises(DepthError, match="filtration depth"):
-                    depth_and_tau(f, k, truncation)
+                    depth_and_tau_of(f, k, truncation)
             else:
-                assert depth_and_tau(f, k, truncation) == (depth, tau_on_H(f, k))
+                assert depth_and_tau_of(f, k, truncation) == (depth, tau_on_H(f, k))
 
     def test_depth_failure_names_depth_and_level(self):
         with pytest.raises(DepthError, match="depth 1 < k = 2"):
-            depth_and_tau(inner_automorphism(a_gen(2, 1)), 2, 4)
+            depth_and_tau_of(inner_automorphism(a_gen(2, 1)), 2, 4)
 
     def test_truncation_floor(self):
         with pytest.raises(ValueError):
-            depth_and_tau(sep_twist(2, 1), 2, 2)
+            depth_and_tau_of(sep_twist(2, 1), 2, 2)
 
 
 def full_expansions(f, truncation):
@@ -151,15 +157,16 @@ ORACLE_PAIRS = [(1, 2), (1, 4), (2, 3), (2, 4), (2, 6), (3, 4), (3, 8)]
 
 def assert_matches_full_expansions(f, k, truncation):
     full = full_expansions(f, truncation)
-    depth = _depth(full, truncation - 1)
+    low = min((len(w) for e in full for w in e.terms if w), default=truncation + 1)
+    depth = DepthResult(min(low, truncation) - 1, exact=low <= truncation)
     if depth.value < k:
         with pytest.raises(DepthError) as lazy_error:
-            depth_and_tau(f, k, truncation)
+            depth_and_tau_of(f, k, truncation)
         assert str(lazy_error.value) == (
             f"element has filtration depth {depth} < k = {k}; the level-{k} "
             "invariant is undefined")
         return
-    lazy_depth, cochain = depth_and_tau(f, k, truncation)
+    lazy_depth, cochain = depth_and_tau_of(f, k, truncation)
     assert lazy_depth == depth
     assert cochain.images == tuple(graded_part(e, k + 1) for e in full)
 
@@ -196,12 +203,12 @@ class TestLazyExpansion:
 
     def test_cases_cover_each_branch(self):
         # zero cochain at k=1, and DepthError at k=2 and at k=3
-        depth, cochain = depth_and_tau(sep_twist(3, 1), 1, 4)
+        depth, cochain = depth_and_tau_of(sep_twist(3, 1), 1, 4)
         assert depth.value == 2 and depth.exact and cochain.is_zero()
         with pytest.raises(DepthError, match="depth 1 < k = 2"):
-            depth_and_tau(inner_automorphism(a_gen(2, 1)), 2, 4)
+            depth_and_tau_of(inner_automorphism(a_gen(2, 1)), 2, 4)
         with pytest.raises(DepthError, match="depth 2 < k = 3"):
-            depth_and_tau(sep_twist(3, 1), 3, 8)
+            depth_and_tau_of(sep_twist(3, 1), 3, 8)
 
     def test_expands_at_k_plus_one_only(self, monkeypatch):
         genus, k, truncation = 4, 2, 4
@@ -214,9 +221,24 @@ class TestLazyExpansion:
                            "options": {"truncation": truncation}}))
         assert calls == [k + 1] * (2 * genus)
 
+    def test_depth_error_expands_each_generator_once(self, monkeypatch):
+        # b1 -> b1 [a1, b1] has depth 1: the three one-letter images are expanded
+        # first, at k+1, with no term below degree k+1, so b1's term of degree 2
+        # fixes the depth and no generator is expanded again
+        calls = []
+        real = johnson.magnus_expand
+        monkeypatch.setattr(johnson, "magnus_expand",
+                            lambda w, t: calls.append(t) or real(w, t))
+        f = FreeEndomorphism(2, (a_gen(2, 1), b_gen(2, 1) * commutator(a_gen(2, 1), b_gen(2, 1)),
+                                 a_gen(2, 2), b_gen(2, 2)))
+        with pytest.raises(DepthError, match="depth 1 < k = 2"):
+            depth_and_tau_of(f, 2, 4)
+        assert calls == [3] * 4
+
     def test_hostile_document_never_expands_past_k_plus_one(self, monkeypatch):
         # a long inner factor: expanding its images at truncation 8 ran for minutes;
-        # after the first expansion, at k+1, the depth is read at truncation k
+        # the first expansion, at k+1, has a term of degree d = k, so the depth is
+        # read from the other generators at truncation d - 1
         genus, k, truncation = 3, 2, 8
         calls = []
         real = johnson.magnus_expand
@@ -230,8 +252,8 @@ class TestLazyExpansion:
         f = compose_endos(sep_twist(genus, 1),
                           inner_automorphism(exact_length_word(random.Random(1), genus, 60)))
         with pytest.raises(DepthError, match="depth 1 < k = 2"):
-            depth_and_tau(f, k, truncation)
-        assert calls == [k + 1] + [k] * (2 * genus)
+            depth_and_tau_of(f, k, truncation)
+        assert calls == [k + 1] + [k - 1] * (2 * genus - 1)
 
 
 class TestDerivation:

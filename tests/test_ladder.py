@@ -35,11 +35,11 @@ WORK = {
 
 
 # (genus, k) -> terms Magnus expansions return when the rung's document runs
-# at level k+1: each generator is expanded at truncation k+2 until the first
-# holds a term of degree at most k+1, then every generator at truncation k+1
+# at level k+1: its shortest generator is expanded at truncation k+2, where it
+# holds a term of degree k+1, and every other generator at truncation k
 SHALLOW_MAGNUS = {
-    (2, 2): 52, (3, 2): 51, (4, 2): 78, (2, 3): 114, (3, 3): 90, (4, 3): 146,
-    (2, 4): 188, (3, 4): 193, (4, 4): 270, (2, 5): 248, (3, 5): 598, (4, 5): 438,
+    (2, 2): 20, (3, 2): 17, (4, 2): 26, (2, 3): 44, (3, 3): 25, (4, 3): 46,
+    (2, 4): 71, (3, 4): 60, (4, 4): 82, (2, 5): 83, (3, 5): 214, (4, 5): 113,
 }
 
 

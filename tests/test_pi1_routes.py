@@ -17,6 +17,7 @@ from collections import Counter
 import pytest
 
 from checks import exact_length_word, format_word, linear_combination
+from ladder import rung, shallow
 from psicert import jobs, johnson
 from psicert.errors import DepthError, JobError
 from psicert.jobs import parse_job, run_job
@@ -34,7 +35,8 @@ def job_doc(genus, k, element, truncation=None):
 
 
 def word_route(job):
-    return depth_and_tau(jobs.build_endomorphism(job.element), job.k, job.truncation)
+    f = jobs.build_endomorphism(job.element)
+    return depth_and_tau({f: 1}, job.k, job.truncation, lambda: f)
 
 
 def outcome(job):
@@ -164,7 +166,7 @@ def test_seeded_trees_take_every_path():
         jobs._leaf_counts(job.element, 1, counts)
         assert sum(counts.values()) <= jobs.MAX_EXPONENT
         tau = johnson.additive_tau(counts, job.k)
-        paths["declined" if tau is None else "zero" if tau.is_zero() else "sum"] += 1
+        paths["declined" if isinstance(tau, tuple) else "zero" if tau.is_zero() else "sum"] += 1
         repeated += max(counts.values()) > 1
     assert min(paths["sum"], paths["zero"], paths["declined"]) >= 12, paths
     assert repeated >= 12
@@ -202,7 +204,15 @@ BOUNDARY = {
                           {"op": "inner", "word": "b2^-1 a1^-1"}),
     # leaves of depth 1 < k whose composite is the identity
     "identity": compose({"op": "inner", "word": "a1 b2"}, {"op": "inner", "word": "b2^-1 a1^-1"}),
+    # one shallow leaf: only a tree that counts it exactly once is that leaf,
+    # so only then is the element not built
+    "inner-squared": power({"op": "inner", "word": "a1 b2"}, 2),
+    "inner-alone": compose({"op": "inner", "word": "a1 b2"}),
+    "custom-shallow": {"op": "custom", "images": ["a1 b1", "b1", "a2", "b2"]},
+    # a leaf of depth 0 whose square is the identity
+    "involution-squared": power({"op": "custom", "images": ["a1^-1", "b1", "a2", "b2"]}, 2),
 }
+SHALLOW = {"depth-error", "inner-squared", "inner-alone", "custom-shallow"}
 
 
 @pytest.mark.parametrize("truncation", [3, 4])
@@ -214,6 +224,7 @@ def test_routes_agree_at_the_boundaries(monkeypatch, name, truncation):
     assert (sum(counts.values()) > jobs.MAX_EXPONENT) == name.endswith("+1")
     additive, word = both_routes(job, monkeypatch)
     assert additive == word
+    assert (additive[0] == "DepthError") == (name in SHALLOW)
 
 
 def test_power_ladder_costs_the_same_at_every_exponent(monkeypatch):
@@ -263,12 +274,12 @@ def test_vanishing_sum_at_k_plus_one_builds_nothing(monkeypatch):
     assert made == [(2, 0), (2, 0), (2, 8), (2, 10)]
 
 
-def test_depth_error_reads_the_composite_depth_at_truncation_k(monkeypatch):
+def test_depth_error_reads_the_other_generators_at_truncation_d_minus_one(monkeypatch):
     """T_1 after inner(w), |w| = 20, at k=2: the twist leaf is expanded once per
     generator and the inner leaf stops after one expansion at k+1; the built
     composite stops after one expansion at k+1 too, on its shortest generator
-    (104 letters), and filtration_depth then reads its exact depth at
-    truncation k, expanding each generator once, in basis order."""
+    (104 letters), whose lowest term has degree d = 2, and each other
+    generator is then expanded once at truncation d - 1, in basis order."""
     genus, k = 3, 2
     w = exact_length_word(random.Random(20), genus, 20)
     made = record_expansions(monkeypatch)
@@ -281,7 +292,18 @@ def test_depth_error_reads_the_composite_depth_at_truncation_k(monkeypatch):
 
     twist, inner = sep_twist(genus, 1), inner_automorphism(w)
     composite = compose_endos(twist, inner)
+    first = min(range(2 * genus), key=lambda i: len(composite.images[i]))
     assert made[:2 * genus] == sorted(letters(twist, k + 1))
     assert made[2 * genus] == min(letters(inner, k + 1))
-    assert made[2 * genus + 1] == min(letters(composite, k + 1))
-    assert made[2 * genus + 2:] == letters(composite, k)
+    assert made[2 * genus + 1] == letters(composite, k + 1)[first] == (k + 1, 104)
+    assert made[2 * genus + 2:] == [c for i, c in enumerate(letters(composite, 1)) if i != first]
+
+
+def test_single_leaf_depth_error_expands_each_generator_once(monkeypatch):
+    """A custom leaf alone is the element: ladder rung (2, 4) at level 5 stops
+    on its shortest generator at truncation 6, with a term of degree 5, and
+    the depth 4 is read from the other three at truncation 4."""
+    made = record_expansions(monkeypatch)
+    with pytest.raises(DepthError, match="depth 4 < k = 5;"):
+        run_job(parse_job(shallow(rung(2, 4)[0])))
+    assert made == [(6, 40), (4, 44), (4, 46), (4, 42)]
